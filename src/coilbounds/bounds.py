@@ -212,13 +212,8 @@ def coil_hyperbolicity_certificate(k: int, n1: int, n2: int) -> HyperbolicityCer
     return HyperbolicityCertificate(condition, witnesses)
 
 
-def coil_volume_interval(spec: CoilSpec) -> VolumeInterval:
-    """Certified volume interval for the (p, q, n1, n2) double coil knot.
-
-    Raises ``NoHyperbolicityCertificate`` unless one of the two twist
-    conditions holds; the estimates are conditional and this module never
-    emits an uncertified interval.
-    """
+def _evaluate(spec: CoilSpec):
+    """k, certificate, ell and the volume interval of a spec, each once."""
     k = cfrac_expand(spec.slope).length
     cert = coil_hyperbolicity_certificate(k, spec.n1, spec.n2)
     if not cert.satisfied:
@@ -231,7 +226,7 @@ def coil_volume_interval(spec: CoilSpec) -> VolumeInterval:
         raise SlopeTooShort(f"ell={ell} not greater than 4*pi^2")
     c = CONSTANTS
     factor = (1.0 - _FOUR_PI_SQ / ell) ** 1.5
-    return VolumeInterval(
+    vol = VolumeInterval(
         lower=factor * (4.0 * k * c.v3 - c.parent_deficit),
         upper=4.0 * c.v8 * k,
         strict_upper=True,
@@ -241,6 +236,17 @@ def coil_volume_interval(spec: CoilSpec) -> VolumeInterval:
             f"certificate:{cert.condition.value}",
         ),
     )
+    return k, cert, ell, vol
+
+
+def coil_volume_interval(spec: CoilSpec) -> VolumeInterval:
+    """Certified volume interval for the (p, q, n1, n2) double coil knot.
+
+    Raises ``NoHyperbolicityCertificate`` unless one of the two twist
+    conditions holds; the estimates are conditional and this module never
+    emits an uncertified interval.
+    """
+    return _evaluate(spec)[3]
 
 
 def lambda_lower(vol: float) -> float:
@@ -282,19 +288,10 @@ def lambda_upper(g: int, vol: float) -> float:
     return 32.0 * math.pi * gm1 / vol + 640.0 * math.pi**2 * gm1 * gm1 / (vol * vol)
 
 
-def coil_lambda_interval(spec: CoilSpec) -> SpectralInterval:
-    """Certified lambda_1 interval for a double coil knot.
-
-    Uses A1 = pi^2/2^50 and A2 = 12650 with the Heegaard genus at most 3;
-    the unknown true volume is replaced by the certified volume interval's
-    endpoints (lower bound evaluated at the volume upper bound and vice
-    versa, both substitutions sound by monotonicity).
-    """
-    vol = coil_volume_interval(spec)
-    c = CONSTANTS
+def _lambda_interval(vol: VolumeInterval) -> SpectralInterval:
     return SpectralInterval(
         lower=lambda_lower(vol.upper),
-        upper=c.lambda_ceiling_coefficient / vol.lower,
+        upper=CONSTANTS.lambda_ceiling_coefficient / vol.lower,
         methods=vol.methods
         + (
             "heegaard-genus<=3",
@@ -303,6 +300,17 @@ def coil_lambda_interval(spec: CoilSpec) -> SpectralInterval:
             "volume-endpoint-substitution",
         ),
     )
+
+
+def coil_lambda_interval(spec: CoilSpec) -> SpectralInterval:
+    """Certified lambda_1 interval for a double coil knot.
+
+    Uses A1 = pi^2/2^50 and A2 = 12650 with the Heegaard genus at most 3;
+    the unknown true volume is replaced by the certified volume interval's
+    endpoints (lower bound evaluated at the volume upper bound and vice
+    versa, both substitutions sound by monotonicity).
+    """
+    return _lambda_interval(coil_volume_interval(spec))
 
 
 def disk_obstruction_check(n2: int) -> bool:
@@ -315,15 +323,16 @@ def disk_obstruction_check(n2: int) -> bool:
 
 
 def bound_report(spec: CoilSpec) -> dict:
-    """Complete JSON-ready report: certificate, volume, and lambda_1."""
-    k = cfrac_expand(spec.slope).length
-    cert = coil_hyperbolicity_certificate(k, spec.n1, spec.n2)
-    vol = coil_volume_interval(spec)
-    lam = coil_lambda_interval(spec)
+    """Complete JSON-ready report: certificate, volume, and lambda_1.
+
+    The single evaluation of a spec: family rows read from it too.
+    """
+    k, cert, ell, vol = _evaluate(spec)
+    lam = _lambda_interval(vol)
     return {
         "spec": {"p": spec.p, "q": spec.q, "n1": spec.n1, "n2": spec.n2},
         "k": k,
-        "ell": ell_param(k, spec.n1, spec.n2),
+        "ell": ell,
         "certificate": {
             "condition": cert.condition.value,
             "witnesses": {

@@ -66,11 +66,14 @@ class _UsageError(Exception):
 
 def _coil_spec(args) -> CoilSpec:
     if args.slope and args.p is None:
-        s = Slope.parse(args.slope)
+        s = canonical_coil_slope(Slope.parse(args.slope))
         args.p, args.q = s.p, s.q
     if None in (args.p, args.q, args.n1, args.n2):
         raise _UsageError("need --p --q --n1 --n2 (or --slope with --n1 --n2)")
-    return CoilSpec(args.p, args.q, args.n1, args.n2)
+    try:
+        return CoilSpec(args.p, args.q, args.n1, args.n2)
+    except ValueError as e:
+        raise _UsageError(str(e)) from None
 
 
 def _cmd_cfrac(args):
@@ -155,9 +158,8 @@ def _cmd_bounds(args):
 
 def _cmd_family(args):
     with open(args.config) as fh:
-        fam, options = family_mod.load_family_config(fh.read())
-    cap = options.get("diagram_cap", family_mod.DEFAULT_DIAGRAM_CAP)
-    report = family_mod.analyze_family(fam, diagram_cap=cap, jobs=args.jobs)
+        fam = family_mod.load_family_config(fh.read())
+    report = family_mod.analyze_family(fam, jobs=args.jobs)
     if args.format == "json":
         data = _round_floats(family_mod.report_to_json(report), args.precision)
         _emit(json.dumps(data, indent=2) + "\n", args.out)
@@ -201,26 +203,27 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"coilbounds {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_flags=False):
+    def precision(p):
         p.add_argument("--precision", type=int, default=6, choices=range(1, 16),
                        metavar="N", help="significant digits for numeric output")
+
+    def out(p):
         p.add_argument("--out", metavar="PATH", help="write output to a file")
-        if spec_flags:
-            p.add_argument("--p", type=int)
-            p.add_argument("--q", type=int)
-            p.add_argument("--n1", type=int)
-            p.add_argument("--n2", type=int)
-            p.add_argument("--slope", metavar="P/Q")
+
+    def spec_flags(p):
+        p.add_argument("--p", type=int)
+        p.add_argument("--q", type=int)
+        p.add_argument("--n1", type=int)
+        p.add_argument("--n2", type=int)
+        p.add_argument("--slope", metavar="P/Q")
 
     p = sub.add_parser("cfrac", help="continued fraction of a slope")
     p.add_argument("slope")
-    common(p)
     p.set_defaults(fn=_cmd_cfrac)
 
     p = sub.add_parser("slope", help="canonical and mirror forms of a slope")
     p.add_argument("slope")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    common(p)
     p.set_defaults(fn=_cmd_slope)
 
     p = sub.add_parser("curve", help="intersection numbers of two slopes")
@@ -229,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="force the brute-force oracle")
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     p.add_argument("--svg", metavar="PATH", help="draw both curves on the framed sphere")
-    common(p)
     p.set_defaults(fn=_cmd_curve)
 
     p = sub.add_parser("gen", help="generate a diagram as a PD code")
@@ -237,36 +239,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cfrac", metavar="[a1,...,ak]")
     p.add_argument("--svg", metavar="PATH", help="also render the diagram")
     p.add_argument("--seed-layout", type=int, default=0)
-    common(p, spec_flags=True)
+    out(p)
+    spec_flags(p)
     p.set_defaults(fn=_cmd_gen)
 
-    for name, help_text in (
-        ("bounds", "certified volume report (JSON)"),
-        ("lambda", "certified spectral report (JSON)"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        common(p, spec_flags=True)
-        p.set_defaults(fn=_cmd_bounds)
+    p = sub.add_parser("bounds", aliases=["lambda"],
+                       help="certified volume and spectral report (JSON)")
+    precision(p)
+    out(p)
+    spec_flags(p)
+    p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("family", help="analyze a family from a config file")
     p.add_argument("--config", required=True, metavar="PATH")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--jobs", type=int, default=1)
-    common(p)
+    precision(p)
+    out(p)
     p.set_defaults(fn=_cmd_family)
 
     p = sub.add_parser("verify", help="run the acceptance/oracle suite")
     p.add_argument("--pd", metavar="PATH", help="validate a PD-code file instead")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     p.add_argument("--jobs", type=int, default=1)
-    common(p)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("render", help="render a PD-code file to SVG")
     p.add_argument("pdfile")
     p.add_argument("--svg", metavar="PATH", help="output path (default stdout)")
     p.add_argument("--seed-layout", type=int, default=0)
-    common(p)
     p.set_defaults(fn=_cmd_render)
     return top
 

@@ -378,14 +378,3 @@ class DiagramBuilder:
             rotations.append(r)
             tuples.append(tuple(labels[c][(r + i) % 4] for i in range(4)))
         return PlanarDiagram(tuples, provenance), rotations
-
-    @classmethod
-    def from_diagram(cls, d: PlanarDiagram) -> "DiagramBuilder":
-        """Rebuild a builder from a finished diagram (PD slots preserved)."""
-        b = cls()
-        for _ in range(d.n_crossings):
-            b.crossing(under=0)
-        for label in d._ends:
-            (c1, s1), (c2, s2) = d.ends_of(label)
-            b.wire((c1, s1), (c2, s2))
-        return b

@@ -14,28 +14,21 @@ Two family kinds reproduce the headline phenomena:
 Verdicts are decided by the family *kind* (an infinite family's volumes
 are bounded or not by construction), never by eyeballing finitely many
 numbers; and they concern the certified bound intervals, not the true
-spectra.  Diagram-level columns (crossing count, twist regions) are
-honest proxies computed from actually generated diagrams, capped by
-``diagram_cap`` because vary-slope members quickly have billions of
-crossings; the crossing-count column itself is exact from the generator
-contract q(q-1)(|n1|+|n2|).
+spectra.  Each row is one ``bound_report`` of its member.  The
+diagram-level columns are exact closed forms of the generated diagram,
+with no diagram built: crossings q(q-1)(|n1|+|n2|) and twist regions
+``CoilSpec.twist_region_count``, a law checked against generated diagrams
+in the tests and in ``verify`` (criterion-09).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bounds import (
-    CONSTANTS,
-    coil_lambda_interval,
-    coil_volume_interval,
-    disk_obstruction_check,
-    ell_param,
-    coil_hyperbolicity_certificate,
-)
+from .bounds import bound_report, disk_obstruction_check
 from .errors import CoilboundsError, ConfigError, NoCertifiedRows
-from .generators import CoilSpec, gen_double_coil, generalized_twist_regions
-from .slopes import Slope, cfrac_expand
+from .generators import CoilSpec
+from .slopes import Slope
 
 __all__ = [
     "CoilFamily",
@@ -53,8 +46,6 @@ __all__ = [
     "report_to_json",
     "CSV_COLUMNS",
 ]
-
-DEFAULT_DIAGRAM_CAP = 4000
 
 
 @dataclass(frozen=True)
@@ -111,7 +102,7 @@ class FamilyRow:
     vol_upper: float
     lam_lower: float
     lam_upper: float
-    twist_regions: int | None = None
+    twist_regions: int
     gen_twist_regions: int = 2
 
 
@@ -124,49 +115,34 @@ class FamilyReport:
     verdict: str = "Inconclusive"
 
 
-def _row(index: int, spec: CoilSpec, diagram_cap: int) -> FamilyRow:
-    k = cfrac_expand(spec.slope).length
-    vol = coil_volume_interval(spec)
-    lam = coil_lambda_interval(spec)
-    cert = coil_hyperbolicity_certificate(k, spec.n1, spec.n2)
-    twist = None
-    if spec.crossing_count <= diagram_cap:
-        d = gen_double_coil(spec)
-        assert d.n_crossings == spec.crossing_count
-        twist = d.twist_regions().count
+def _row(index: int, spec: CoilSpec) -> FamilyRow:
+    rep = bound_report(spec)
     return FamilyRow(
         index=index,
         spec=spec,
-        k=k,
-        ell=ell_param(k, spec.n1, spec.n2),
-        certificate=cert.condition.value,
+        k=rep["k"],
+        ell=rep["ell"],
+        certificate=rep["certificate"]["condition"],
         crossings=spec.crossing_count,
-        vol_lower=vol.lower,
-        vol_upper=vol.upper,
-        lam_lower=lam.lower,
-        lam_upper=lam.upper,
-        twist_regions=twist,
-        gen_twist_regions=2,
+        vol_lower=rep["volume"]["lower"],
+        vol_upper=rep["volume"]["upper"],
+        lam_lower=rep["lambda"]["lower"],
+        lam_upper=rep["lambda"]["upper"],
+        twist_regions=spec.twist_region_count,
     )
 
 
-def analyze_family(
-    f: CoilFamily, diagram_cap: int = DEFAULT_DIAGRAM_CAP, jobs: int = 1
-) -> FamilyReport:
+def analyze_family(f: CoilFamily, jobs: int = 1) -> FamilyReport:
     """Evaluate every member; uncertified members are listed, never fatal."""
     report = FamilyReport(family=f)
     indexed = list(enumerate(f.members))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(
-                partial(_row_or_error, diagram_cap=diagram_cap), indexed
-            )
-            outcomes = list(results)
+            outcomes = list(pool.map(_row_or_error, indexed))
     else:
-        outcomes = [_row_or_error(item, diagram_cap=diagram_cap) for item in indexed]
+        outcomes = [_row_or_error(item) for item in indexed]
     for (i, spec), outcome in zip(indexed, outcomes):
         if isinstance(outcome, FamilyRow):
             report.rows.append(outcome)
@@ -180,10 +156,10 @@ def analyze_family(
     return report
 
 
-def _row_or_error(item, diagram_cap):
+def _row_or_error(item):
     i, spec = item
     try:
-        return _row(i, spec, diagram_cap)
+        return _row(i, spec)
     except CoilboundsError as e:
         return type(e).__name__
 
@@ -230,34 +206,28 @@ def expanding_verdict(r: FamilyReport) -> str:
     return "Inconclusive"
 
 
-def twist_growth_experiment(p: int, q: int, n2_fixed: int, n1_range,
-                            diagram_cap: int = DEFAULT_DIAGRAM_CAP) -> list[dict]:
+def twist_growth_experiment(p: int, q: int, n2_fixed: int, n1_range) -> list[dict]:
     """Per-n1 table behind the bounded-volume / growing-twist phenomenon.
 
-    Each row reports the exact crossing count q(q-1)(|n1|+|n2|), the twist
-    number t(D) of the generated diagram (an upper bound for the twist
-    number of the knot), the constant volume upper bound, and whether the
-    punctured-disk obstruction applies to the fixed 1/n2 filling.
+    Each row projects a family row: the exact crossing count
+    q(q-1)(|n1|+|n2|), the twist number t(D) of the generated diagram (an
+    upper bound for the twist number of the knot), the constant volume
+    upper bound, and whether the punctured-disk obstruction applies to the
+    fixed 1/n2 filling.
     """
-    table = []
-    for n1 in n1_range:
-        spec = CoilSpec(p, q, n1, n2_fixed)
-        k = cfrac_expand(spec.slope).length
-        vol = coil_volume_interval(spec)
-        twist = None
-        if spec.crossing_count <= diagram_cap:
-            twist = gen_double_coil(spec).twist_regions().count
-        table.append(
-            {
-                "n1": n1,
-                "crossings": spec.crossing_count,
-                "twist_regions": twist,
-                "generalized_twist_regions": 2,
-                "vol_upper": vol.upper,
-                "disk_obstruction": disk_obstruction_check(n2_fixed),
-            }
-        )
-    return table
+    disk = disk_obstruction_check(n2_fixed)
+    rows = (_row(i, CoilSpec(p, q, n1, n2_fixed)) for i, n1 in enumerate(n1_range))
+    return [
+        {
+            "n1": r.spec.n1,
+            "crossings": r.crossings,
+            "twist_regions": r.twist_regions,
+            "generalized_twist_regions": r.gen_twist_regions,
+            "vol_upper": r.vol_upper,
+            "disk_obstruction": disk,
+        }
+        for r in rows
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +240,7 @@ def twist_growth_experiment(p: int, q: int, n2_fixed: int, n1_range,
 #   range_start, range_end, range_step    the swept window (inclusive end)
 #   slope_sequence  fibonacci | odd-denominators | custom-list
 #   slopes          comma-separated p/q list for custom-list
-#   diagram_cap     optional diagram-size cap
+# Unrecognised keys are ignored.
 
 CSV_COLUMNS = (
     "index",
@@ -291,8 +261,8 @@ CSV_COLUMNS = (
 )
 
 
-def load_family_config(text: str) -> tuple[CoilFamily, dict]:
-    """Parse a family description; returns the family and extra options."""
+def load_family_config(text: str) -> CoilFamily:
+    """Parse a family description."""
     kv = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -304,9 +274,6 @@ def load_family_config(text: str) -> tuple[CoilFamily, dict]:
         kv[key.strip()] = value.strip()
 
     kind = kv.get("kind")
-    options = {}
-    if "diagram_cap" in kv:
-        options["diagram_cap"] = int(kv["diagram_cap"])
     try:
         if kind == "fixed-slope":
             start = int(kv["range_start"])
@@ -319,6 +286,8 @@ def load_family_config(text: str) -> tuple[CoilFamily, dict]:
             seq = kv.get("slope_sequence", "fibonacci")
             start = int(kv.get("range_start", "1"))
             end = int(kv["range_end"])
+            if start < 1:
+                raise ConfigError(f"range_start must be at least 1, got {start}")
             if seq == "fibonacci":
                 slopes = fibonacci_slopes(end)[start - 1 :]
             elif seq == "odd-denominators":
@@ -334,7 +303,7 @@ def load_family_config(text: str) -> tuple[CoilFamily, dict]:
         raise ConfigError(f"missing config key {e.args[0]!r}") from None
     except ValueError as e:
         raise ConfigError(f"bad config value: {e}") from None
-    return family, options
+    return family
 
 
 def _row_record(r: FamilyRow) -> dict:

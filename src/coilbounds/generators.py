@@ -88,6 +88,27 @@ class CoilSpec:
     def crossing_count(self) -> int:
         return self.q * (self.q - 1) * (abs(self.n1) + abs(self.n2))
 
+    @property
+    def twist_region_count(self) -> int:
+        """Twist regions t(D) of ``gen_double_coil(self)``, in closed form:
+        q(q-1)(|n1|+|n2|) - 2*[p = 2] for q >= 3, and 2 for q = 2.
+
+        For q = 2 each region is the bigon chain sigma_1^(2n).  For q >= 3 no
+        generator of (sigma_1 ... sigma_{q-1})^m repeats without a
+        neighbouring generator in between, so no bigon lies inside a region.
+        Each region's braid has exactly two crossings carrying two adjacent
+        ports: the first sigma_1 (west, positions 0 and 1) and the last
+        sigma_{q-1} (east, positions q-2 and q-1).  A bigon must therefore
+        join two such crossings through two parallel band edges, and the
+        band wiring of ``circle_passages`` does that exactly when p = 2:
+        west to west and east to east across the two regions, merging two
+        pairs of crossings.  Diagram generation stays the oracle: the law
+        is checked against ``twist_regions()`` in the tests and in verify.
+        """
+        if self.q == 2:
+            return 2
+        return self.crossing_count - 2 * (self.p == 2)
+
 
 # ---------------------------------------------------------------------------
 # 4-plats

@@ -207,13 +207,15 @@ def check_09_generator_consistency():
                 once = generators.fill_crossing_circle(aug, "C1", n1)
                 for n2 in twists:
                     filled = generators.fill_crossing_circle(once, "C2", n2)
-                    direct = generators.gen_double_coil(CoilSpec(p, q, n1, n2))
+                    spec = CoilSpec(p, q, n1, n2)
+                    direct = generators.gen_double_coil(spec)
                     want = q * (q - 1) * (abs(n1) + abs(n2))
                     if not (
                         filled.n_crossings == direct.n_crossings == want
                         and filled.n_components == direct.n_components == 1
                         and filled.twist_regions().count
                         == direct.twist_regions().count
+                        == spec.twist_region_count
                     ):
                         return False, f"mismatch at ({p},{q},{n1},{n2})"
                     checked += 1

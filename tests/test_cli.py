@@ -93,6 +93,51 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_bounds_slope_canonicalized(capsys):
+    _, want, _ = run(capsys, "bounds", "--p", "2", "--q", "5", "--n1", "4", "--n2", "4")
+    code, out, _ = run(capsys, "bounds", "--slope", "7/5", "--n1", "4", "--n2", "4")
+    assert code == 0 and out == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--p", "5", "--q", "3", "--n1", "4", "--n2", "4"),
+        ("bounds", "--p", "0", "--q", "3", "--n1", "4", "--n2", "4"),
+        ("bounds", "--slope", "3/1", "--n1", "4", "--n2", "4"),
+        ("bounds", "--p", "2", "--q", "5", "--n1", "0", "--n2", "4"),
+        ("lambda", "--slope", "2/5", "--n1", "4", "--n2", "0"),
+        ("gen", "coil", "--p", "7", "--q", "5", "--n1", "1", "--n2", "1"),
+        ("gen", "coil", "--slope", "2/5", "--n1", "0", "--n2", "1"),
+    ],
+)
+def test_bad_coil_spec_is_named_or_usage_error(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (1, 2) and "Traceback" not in err
+    # usage errors say "error:", domain errors lead with the error class name
+    assert "error:" in err if code == 2 else err.split(":")[0].isidentifier()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cfrac", "2/5", "--precision", "3"),
+        ("slope", "2/5", "--out", "x"),
+        ("gen", "twobridge", "--slope", "2/5", "--precision", "3"),
+        ("verify", "--oracle-cap", "5"),
+        ("render", "x.pd", "--out", "y"),
+    ],
+)
+def test_unread_flags_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
 def test_gen_and_render_pipeline(tmp_path, capsys):
     pd_file = tmp_path / "coil.pd"
     svg_file = tmp_path / "coil.svg"

@@ -1,8 +1,11 @@
 import json
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from coilbounds.bounds import CONSTANTS
+from coilbounds import bounds
+from coilbounds.bounds import CONSTANTS, bound_report
 from coilbounds.errors import ConfigError, NoCertifiedRows
 from coilbounds.family import (
     CoilFamily,
@@ -18,6 +21,7 @@ from coilbounds.family import (
     vary_slope_fixed_twists,
     CSV_COLUMNS,
 )
+from coilbounds.generators import CoilSpec
 from coilbounds.slopes import Slope, cfrac_expand
 
 
@@ -97,7 +101,7 @@ def test_twist_growth_experiment():
 
 
 def test_config_fixed_slope():
-    fam, options = load_family_config(
+    fam = load_family_config(
         """
         # the bounded-volume sweep
         kind = fixed-slope
@@ -109,12 +113,12 @@ def test_config_fixed_slope():
         diagram_cap = 100
         """
     )
+    # unrecognised keys, diagram_cap among them, are ignored
     assert fam.kind == "fixed-slope" and len(fam.members) == 5
-    assert options == {"diagram_cap": 100}
 
 
 def test_config_vary_slope_custom():
-    fam, _ = load_family_config(
+    fam = load_family_config(
         "kind = vary-slope\nslope_sequence = custom-list\nslopes = 2/5, 3/7\nn1 = 5\nrange_end = 2\n"
     )
     assert [str(m.slope) for m in fam.members] == ["2/5", "3/7"]
@@ -128,6 +132,56 @@ def test_config_errors():
         load_family_config("kind = fixed-slope\np = 2\n")  # missing keys
     with pytest.raises(ConfigError):
         load_family_config("just some words\n")
+
+
+@pytest.mark.parametrize("seq", ["fibonacci", "odd-denominators"])
+@pytest.mark.parametrize("start", [0, -3])
+def test_config_range_start_below_one(seq, start):
+    with pytest.raises(ConfigError, match="range_start"):
+        load_family_config(
+            f"kind = vary-slope\nslope_sequence = {seq}\n"
+            f"range_start = {start}\nrange_end = 5\nn1 = 4\n"
+        )
+
+
+@st.composite
+def certified_specs(draw):
+    q = draw(st.integers(2, 60))
+    p = draw(st.integers(1, q - 1))
+    assume(gcd(p, q) == 1)
+    n1, n2 = (draw(st.integers(4, 40)) * draw(st.sampled_from((1, -1))) for _ in range(2))
+    return CoilSpec(p, q, n1, n2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(certified_specs())
+def test_row_reads_bound_report(spec):
+    (row,) = analyze_family(CoilFamily("fixed-slope", (spec,))).rows
+    rep = bound_report(spec)
+    assert (row.k, row.ell, row.certificate) == (
+        rep["k"], rep["ell"], rep["certificate"]["condition"]
+    )
+    assert (row.vol_lower, row.vol_upper, row.lam_lower, row.lam_upper) == (
+        rep["volume"]["lower"], rep["volume"]["upper"],
+        rep["lambda"]["lower"], rep["lambda"]["upper"],
+    )
+
+
+def test_one_cfrac_and_certificate_per_spec(monkeypatch):
+    calls = {"cfrac_expand": 0, "coil_hyperbolicity_certificate": 0}
+    for name in calls:
+        fn = getattr(bounds, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(bounds, name, counted)
+    spec = CoilSpec(3, 7, 5, -6)
+    bound_report(spec)
+    assert calls == {"cfrac_expand": 1, "coil_hyperbolicity_certificate": 1}
+    analyze_family(fixed_slope_vary_twists(2, 5, 6, range(4, 9)))
+    assert calls == {"cfrac_expand": 6, "coil_hyperbolicity_certificate": 6}
 
 
 def test_csv_columns_fixed():
@@ -148,6 +202,7 @@ def test_json_report_schema():
     rep = analyze_family(vary_slope_fixed_twists(fibonacci_slopes(25), 4))
     data = json.loads(json.dumps(report_to_json(rep)))
     jsonschema.validate(data, schema)
-    # far members exceed the diagram cap: twist column null, crossings exact
-    assert data["rows"][-1]["twist_regions"] is None
-    assert data["rows"][-1]["crossings"] > 10**6
+    # far members have millions of crossings; both columns are closed forms
+    last = data["rows"][-1]
+    assert last["crossings"] > 10**6
+    assert last["twist_regions"] == rep.rows[-1].spec.twist_region_count

@@ -135,6 +135,13 @@ def test_coil_crossing_count_formula():
             assert d.n_components == 1
 
 
+def test_coil_twist_region_closed_form():
+    for p, q in coprime_pairs(12):
+        for n1, n2 in [(1, 1), (-1, 2), (2, -3), (1, -1)]:
+            spec = CoilSpec(p, q, n1, n2)
+            assert gen_double_coil(spec).twist_regions().count == spec.twist_region_count
+
+
 # --- augmented + filling ----------------------------------------------------
 
 
