@@ -64,9 +64,24 @@ class _UsageError(Exception):
     pass
 
 
+def _parse_arg(parse, text, what):
+    """Parse a slope or continued-fraction argument; bad text is a usage error."""
+    try:
+        return parse(text)
+    except ValueError as e:
+        raise _UsageError(f"bad {what} {text!r}: {e}") from None
+
+
+def _unit_slope(s: Slope) -> Slope:
+    """The two-bridge and augmented generators take slopes with 0 < p < q."""
+    if s.is_infinite or not 0 < s.p < s.q:
+        raise _UsageError(f"need a slope p/q with 0 < p < q, got {s}")
+    return s
+
+
 def _coil_spec(args) -> CoilSpec:
     if args.slope and args.p is None:
-        s = canonical_coil_slope(Slope.parse(args.slope))
+        s = canonical_coil_slope(_parse_arg(Slope.parse, args.slope, "slope"))
         args.p, args.q = s.p, s.q
     if None in (args.p, args.q, args.n1, args.n2):
         raise _UsageError("need --p --q --n1 --n2 (or --slope with --n1 --n2)")
@@ -77,14 +92,14 @@ def _coil_spec(args) -> CoilSpec:
 
 
 def _cmd_cfrac(args):
-    s = canonical_coil_slope(Slope.parse(args.slope))
+    s = canonical_coil_slope(_parse_arg(Slope.parse, args.slope, "slope"))
     c = cfrac_expand(s)
     print(f"{c} k={c.length}")
     return 0
 
 
 def _cmd_slope(args):
-    s = Slope.parse(args.slope)
+    s = _parse_arg(Slope.parse, args.slope, "slope")
     canon = canonical_coil_slope(s)
     c = cfrac_expand(canon)
     record = {
@@ -105,8 +120,8 @@ def _cmd_slope(args):
 
 
 def _cmd_curve(args):
-    s1 = Slope.parse(args.slope1)
-    s2 = Slope.parse(args.slope2)
+    s1 = _parse_arg(Slope.parse, args.slope1, "slope")
+    s2 = _parse_arg(Slope.parse, args.slope2, "slope")
     if args.oracle:
         cc = brute_force_intersection(s1, s2, "curve-curve", cap=args.oracle_cap)
         ac = brute_force_intersection(s1, s2, "arc-curve", cap=args.oracle_cap)
@@ -123,25 +138,30 @@ def _cmd_curve(args):
 def _cmd_gen(args):
     if args.what == "twobridge":
         if args.cfrac:
-            d = gen_two_bridge(ContinuedFraction.parse(args.cfrac))
+            c = _parse_arg(ContinuedFraction.parse, args.cfrac, "continued fraction")
+            d = gen_two_bridge(c)
         elif args.slope:
-            d = gen_two_bridge(cfrac_expand(Slope.parse(args.slope)))
+            s = _unit_slope(_parse_arg(Slope.parse, args.slope, "slope"))
+            d = gen_two_bridge(cfrac_expand(s))
         else:
             raise _UsageError("gen twobridge needs --slope or --cfrac")
     elif args.what == "clasped":
         if not args.slope:
             raise _UsageError("gen clasped needs --slope")
-        d = gen_clasped_two_bridge(Slope.parse(args.slope))
+        d = gen_clasped_two_bridge(_unit_slope(_parse_arg(Slope.parse, args.slope, "slope")))
     elif args.what == "coil":
         d = gen_double_coil(_coil_spec(args))
     else:  # augmented
         if args.slope and args.p is None:
-            s = Slope.parse(args.slope)
+            s = _parse_arg(Slope.parse, args.slope, "slope")
         elif args.p is not None and args.q is not None:
-            s = Slope(args.p, args.q)
+            try:
+                s = Slope(args.p, args.q)
+            except ValueError as e:
+                raise _UsageError(str(e)) from None
         else:
             raise _UsageError("gen augmented needs --slope or --p --q")
-        d = gen_augmented(s)
+        d = gen_augmented(_unit_slope(s))
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(svg.render_svg(d, seed_layout=args.seed_layout))

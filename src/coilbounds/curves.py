@@ -46,6 +46,7 @@ __all__ = [
     "lattice_trace",
     "dehn_twist",
     "trace_gate_events",
+    "fold_parameters",
     "DEFAULT_ORACLE_CAP",
 ]
 
@@ -257,43 +258,40 @@ def gate_epsilon(p: int, q: int) -> Fraction:
     return Fraction(1, 8 * (abs(p) + 1))
 
 
+def fold_parameters(p: int, q: int) -> list[Fraction]:
+    """Sorted parameters x in (0, q] where the traced line folds.
+
+    The walk of ``trace_gate_events`` folds where q*y - p*x = 1/4 meets
+    y in Z/2, at x = (2qm - 1)/(4p); x lies in (0, q] exactly for
+    m = 1..2p when p > 0 and m = 2p+1..0 when p < 0, so there are 2|p|.
+    """
+    ms = range(1, 2 * p + 1) if p > 0 else range(0, 2 * p, -1)
+    return [Fraction(2 * q * m - 1, 4 * p) for m in ms]
+
+
 def trace_gate_events(p: int, q: int) -> list[GateEvent]:
     """Walk the closed curve of slope p/q once; report its gate crossings.
 
     Requires q >= 1 and gcd(p, q) = 1.  The walk follows the torus line
     q*y - p*x = 1/4 for x in (0, q], folding into the strip; it crosses
     each gate line exactly q times (4q events total), and the events come
-    back in the cyclic order in which the curve meets them.
+    back in the cyclic order in which the curve meets them.  Where the
+    line runs through the upper half of the strip, the strip is mirrored
+    (x -> 1 - x) and the curve heads west.
     """
-    eps = gate_epsilon(p, q)
-    gates = _gate_positions(eps)
-    quarter = Fraction(1, 4)
-    xs: list[Fraction] = []
-    for m in range(q):
-        xs.extend(m + g for g in gates)
-    if p:
-        # fold parameters: q*y - p*x = 1/4 with y in Z/2
-        lo, hi = sorted((Fraction(0), Fraction(q)))
-        m = -2 * abs(p) * q - 2
-        while m <= 2 * abs(p) * q + 2:
-            x = Fraction(2 * q * m - 1, 4 * p)
-            if lo < x <= hi:
-                xs.append(x)
-            m += 1
-    xs.sort()
-
+    gates = _gate_positions(gate_epsilon(p, q))
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
     events = []
-    for x in xs:
-        y = (p * x + quarter) / q
-        ymod = y % 1
-        if ymod == 0 or ymod == Fraction(1, 2):
-            continue  # fold: direction flips, no crossing here
-        flipped = ymod > Fraction(1, 2)
-        xmod = x % 1
-        if xmod not in gates and (1 - xmod) % 1 not in gates:
-            raise AssertionError("unexpected event position")
-        strip_x = (1 - xmod) % 1 if flipped else xmod
-        events.append(GateEvent(gates[strip_x], ymod if not flipped else 1 - ymod, not flipped))
+    west_to_east = sorted(gates)
+    for m in range(q):
+        for g in west_to_east:
+            ymod = ((p * (m + g) + quarter) / q) % 1
+            if ymod == 0 or ymod == half:
+                raise AssertionError("a gate sits on a fold point")
+            if ymod > half:
+                events.append(GateEvent(gates[1 - g], 1 - ymod, False))
+            else:
+                events.append(GateEvent(gates[g], ymod, True))
     if len(events) != 4 * q:
         raise AssertionError(f"traced {len(events)} gate events, expected {4 * q}")
     return events

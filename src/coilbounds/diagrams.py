@@ -9,8 +9,9 @@ for a connected 4-valent graph means exactly V + 2 faces.
 
 Darts
 -----
-Internally an edge-end is a *dart*, the integer ``4*c + s`` for crossing
-``c`` and slot ``s``.  Three permutations drive everything:
+An edge-end is a *dart*, the integer ``4*c + s`` for crossing ``c`` and
+slot ``s``.  Edges are stored once, as the dart array ``mate``; the labels
+only name them.  Three permutations drive everything:
 
 * ``mate``      swaps the two ends of each edge,
 * ``s -> s+2``  walks a strand through a crossing,
@@ -21,6 +22,7 @@ Internally an edge-end is a *dart*, the integer ``4*c + s`` for crossing
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -36,9 +38,6 @@ __all__ = [
     "DiagramBuilder",
     "parse_pd",
     "emit_pd",
-    "faces",
-    "twist_regions",
-    "is_alternating",
 ]
 
 
@@ -54,13 +53,17 @@ class TwistRegionPartition:
 
 
 class PlanarDiagram:
-    """An immutable, validated planar diagram in PD form."""
+    """An immutable, validated planar diagram in PD form.
+
+    ``mate`` is the dart array: ``mate[4*c + s]`` is the other end of the
+    edge leaving crossing ``c`` at slot ``s``.
+    """
 
     __slots__ = (
         "crossings",
         "provenance",
-        "_ends",
-        "_mate",
+        "mate",
+        "_edge_dart",
         "_components",
         "_component_slots",
         "_faces",
@@ -68,40 +71,14 @@ class PlanarDiagram:
 
     def __init__(self, crossings, provenance=None):
         crossings = tuple(tuple(x) for x in crossings)
-        for x in crossings:
-            if len(x) != 4:
-                raise NonQuadrivalent(f"crossing {x} does not have four edge-ends")
-            for label in x:
-                if not isinstance(label, int) or label < 1:
-                    raise EdgePairingError(f"bad edge label {label!r}")
         self.crossings = crossings
         self.provenance = provenance
-        self._ends = self._pair_edges()
-        self._mate = self._build_mate()
+        self.mate, self._edge_dart = _pair_labels(crossings)
         self._components, self._component_slots = self._walk_strands()
         self._faces = self._trace_faces()
         self._check_sphere()
 
     # -- validation ---------------------------------------------------------
-
-    def _pair_edges(self):
-        ends: dict[int, list[tuple[int, int]]] = {}
-        for c, x in enumerate(self.crossings):
-            for s, label in enumerate(x):
-                ends.setdefault(label, []).append((c, s))
-        for label, where in ends.items():
-            if len(where) != 2:
-                raise EdgePairingError(
-                    f"edge label {label} appears {len(where)} times, expected 2"
-                )
-        return ends
-
-    def _build_mate(self):
-        mate = [0] * (4 * len(self.crossings))
-        for (c1, s1), (c2, s2) in self._ends.values():
-            mate[4 * c1 + s1] = 4 * c2 + s2
-            mate[4 * c2 + s2] = 4 * c1 + s1
-        return mate
 
     def _walk_strands(self):
         """Partition edges into link components; record crossing passages.
@@ -129,7 +106,7 @@ class PlanarDiagram:
                 slots.append(s)
                 out = 4 * c + (s + 2) % 4
                 labels.append(self.crossings[c][(s + 2) % 4])
-                d = self._mate[out]
+                d = self.mate[out]
                 if d == start:
                     break
             components.append(tuple(labels))
@@ -155,7 +132,7 @@ class PlanarDiagram:
             while not seen[d]:
                 seen[d] = True
                 face.append(d)
-                m = self._mate[d]
+                m = self.mate[d]
                 d = (m & ~3) + ((m + 1) & 3)
             out.append(tuple(face))
         return tuple(out)
@@ -170,7 +147,7 @@ class PlanarDiagram:
         while stack:
             c = stack.pop()
             for s in range(4):
-                c2 = self._mate[4 * c + s] // 4
+                c2 = self.mate[4 * c + s] // 4
                 if c2 not in seen:
                     seen.add(c2)
                     stack.append(c2)
@@ -190,7 +167,7 @@ class PlanarDiagram:
 
     @property
     def n_edges(self) -> int:
-        return len(self._ends)
+        return len(self._edge_dart)
 
     @property
     def n_components(self) -> int:
@@ -202,8 +179,9 @@ class PlanarDiagram:
         return self._components
 
     def ends_of(self, label: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        a, b = self._ends[label]
-        return a, b
+        """(crossing, slot) of both ends of an edge, smaller dart first."""
+        d = self._edge_dart[label]
+        return divmod(d, 4), divmod(self.mate[d], 4)
 
     def component_of_edge(self, label: int) -> int:
         for i, comp in enumerate(self._components):
@@ -256,6 +234,34 @@ class PlanarDiagram:
         return f"<PlanarDiagram {self.n_crossings} crossings, {self.n_components} components>"
 
 
+def _pair_labels(crossings):
+    """Check the tuples and pair equal labels into the dart array ``mate``.
+
+    Returns ``(mate, edge_dart)``; ``edge_dart`` maps each label to its
+    first dart, in order of first appearance.
+    """
+    mate = [-1] * (4 * len(crossings))
+    edge_dart: dict[int, int] = {}
+    for c, x in enumerate(crossings):
+        if len(x) != 4:
+            raise NonQuadrivalent(f"crossing {x} does not have four edge-ends")
+        for s, label in enumerate(x):
+            if not isinstance(label, int) or label < 1:
+                raise EdgePairingError(f"bad edge label {label!r}")
+            d = 4 * c + s
+            e = edge_dart.setdefault(label, d)
+            if e != d and mate[e] < 0:
+                mate[e] = d
+                mate[d] = e
+    if -1 in mate:  # some label appears once, or three or more times
+        counts = Counter(label for x in crossings for label in x)
+        label = next(label for label in edge_dart if counts[label] != 2)
+        raise EdgePairingError(
+            f"edge label {label} appears {counts[label]} times, expected 2"
+        )
+    return tuple(mate), edge_dart
+
+
 # ---------------------------------------------------------------------------
 # PD-code text
 # ---------------------------------------------------------------------------
@@ -281,18 +287,6 @@ def emit_pd(d: PlanarDiagram) -> str:
     return " ".join("X({},{},{},{})".format(*x) for x in d.crossings)
 
 
-def faces(d: PlanarDiagram):
-    return d.faces()
-
-
-def twist_regions(d: PlanarDiagram) -> TwistRegionPartition:
-    return d.twist_regions()
-
-
-def is_alternating(d: PlanarDiagram) -> bool:
-    return d.is_alternating()
-
-
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
@@ -310,71 +304,60 @@ class DiagramBuilder:
     """
 
     def __init__(self):
-        self._peer: list[list] = []
+        self._peer: list[int] = []  # dart -> dart, -1 while unwired
         self._under: list[int] = []
 
     def crossing(self, under: int = 0) -> int:
         if under not in (0, 1):
             raise NonQuadrivalent("under diagonal must be 0 or 1")
-        self._peer.append([None] * 4)
+        self._peer.extend((-1, -1, -1, -1))
         self._under.append(under)
-        return len(self._peer) - 1
+        return len(self._under) - 1
 
     def wire(self, a: tuple[int, int], b: tuple[int, int]) -> None:
-        for c, s in (a, b):
-            if self._peer[c][s] is not None:
-                raise EdgePairingError(f"slot {(c, s)} wired twice")
-        if a == b:
+        if not (0 <= a[1] < 4 and 0 <= b[1] < 4):
+            raise EdgePairingError(f"slots are 0..3, got {a} and {b}")
+        da, db = 4 * a[0] + a[1], 4 * b[0] + b[1]
+        for end, d in ((a, da), (b, db)):
+            if self._peer[d] >= 0:
+                raise EdgePairingError(f"slot {end} wired twice")
+        if da == db:
             raise EdgePairingError(f"cannot wire slot {a} to itself")
-        self._peer[a[0]][a[1]] = b
-        self._peer[b[0]][b[1]] = a
-
-    def peer(self, end: tuple[int, int]):
-        return self._peer[end[0]][end[1]]
+        self._peer[da] = db
+        self._peer[db] = da
 
     def finish(self, provenance=None):
         """Return ``(diagram, rotations)``; final slot = (slot - rot) mod 4."""
-        v = len(self._peer)
-        for c in range(v):
-            for s in range(4):
-                if self._peer[c][s] is None:
-                    raise EdgePairingError(f"slot {(c, s)} left dangling")
+        peer, under = self._peer, self._under
+        if -1 in peer:
+            raise EdgePairingError(f"slot {divmod(peer.index(-1), 4)} left dangling")
 
-        labels = [[0] * 4 for _ in range(v)]
-        incoming_under = [None] * v
-        entered = [[False] * 4 for _ in range(v)]
+        labels = [0] * len(peer)
+        incoming_under = [None] * len(under)
+        entered = [False] * len(peer)
         next_label = 1
-
-        def walk(c0, s0):
-            nonlocal next_label
-            c, s = c0, s0
+        for start in range(len(peer)):
+            if entered[start]:
+                continue
+            d = start
             while True:
-                entered[c][s] = True
-                entered[c][(s + 2) % 4] = True
-                if s in (self._under[c], self._under[c] + 2):
+                c, s = divmod(d, 4)
+                out = d ^ 2  # slot s + 2 of the same crossing
+                entered[d] = entered[out] = True
+                if s % 2 == under[c]:
                     incoming_under[c] = s
-                out = (s + 2) % 4
-                if labels[c][out] == 0:
-                    label = next_label
+                if labels[out] == 0:
+                    labels[out] = labels[peer[out]] = next_label
                     next_label += 1
-                    labels[c][out] = label
-                    c2, s2 = self._peer[c][out]
-                    labels[c2][s2] = label
-                c, s = self._peer[c][out]
-                if (c, s) == (c0, s0):
+                d = peer[out]
+                if d == start:
                     break
-
-        for c in range(v):
-            for s in range(4):
-                if not entered[c][s]:
-                    walk(c, s)
 
         rotations = []
         tuples = []
-        for c in range(v):
-            r = incoming_under[c]
+        for c, r in enumerate(incoming_under):
             if r is None:
                 raise EdgePairingError(f"crossing {c} has no under passage")
             rotations.append(r)
-            tuples.append(tuple(labels[c][(r + i) % 4] for i in range(4)))
+            tuples.append(tuple(labels[4 * c + (r + i) % 4] for i in range(4)))
         return PlanarDiagram(tuples, provenance), rotations

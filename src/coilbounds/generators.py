@@ -438,12 +438,7 @@ def fill_crossing_circle(d: PlanarDiagram, circle, n: int) -> PlanarDiagram:
         through[ca] = (sa % 2)
         through[cb] = (sb % 2)
 
-    labels = list(d._ends)
-    old_peer = {}
-    for label in labels:
-        a, b_ = d.ends_of(label)
-        old_peer[a] = b_
-        old_peer[b_] = a
+    mate = d.mate
 
     kept = [c for c in range(d.n_crossings) if c not in deleted]
     old2new = {c: i for i, c in enumerate(kept)}
@@ -453,23 +448,22 @@ def fill_crossing_circle(d: PlanarDiagram, circle, n: int) -> PlanarDiagram:
 
     if n == 0:
         def resolve(dart):
-            while dart[0] in deleted:
-                c, slot = dart
-                if slot % 2 != through[c]:
+            while dart // 4 in deleted:
+                if dart % 2 != through[dart // 4]:
                     raise AssertionError("resolution strayed onto the circle strand")
-                dart = old_peer[(c, (slot + 2) % 4)]
+                dart = mate[dart ^ 2]
             return dart
 
         done = set()
         for c in kept:
             for slot in range(4):
-                here = (c, slot)
+                here = 4 * c + slot
                 if here in done:
                     continue
-                other = resolve(old_peer[here])
+                other = resolve(mate[here])
                 done.add(here)
                 done.add(other)
-                b.wire((old2new[c], slot), (old2new[other[0]], other[1]))
+                b.wire((old2new[c], slot), (old2new[other // 4], other % 4))
         if not kept:
             return PlanarDiagram((), {"generator": "trivial", "note": "all crossings removed"})
     else:
@@ -479,10 +473,11 @@ def fill_crossing_circle(d: PlanarDiagram, circle, n: int) -> PlanarDiagram:
             side, pos = tag
             return west[pos] if side == "W" else east[pos]
 
-        for label in labels:
-            a, b_end = d.ends_of(label)
+        for a, b_end in enumerate(mate):
+            if a > b_end:
+                continue
             resolved = []
-            for c, slot in (a, b_end):
+            for c, slot in (divmod(a, 4), divmod(b_end, 4)):
                 if c in deleted:
                     tag = outer.get((c, slot))
                     resolved.append(port_dart(tag) if tag else None)

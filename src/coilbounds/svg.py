@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import networkx as nx
 
+from .curves import fold_parameters
 from .diagrams import PlanarDiagram
 from .slopes import Slope
 
@@ -59,9 +60,9 @@ def render_svg(d: PlanarDiagram, seed_layout: int = 0, size: int = 480) -> str:
     if d.n_crossings == 0:
         return _SVG_OPEN.format(w=size, h=size) + "</svg>"
 
-    graph, order = _subdivided_embedding(d)
-    pos = nx.combinatorial_embedding_to_pos(graph)
+    pos = nx.combinatorial_embedding_to_pos(_subdivided_embedding(d))
     pos = _normalize(pos, seed_layout, size)
+    v = d.n_crossings
 
     comp_of = {}
     for i, comp in enumerate(d.components):
@@ -75,12 +76,7 @@ def render_svg(d: PlanarDiagram, seed_layout: int = 0, size: int = 480) -> str:
         parts.append(f'<g class="component" stroke="{color}">')
         for label in comp:
             (c1, s1), (c2, s2) = d.ends_of(label)
-            pts = [
-                pos[("c", c1)],
-                pos[("m", label, 0)],
-                pos[("m", label, 1)],
-                pos[("c", c2)],
-            ]
+            pts = [pos[c1], pos[v + 4 * c1 + s1], pos[v + 4 * c2 + s2], pos[c2]]
             if s1 in (0, 2):
                 pts[0] = _lerp(pts[0], pts[1], 0.45)
             if s2 in (0, 2):
@@ -88,20 +84,13 @@ def render_svg(d: PlanarDiagram, seed_layout: int = 0, size: int = 480) -> str:
             parts.append(_polyline(pts, "inherit", 2.4))
         parts.append("</g>")
     for c, x in enumerate(d.crossings):
-        a = _over_point(d, pos, c, 1)
-        bb = _over_point(d, pos, c, 3)
+        a = _lerp(pos[c], pos[v + 4 * c + 1], 0.6)
+        bb = _lerp(pos[c], pos[v + 4 * c + 3], 0.6)
         color = _PALETTE[comp_of[x[1]] % len(_PALETTE)]
-        glyphs.append(_polyline([a, pos[("c", c)], bb], color, 2.4, cls="xing"))
+        glyphs.append(_polyline([a, pos[c], bb], color, 2.4, cls="xing"))
     parts.extend(glyphs)
     parts.append("</svg>")
     return "".join(parts)
-
-
-def _over_point(d, pos, c, slot):
-    label = d.crossings[c][slot]
-    e0, e1 = d.ends_of(label)
-    side = 0 if e0 == (c, slot) else 1
-    return _lerp(pos[("c", c)], pos[("m", label, side)], 0.6)
 
 
 def _lerp(a, b, t):
@@ -109,41 +98,31 @@ def _lerp(a, b, t):
 
 
 def _subdivided_embedding(d: PlanarDiagram):
-    """PlanarEmbedding of the twice-subdivided diagram graph."""
-    neighbors = {}
-    for c in range(d.n_crossings):
-        order = []
-        for s in range(4):
-            label = d.crossings[c][s]
-            e0, e1 = d.ends_of(label)
-            side = 0 if e0 == (c, s) else 1
-            order.append(("m", label, side))
-        neighbors[("c", c)] = order
-    for label in _labels(d):
-        (c1, s1), (c2, s2) = d.ends_of(label)
-        neighbors[("m", label, 0)] = [("c", c1), ("m", label, 1)]
-        neighbors[("m", label, 1)] = [("m", label, 0), ("c", c2)]
+    """PlanarEmbedding of the twice-subdivided diagram graph.
+
+    Crossing c is node c, and the subdivision node next to dart e is node
+    V + e, so the edge with darts e < mate[e] becomes the path
+    c(e), V + e, V + mate[e], c(mate[e]).  Integer nodes keep networkx's
+    set iteration, and with it the drawing, independent of the hash seed.
+    """
+    v = d.n_crossings
+    neighbors = {c: [v + 4 * c + s for s in range(4)] for c in range(v)}
+    for e, f in enumerate(d.mate):
+        if e < f:
+            neighbors[v + e] = [e // 4, v + f]
+            neighbors[v + f] = [v + e, f // 4]
 
     emb = nx.PlanarEmbedding()
-    for v, nbrs in neighbors.items():
+    for node, nbrs in neighbors.items():
         prev = None
         for w in nbrs:
             if prev is None:
-                emb.add_half_edge(v, w)
+                emb.add_half_edge(node, w)
             else:
-                emb.add_half_edge(v, w, ccw=prev)
+                emb.add_half_edge(node, w, ccw=prev)
             prev = w
     emb.check_structure()
-    return emb, neighbors
-
-
-def _labels(d: PlanarDiagram):
-    seen = set()
-    for x in d.crossings:
-        for label in x:
-            if label not in seen:
-                seen.add(label)
-                yield label
+    return emb
 
 
 def _normalize(pos, seed_layout, size):
@@ -178,14 +157,6 @@ def _to_xy(strip_x: float, strip_y: float):
     return (_CENTER + r * math.cos(th), _CENTER - r * math.sin(th))
 
 
-def _strip_point(p, q, x):
-    y = (p * x + Fraction(1, 4)) / q
-    ym = y % 1
-    if ym > Fraction(1, 2):
-        return float((1 - x) % 1), float(1 - ym), True
-    return float(x % 1), float(ym), False
-
-
 def _curve_paths(s: Slope):
     """Sampled xy polylines of the curve of slope s, one per smooth piece."""
     p, q = s.p, s.q
@@ -196,12 +167,7 @@ def _curve_paths(s: Slope):
     if p == 0:
         return [[_to_xy(t / 96.0, 0.25) for t in range(97)]]
 
-    folds = []
-    for m in range(-2 * abs(p) * q - 2, 2 * abs(p) * q + 3):
-        x = Fraction(2 * q * m - 1, 4 * p)
-        if 0 < x <= q:
-            folds.append(x)
-    folds.sort()
+    folds = fold_parameters(p, q)
     paths = []
     cuts = [Fraction(0)] + folds + [Fraction(q)]
     for a, b in zip(cuts, cuts[1:]):

@@ -99,6 +99,22 @@ def test_bounds_slope_canonicalized(capsys):
     assert code == 0 and out == want
 
 
+# malformed or out-of-range slope / continued-fraction text
+BAD_SLOPE_ARGV = [
+    ("cfrac", "abc"),
+    ("curve", "abc", "2/5"),
+    ("slope", "1/x"),
+    ("gen", "twobridge", "--cfrac", "[0,2]"),
+    ("gen", "twobridge", "--cfrac", "[a]"),
+    ("gen", "twobridge", "--slope", "5/3"),
+    ("gen", "clasped", "--slope", "5/3"),
+    ("gen", "augmented", "--slope", "5/3"),
+    ("gen", "augmented", "--p", "2", "--q", "4"),
+    ("gen", "augmented", "--p", "-1", "--q", "3"),
+    ("bounds", "--slope", "2/x", "--n1", "4", "--n2", "4"),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -109,6 +125,7 @@ def test_bounds_slope_canonicalized(capsys):
         ("lambda", "--slope", "2/5", "--n1", "4", "--n2", "0"),
         ("gen", "coil", "--p", "7", "--q", "5", "--n1", "1", "--n2", "1"),
         ("gen", "coil", "--slope", "2/5", "--n1", "0", "--n2", "1"),
+        *BAD_SLOPE_ARGV,
     ],
 )
 def test_bad_coil_spec_is_named_or_usage_error(capsys, argv):
@@ -118,8 +135,22 @@ def test_bad_coil_spec_is_named_or_usage_error(capsys, argv):
         code = exc.code
     err = capsys.readouterr().err
     assert code in (1, 2) and "Traceback" not in err
+    if argv in BAD_SLOPE_ARGV:
+        assert code == 2
     # usage errors say "error:", domain errors lead with the error class name
     assert "error:" in err if code == 2 else err.split(":")[0].isidentifier()
+
+
+def test_zero_over_zero_stays_named(capsys):
+    code, _, err = run(capsys, "cfrac", "0/0")
+    assert code == 1 and err.startswith("ZeroOverZero")
+
+
+def test_verify_pd_non_planar(tmp_path, capsys):
+    pd_file = tmp_path / "split.pd"
+    pd_file.write_text("X(1,1,2,2) X(3,3,4,4)\n")
+    code, out, err = run(capsys, "verify", "--pd", str(pd_file))
+    assert code == 1 and out == "" and err.startswith("NonPlanarRotation")
 
 
 @pytest.mark.parametrize(

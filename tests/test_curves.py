@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -10,6 +11,7 @@ from coilbounds.curves import (
     curve_coordinates,
     curve_curve_intersection,
     dehn_twist,
+    fold_parameters,
     lattice_trace,
     trace_gate_events,
 )
@@ -151,7 +153,7 @@ def test_lattice_trace_matches_count():
 
 
 def test_trace_event_counts():
-    for p, q in [(1, 2), (2, 5), (3, 5), (5, 8), (1, 9)]:
+    for p, q in [(1, 2), (2, 5), (3, 5), (5, 8), (1, 9), (211, 420)]:
         events = trace_gate_events(p, q)
         assert len(events) == 4 * q
         passages = circle_passages(events)
@@ -160,3 +162,20 @@ def test_trace_event_counts():
             heights = [events[i].y for i, _ in side]
             assert heights == sorted(heights)
             assert len(set(heights)) == q
+
+
+def test_fold_parameters_match_scan():
+    # brute force: every m whose fold x = (2qm - 1)/(4p) lands in (0, q];
+    # with n = 2qm - 1 and d = 4p that is 0 < n*d <= q*d*d
+    for q in range(1, 31):
+        for p in range(-3 * q, 3 * q + 1):
+            if p == 0 or gcd(abs(p), q) != 1:
+                continue
+            bound = 2 * abs(p) * q + 2
+            d = 4 * p
+            scan = sorted(
+                Fraction(2 * q * m - 1, d)
+                for m in range(-bound, bound + 1)
+                if 0 < (2 * q * m - 1) * d <= q * d * d
+            )
+            assert fold_parameters(p, q) == scan, (p, q)

@@ -7,10 +7,7 @@ from coilbounds.diagrams import (
     DiagramBuilder,
     PlanarDiagram,
     emit_pd,
-    faces,
-    is_alternating,
     parse_pd,
-    twist_regions,
 )
 from coilbounds.errors import (
     EdgePairingError,
@@ -29,16 +26,16 @@ def test_parse_trefoil():
     d = parse_pd(TREFOIL)
     assert d.n_crossings == 3
     assert d.n_components == 1
-    assert len(faces(d)) == 5
+    assert len(d.faces()) == 5
 
 
 def test_parse_empty():
     d = parse_pd("")
     assert d.n_crossings == 0
     assert emit_pd(d) == ""
-    assert len(faces(d)) == 1
-    assert twist_regions(d).count == 0
-    assert is_alternating(d)
+    assert len(d.faces()) == 1
+    assert d.twist_regions().count == 0
+    assert d.is_alternating()
 
 
 def test_parse_errors():
@@ -57,6 +54,27 @@ def test_parse_errors():
         PlanarDiagram([(1, 2, 3)])
 
 
+def test_label_pairing_errors():
+    with pytest.raises(EdgePairingError, match="edge label 4 appears 1 times"):
+        parse_pd("X(1,2,2,1) X(3,3,4,5)")
+    with pytest.raises(EdgePairingError, match="edge label 1 appears 3 times"):
+        parse_pd("X(1,1,1,2) X(2,3,3,4)")
+    with pytest.raises(EdgePairingError, match="bad edge label"):
+        PlanarDiagram([(1, 2, 2, "1")])
+
+
+def test_mate_and_ends_of():
+    d = parse_pd(FIGURE8)
+    assert d.n_edges == 8
+    for e, f in enumerate(d.mate):
+        assert f != e and d.mate[f] == e
+    for label in range(1, 9):
+        (c1, s1), (c2, s2) = d.ends_of(label)
+        assert (c1, s1) < (c2, s2)  # first appearance first
+        assert d.crossings[c1][s1] == d.crossings[c2][s2] == label
+        assert d.mate[4 * c1 + s1] == 4 * c2 + s2
+
+
 def test_orientation_consistency_required():
     # reversing one crossing's under direction breaks strand orientation
     with pytest.raises(EdgePairingError):
@@ -64,30 +82,30 @@ def test_orientation_consistency_required():
 
 
 def test_face_counts():
-    assert len(faces(parse_pd(TREFOIL))) == 5
-    assert len(faces(parse_pd("X(1,2,2,1)"))) == 3
-    assert len(faces(parse_pd(FIGURE8))) == 6
+    assert len(parse_pd(TREFOIL).faces()) == 5
+    assert len(parse_pd("X(1,2,2,1)").faces()) == 3
+    assert len(parse_pd(FIGURE8).faces()) == 6
 
 
 def test_twist_regions_examples():
-    t = twist_regions(parse_pd(TREFOIL))
+    t = parse_pd(TREFOIL).twist_regions()
     assert t.count == 1 and len(t.regions[0]) == 3
-    t = twist_regions(parse_pd(FIGURE8))
+    t = parse_pd(FIGURE8).twist_regions()
     assert t.count == 2 and sorted(len(r) for r in t.regions) == [2, 2]
-    assert twist_regions(parse_pd("X(1,2,2,1)")).count == 1
+    assert parse_pd("X(1,2,2,1)").twist_regions().count == 1
 
 
 def test_is_alternating():
-    assert is_alternating(parse_pd(TREFOIL))
-    assert is_alternating(parse_pd(FIGURE8))
+    assert parse_pd(TREFOIL).is_alternating()
+    assert parse_pd(FIGURE8).is_alternating()
     d = gen_double_coil(CoilSpec(3, 5, 1, 1))
-    assert not is_alternating(d)  # q=5 coils pass over several strands in a row
+    assert not d.is_alternating()  # q=5 coils pass over several strands in a row
 
 
 def test_euler_formula_generated():
     for terms in [(2,), (3,), (2, 2), (1, 1, 2), (4, 3, 2), (2, 1, 1, 3)]:
         d = gen_two_bridge(ContinuedFraction(terms))
-        v, f = d.n_crossings, len(faces(d))
+        v, f = d.n_crossings, len(d.faces())
         assert d.n_edges == 2 * v
         assert v - 2 * v + f == 2
 
@@ -102,7 +120,7 @@ def test_roundtrip_generated():
         again = parse_pd(text)
         assert emit_pd(again) == text
         assert again.n_components == d.n_components
-        assert twist_regions(again).count == twist_regions(d).count
+        assert again.twist_regions().count == d.twist_regions().count
 
 
 def test_twist_regions_relabel_invariant():
@@ -116,7 +134,7 @@ def test_twist_regions_relabel_invariant():
         moved = PlanarDiagram(
             [tuple(relabel[x] for x in cr) for cr in d.crossings]
         )
-        assert twist_regions(moved).count == twist_regions(d).count
+        assert moved.twist_regions().count == d.twist_regions().count
         assert moved.is_alternating() == d.is_alternating()
 
 
@@ -125,6 +143,19 @@ def test_builder_dangling_slot():
     b.crossing()
     with pytest.raises(EdgePairingError):
         b.finish()
+
+
+def test_builder_rejects_bad_slots():
+    b = DiagramBuilder()
+    b.crossing()
+    b.crossing()
+    with pytest.raises(EdgePairingError):
+        b.wire((0, 4), (1, 1))  # would alias slot 0 of crossing 1
+    b.wire((0, 0), (1, 1))
+    with pytest.raises(EdgePairingError):
+        b.wire((0, 0), (1, 2))
+    with pytest.raises(EdgePairingError):
+        b.wire((0, 2), (0, 2))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,12 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import coilbounds
 from coilbounds.diagrams import parse_pd
 from coilbounds.generators import CoilSpec, gen_augmented, gen_double_coil, gen_two_bridge
 from coilbounds.slopes import ContinuedFraction, Slope
@@ -52,3 +61,45 @@ def test_curve_svg_wellformed():
         assert out.count('class="curve"') >= 1
     both = curve_svg(Slope(1, 0), Slope(2, 5))
     assert both.count('class="curve"') > curve_svg(Slope(1, 0)).count('class="curve"')
+
+
+@pytest.mark.parametrize(
+    "slope, digest",
+    [
+        ("1/0", "d379abb35f6217f4344c696645508fc421143704696ff8bc4463592441847ef1"),
+        ("0/1", "a0f0aaea5790dda7a288af399ba5653b5ea76af6b5ef4face552e263db2a747e"),
+        ("2/5", "dae7328bc1a2f6be1cb4beabbd4e0602b2c7ef336756c796c93949a0c9ac0a89"),
+        ("-3/7", "ef5fe6813a9f7d3a4ee9ff8ca6f9084b147f121016fb835733bae2c54c883f9b"),
+        ("7/3", "20864a67a3b63ac07bab064dfbba2b8ff6a03c03e157bddfde910137d2d04a01"),
+    ],
+)
+def test_curve_svg_golden(slope, digest):
+    out = curve_svg(Slope.parse(slope))
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The layout comes from networkx's planar straight-line drawing; this digest
+# was taken with networkx 3.6.
+AUGMENTED_2_5_DIGEST = "b68f826c506b195fe672c6379f03efc8e11a19fb39d38ef58630111f8a51f95c"
+
+
+def test_render_svg_golden():
+    out = render_svg(gen_augmented(Slope(2, 5)))
+    assert hashlib.sha256(out.encode()).hexdigest() == AUGMENTED_2_5_DIGEST
+
+
+def test_render_svg_independent_of_hash_seed():
+    script = (
+        "import hashlib; from coilbounds import Slope, gen_augmented, render_svg; "
+        "print(hashlib.sha256(render_svg(gen_augmented(Slope(3, 7))).encode()).hexdigest())"
+    )
+    src = str(Path(coilbounds.__file__).parents[1])
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1", "2")
+    }
+    assert len(digests) == 1
