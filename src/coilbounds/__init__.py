@@ -13,7 +13,6 @@ from .errors import (
     CoilboundsError,
     ZeroOverZero,
     NonHyperbolicSlope,
-    UnsupportedTwistCurve,
     OracleCapExceeded,
     DiagramError,
     PDSyntaxError,

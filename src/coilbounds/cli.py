@@ -36,12 +36,6 @@ from .slopes import (
 )
 
 
-def _fmt(x, precision):
-    if isinstance(x, float):
-        return f"{x:.{precision}g}"
-    return str(x)
-
-
 def _round_floats(obj, precision):
     if isinstance(obj, float):
         return float(f"{obj:.{precision}g}")
@@ -62,6 +56,17 @@ def _emit(text, out_path):
 
 class _UsageError(Exception):
     pass
+
+
+def _positive_int(text):
+    """argparse type of ``--jobs``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return value
 
 
 def _parse_arg(parse, text, what):
@@ -273,14 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="analyze a family from a config file")
     p.add_argument("--config", required=True, metavar="PATH")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     precision(p)
     out(p)
     p.set_defaults(fn=_cmd_family)
 
     p = sub.add_parser("verify", help="run the acceptance/oracle suite")
     p.add_argument("--pd", metavar="PATH", help="validate a PD-code file instead")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("render", help="render a PD-code file to SVG")
@@ -301,8 +306,8 @@ def main(argv=None) -> int:
     except CoilboundsError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
-        print(f"FileNotFoundError: {e}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
 
 

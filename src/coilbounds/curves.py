@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OracleCapExceeded, UnsupportedTwistCurve
+from .errors import OracleCapExceeded
 from .slopes import Slope, reduce_slope
 
 __all__ = [
@@ -52,13 +52,11 @@ __all__ = [
 
 DEFAULT_ORACLE_CAP = 12
 
-INFINITY = Slope(1, 0)
-
 # Gate indices for the four vertical lines bounding thin neighborhoods of
 # the arcs D1 (x ~ 0) and D2 (x = 1/2); generators hang crossing circles
-# and coil braids on these.
+# and coil braids on these.  Gate g belongs to circle g // 2, and the
+# mirror x -> 1 - x of the strip swaps g with g ^ 1.
 GATE_C1_EAST, GATE_C1_WEST, GATE_C2_WEST, GATE_C2_EAST = 0, 1, 2, 3
-GATES_OF_CIRCLE = ({GATE_C1_EAST, GATE_C1_WEST}, {GATE_C2_WEST, GATE_C2_EAST})
 
 
 @dataclass(frozen=True)
@@ -75,10 +73,14 @@ class FramedCurve:
 
 @dataclass(frozen=True)
 class GateEvent:
-    """One crossing of the traced curve with a gate line, in curve order."""
+    """One crossing of the traced curve with a gate line, in curve order.
+
+    ``y`` is the height in the strip in units of 1/(4dq), d = 8(|p|+1), so
+    events of one curve compare exactly as integers.
+    """
 
     gate: int
-    y: Fraction
+    y: int
     eastbound: bool
 
 
@@ -102,10 +104,8 @@ def arc_curve_intersection(arc_slope: Slope, curve_slope: Slope) -> int:
     return abs(arc_slope.p * curve_slope.q - arc_slope.q * curve_slope.p)
 
 
-def dehn_twist(s: Slope, about: Slope = INFINITY, count: int = 1) -> Slope:
+def dehn_twist(s: Slope, count: int = 1) -> Slope:
     """Apply ``count`` full Dehn twists about the slope-1/0 curve."""
-    if about != INFINITY:
-        raise UnsupportedTwistCurve(f"twisting about {about} is not supported")
     return reduce_slope(s.p + count * s.q, s.q)
 
 
@@ -136,24 +136,28 @@ def _line_constants(P: int, Q: int, residues: tuple[int, ...]) -> list[int]:
     return [c for c in range(lo, hi + 1) if c % 4 in residues]
 
 
-def _count_torus_crossings(f1, f2) -> int:
+def _torus_crossings(f1, f2) -> tuple[list[tuple[int, int]], int]:
+    """Transverse crossings of two line families inside [0,1)^2.
+
+    Returns the numerators (xn, yn) of the crossings and their common
+    positive denominator; parallel families give no crossings.
+    """
     (p1, q1, cs1), (p2, q2, cs2) = f1, f2
     det = 16 * (p2 * q1 - p1 * q2)
     if det == 0:
-        return 0
-    total = 0
+        return [], 0
+    # Cramer: x = 4*(c1*q2 - c2*q1)/det, y = 4*(p2*c1 - p1*c2)/det; the
+    # sign of det is folded into the numerators so the window is [0, den)
+    sign = 4 if det > 0 else -4
+    den = abs(det)
+    points = []
     for c1 in cs1:
         for c2 in cs2:
-            # Cramer: x = 4*(c1*q2 - c2*q1)/det, y = 4*(p2*c1 - p1*c2)/det
-            xn = 4 * (c1 * q2 - c2 * q1)
-            yn = 4 * (p2 * c1 - p1 * c2)
-            if det > 0:
-                if 0 <= xn < det and 0 <= yn < det:
-                    total += 1
-            else:
-                if det < xn <= 0 and det < yn <= 0:
-                    total += 1
-    return total
+            xn = sign * (c1 * q2 - c2 * q1)
+            yn = sign * (p2 * c1 - p1 * c2)
+            if 0 <= xn < den and 0 <= yn < den:
+                points.append((xn, yn))
+    return points, den
 
 
 def _line_families(s1: Slope, s2: Slope, mode: str, cap: int):
@@ -183,8 +187,8 @@ def brute_force_intersection(
     is the independent oracle for the closed-form operations; it refuses
     slopes with |p| or q above ``cap``.
     """
-    fam1, fam2 = _line_families(s1, s2, mode, cap)
-    upstairs = _count_torus_crossings(fam1, fam2)
+    points, _ = _torus_crossings(*_line_families(s1, s2, mode, cap))
+    upstairs = len(points)
     if upstairs % 2:
         raise AssertionError("torus crossing count must be even")
     return upstairs // 2
@@ -218,44 +222,19 @@ def lattice_trace(
     """The inspectable version of ``brute_force_intersection``."""
     fam1, fam2 = _line_families(s1, s2, mode, cap)
     (p1, q1, cs1), (p2, q2, cs2) = fam1, fam2
-    det = 16 * (p2 * q1 - p1 * q2)
-    points = []
-    if det != 0:
-        for c1 in cs1:
-            for c2 in cs2:
-                x = Fraction(4 * (c1 * q2 - c2 * q1), det)
-                y = Fraction(4 * (p2 * c1 - p1 * c2), det)
-                if 0 <= x < 1 and 0 <= y < 1:
-                    points.append((x, y))
+    points, den = _torus_crossings(fam1, fam2)
     return LatticeTrace(
         families=(
             tuple((p1, q1, c) for c in cs1),
             tuple((p2, q2, c) for c in cs2),
         ),
-        crossings=tuple(sorted(points)),
+        crossings=tuple((Fraction(x, den), Fraction(y, den)) for x, y in sorted(points)),
     )
 
 
 # ---------------------------------------------------------------------------
 # Curve tracing
 # ---------------------------------------------------------------------------
-
-
-def _gate_positions(eps: Fraction) -> dict[Fraction, int]:
-    half = Fraction(1, 2)
-    return {
-        eps: GATE_C1_EAST,
-        1 - eps: GATE_C1_WEST,
-        half - eps: GATE_C2_WEST,
-        half + eps: GATE_C2_EAST,
-    }
-
-
-def gate_epsilon(p: int, q: int) -> Fraction:
-    """Half-width of the gate regions; small enough that no fold point of
-    the slope-p/q curve lands inside them (folds sit at distance >= 1/(4|p|)
-    from x = 0 and x = 1/2)."""
-    return Fraction(1, 8 * (abs(p) + 1))
 
 
 def fold_parameters(p: int, q: int) -> list[Fraction]:
@@ -278,20 +257,28 @@ def trace_gate_events(p: int, q: int) -> list[GateEvent]:
     back in the cyclic order in which the curve meets them.  Where the
     line runs through the upper half of the strip, the strip is mirrored
     (x -> 1 - x) and the curve heads west.
+
+    The gates sit 1/d from the arcs, d = 8(|p|+1), closer than any fold
+    point (folds sit at distance >= 1/(4|p|) from x = 0 and x = 1/2).  At
+    x = m + a/d the line's height, scaled by 4dq, is the integer
+    r = (4p(md+a) + d) mod 4dq, and it folds at r in {0, 2dq}.
     """
-    gates = _gate_positions(gate_epsilon(p, q))
-    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    d = 8 * (abs(p) + 1)
+    n = 4 * d * q
+    half = n // 2
+    # gate offsets a, west to east, with the gate each one is when eastbound
+    gates = ((1, GATE_C1_EAST), (d // 2 - 1, GATE_C2_WEST),
+             (d // 2 + 1, GATE_C2_EAST), (d - 1, GATE_C1_WEST))
     events = []
-    west_to_east = sorted(gates)
     for m in range(q):
-        for g in west_to_east:
-            ymod = ((p * (m + g) + quarter) / q) % 1
-            if ymod == 0 or ymod == half:
+        for a, gate in gates:
+            r = (4 * p * (m * d + a) + d) % n
+            if r == 0 or r == half:
                 raise AssertionError("a gate sits on a fold point")
-            if ymod > half:
-                events.append(GateEvent(gates[1 - g], 1 - ymod, False))
+            if r > half:
+                events.append(GateEvent(gate ^ 1, n - r, False))
             else:
-                events.append(GateEvent(gates[g], ymod, True))
+                events.append(GateEvent(gate, r, True))
     if len(events) != 4 * q:
         raise AssertionError(f"traced {len(events)} gate events, expected {4 * q}")
     return events
@@ -299,23 +286,18 @@ def trace_gate_events(p: int, q: int) -> list[GateEvent]:
 
 def is_entering_event(ev: GateEvent) -> bool:
     """Whether the curve is entering a circle's thin region at this event."""
-    if ev.gate == GATE_C1_EAST:
-        return not ev.eastbound
-    if ev.gate == GATE_C1_WEST:
-        return ev.eastbound
-    if ev.gate == GATE_C2_WEST:
-        return ev.eastbound
-    return not ev.eastbound
+    return ev.eastbound == (ev.gate in (GATE_C1_WEST, GATE_C2_WEST))
 
 
 def circle_passages(events: list[GateEvent]) -> tuple[list[tuple[int, int]], ...]:
     """Pair consecutive gate events into strand passages through C1 and C2.
 
-    Returns, for each circle, the list of (enter_index, exit_index) into
+    Returns, for each circle, the list of (west_index, east_index) into
     ``events``, sorted bottom-to-top by strand height.  A passage enters a
     circle's thin region through one gate and leaves through the other;
     fold points never occur inside the regions, so the two events are
-    always adjacent along the curve.
+    always adjacent along the curve, and the strands cross each region
+    without meeting, so their order is the same at both gates.
     """
     n = len(events)
     passages: tuple[list, list] = ([], [])
@@ -323,11 +305,9 @@ def circle_passages(events: list[GateEvent]) -> tuple[list[tuple[int, int]], ...
         if not is_entering_event(ev):
             continue
         j = (i + 1) % n
-        nxt = events[j]
-        circle = 0 if ev.gate in GATES_OF_CIRCLE[0] else 1
-        if nxt.gate not in GATES_OF_CIRCLE[circle] or is_entering_event(nxt):
+        if events[j].gate != ev.gate ^ 1 or is_entering_event(events[j]):
             raise AssertionError("gate events do not pair into passages")
-        passages[circle].append((i, j))
-    for circle, plist in enumerate(passages):
+        passages[ev.gate // 2].append((i, j) if ev.eastbound else (j, i))
+    for plist in passages:
         plist.sort(key=lambda pair: events[pair[0]].y)
     return passages

@@ -22,10 +22,6 @@ class NonHyperbolicSlope(CoilboundsError):
 
 # --- curves ---------------------------------------------------------------
 
-class UnsupportedTwistCurve(CoilboundsError):
-    """Dehn twists are only implemented about the slope-1/0 curve."""
-
-
 class OracleCapExceeded(CoilboundsError):
     """Brute-force intersection oracle refused an oversized input."""
 

@@ -36,9 +36,7 @@ from math import gcd
 
 from .curves import (
     GATE_C1_EAST,
-    GATE_C1_WEST,
     GATE_C2_EAST,
-    GATE_C2_WEST,
     circle_passages,
     is_entering_event,
     trace_gate_events,
@@ -201,7 +199,6 @@ def _build_plat(terms, with_clasp: bool):
         b.wire((nl, 1), (sl, 1))
         # strand passages through the clasp, braid-start side first
         clasp_info = {
-            "strands": 2,
             "orient": 1,
             "passages": [[nl, 0, sl, 2], [nr, 0, sr, 2]],
         }
@@ -288,11 +285,8 @@ def gen_double_coil(spec: CoilSpec) -> PlanarDiagram:
     port = {}
     for region, n in ((0, spec.n1), (1, spec.n2)):
         west, east = _coil_braid(b, spec.q, n * _REGION_ORIENT[region])
-        for pos, (i, j) in enumerate(passages[region]):
-            if events[i].eastbound:
-                port[i], port[j] = west[pos], east[pos]
-            else:
-                port[i], port[j] = east[pos], west[pos]
+        for pos, (w, e) in enumerate(passages[region]):
+            port[w], port[e] = west[pos], east[pos]
     for i, ev in enumerate(events):
         if not is_entering_event(ev):
             j = (i + 1) % len(events)
@@ -340,24 +334,17 @@ def gen_augmented(s: Slope) -> PlanarDiagram:
 
     circles = {}
     for region, role in ((0, "C1"), (1, "C2")):
-        east_gate = GATE_C1_EAST if region == 0 else GATE_C2_EAST
-        east, west, recs = [], [], []
-        for i, j in passages[region]:
-            pair = {events[i].gate: cross[i], events[j].gate: cross[j]}
-            e = pair[east_gate]
-            w = pair[GATE_C1_WEST if region == 0 else GATE_C2_WEST]
-            east.append(e)
-            west.append(w)
-            recs.append([w, 0, e, 2])  # outer slots: west faces W, east faces E
+        west = [cross[w] for w, _ in passages[region]]
+        east = [cross[e] for _, e in passages[region]]
         for t in range(len(east) - 1):
             b.wire((east[t], 3), (east[t + 1], 1))
             b.wire((west[t], 3), (west[t + 1], 1))
         b.wire((east[-1], 3), (west[-1], 3))
         b.wire((east[0], 1), (west[0], 1))
         circles[role] = {
-            "strands": s.q,
             "orient": _REGION_ORIENT[region],
-            "passages": recs,
+            # outer slots: west faces W, east faces E
+            "passages": [[w, 0, e, 2] for w, e in zip(west, east)],
         }
 
     prov = {
@@ -389,10 +376,7 @@ def _assign_circle_components(diagram, prov):
     for role, info in prov.get("circles", {}).items():
         ca, sa, _, _ = info["passages"][0]
         circle_slot = (sa + 1) % 4  # the non-through diagonal
-        label = diagram.crossings[ca][circle_slot]
-        comp = diagram.component_of_edge(label)
-        info["component"] = comp
-        roles[role] = comp
+        roles[role] = diagram.component_of_edge(diagram.crossings[ca][circle_slot])
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +385,12 @@ def _assign_circle_components(diagram, prov):
 
 
 def _find_circle_role(prov, circle):
-    circles = (prov or {}).get("circles", {})
-    if isinstance(circle, str):
-        if circle in circles:
-            return circle
-    else:
-        for role, info in circles.items():
-            if info.get("component") == circle:
-                return role
+    prov = prov or {}
+    if isinstance(circle, str) and circle in prov.get("circles", {}):
+        return circle
+    for role, comp in prov.get("roles", {}).items():
+        if comp == circle:
+            return role
     raise NotACrossingCircle(f"{circle!r} is not a provenance-marked crossing circle")
 
 
@@ -426,8 +408,8 @@ def fill_crossing_circle(d: PlanarDiagram, circle, n: int) -> PlanarDiagram:
     role = _find_circle_role(prov, circle)
     circles = {k: dict(v) for k, v in prov.get("circles", {}).items()}
     info = circles.pop(role)
-    q = info["strands"]
     recs = info["passages"]
+    q = len(recs)
     deleted = {c for ca, _, cb, _ in recs for c in (ca, cb)}
     outer = {}
     for pos, (ca, sa, cb, sb) in enumerate(recs):

@@ -126,6 +126,9 @@ BAD_SLOPE_ARGV = [
         ("gen", "coil", "--p", "7", "--q", "5", "--n1", "1", "--n2", "1"),
         ("gen", "coil", "--slope", "2/5", "--n1", "0", "--n2", "1"),
         *BAD_SLOPE_ARGV,
+        ("verify", "--pd", "."),  # a directory where a file is read
+        ("render", "."),
+        ("family", "--config", "."),
     ],
 )
 def test_bad_coil_spec_is_named_or_usage_error(capsys, argv):
@@ -146,6 +149,14 @@ def test_zero_over_zero_stays_named(capsys):
     assert code == 1 and err.startswith("ZeroOverZero")
 
 
+@pytest.mark.parametrize("cmd", [("verify", "--pd"), ("render",)])
+def test_undecodable_file_is_named(tmp_path, capsys, cmd):
+    pd_file = tmp_path / "latin1.pd"
+    pd_file.write_bytes(b"X(1,\xff,2,2)\n")
+    code, out, err = run(capsys, *cmd, str(pd_file))
+    assert code == 1 and out == "" and err.startswith("UnicodeDecodeError: ")
+
+
 def test_verify_pd_non_planar(tmp_path, capsys):
     pd_file = tmp_path / "split.pd"
     pd_file.write_text("X(1,1,2,2) X(3,3,4,4)\n")
@@ -161,6 +172,10 @@ def test_verify_pd_non_planar(tmp_path, capsys):
         ("gen", "twobridge", "--slope", "2/5", "--precision", "3"),
         ("verify", "--oracle-cap", "5"),
         ("render", "x.pd", "--out", "y"),
+        # a worker count below 1
+        ("family", "--config", "fam.cfg", "--jobs", "-1"),
+        ("family", "--config", "fam.cfg", "--jobs", "0"),
+        ("verify", "--jobs", "0"),
     ],
 )
 def test_unread_flags_rejected(capsys, argv):

@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coilbounds.curves import (
+    GATE_C1_EAST,
+    GATE_C1_WEST,
+    GATE_C2_EAST,
+    GATE_C2_WEST,
     arc_curve_intersection,
     brute_force_intersection,
     circle_passages,
@@ -15,7 +19,7 @@ from coilbounds.curves import (
     lattice_trace,
     trace_gate_events,
 )
-from coilbounds.errors import OracleCapExceeded, UnsupportedTwistCurve
+from coilbounds.errors import OracleCapExceeded
 from coilbounds.slopes import Slope
 
 INF = Slope(1, 0)
@@ -98,8 +102,6 @@ def test_dehn_twist_examples():
     assert dehn_twist(Slope(2, 5), count=1) == Slope(7, 5)
     assert dehn_twist(Slope(2, 5), count=0) == Slope(2, 5)
     assert dehn_twist(Slope(2, 5), count=-1) == Slope(-3, 5)
-    with pytest.raises(UnsupportedTwistCurve):
-        dehn_twist(Slope(2, 5), about=ZERO, count=1)
 
 
 @given(
@@ -179,3 +181,41 @@ def test_fold_parameters_match_scan():
                 if 0 < (2 * q * m - 1) * d <= q * d * d
             )
             assert fold_parameters(p, q) == scan, (p, q)
+
+
+def test_trace_gate_events_match_fraction_walk():
+    # the definition: walk x = m + g over the gates g in (0, 1), fold
+    # q*y - p*x = 1/4 into the strip, mirror where y mod 1 > 1/2
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    for q in range(1, 41):
+        for p in range(-2 * q, 2 * q + 1):
+            if p == 0 or gcd(abs(p), q) != 1:
+                continue
+            eps = Fraction(1, 8 * (abs(p) + 1))
+            gates = {eps: GATE_C1_EAST, half - eps: GATE_C2_WEST,
+                     half + eps: GATE_C2_EAST, 1 - eps: GATE_C1_WEST}
+            want = []
+            for m in range(q):
+                for g in sorted(gates):
+                    ymod = ((p * (m + g) + quarter) / q) % 1
+                    if ymod > half:
+                        want.append((gates[1 - g], 1 - ymod, False))
+                    else:
+                        want.append((gates[g], ymod, True))
+            scale = 32 * (abs(p) + 1) * q
+            got = [(ev.gate, Fraction(ev.y, scale), ev.eastbound)
+                   for ev in trace_gate_events(p, q)]
+            assert got == want, (p, q)
+
+
+def test_circle_passages_run_west_to_east():
+    for p, q in [(1, 2), (2, 5), (-3, 5), (5, 8), (7, 3), (211, 420)]:
+        events = trace_gate_events(p, q)
+        c1, c2 = circle_passages(events)
+        sides = ((c1, (GATE_C1_WEST, GATE_C1_EAST)), (c2, (GATE_C2_WEST, GATE_C2_EAST)))
+        for side, gates in sides:
+            assert {(events[w].gate, events[e].gate) for w, e in side} == {gates}
+        for w, e in c1 + c2:
+            # one step along the curve, eastward or westward
+            step = 1 if events[w].eastbound else -1
+            assert (w + step) % len(events) == e

@@ -1,3 +1,4 @@
+import hashlib
 from math import gcd
 
 import pytest
@@ -270,3 +271,39 @@ def test_generalized_twist_regions_fallback():
 
     d = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")
     assert generalized_twist_regions(d) == d.twist_regions().count == 1
+
+
+# sha256 of each generator's newline-joined PD codes: PD output is a
+# contract, so any change to these digests must be deliberate
+GOLDEN_SLOPES = [(1, 2), (2, 5), (3, 7), (5, 8), (8, 13), (13, 420), (211, 420)]
+GOLDEN_COIL_SLOPES = [(1, 2), (2, 5), (3, 7), (5, 8), (8, 13), (13, 34)]
+GOLDEN_PD_SHA256 = {
+    "augmented": "262f0c01d7f5455f2dde3847a1b6abcbbb71a5ea405ab1b72f15492f78101e6d",
+    "clasped": "0b4d720f8b6b8d2ac6a093e16154a225b22c86df5420b6147a9d563df9c69f3a",
+    "two_bridge": "e091259e393f105c965aaecbdd70d55dcd07ac5fed323b5c49f0cf13cf83ce37",
+    "coil": "003e8618f9ce1ebf29f208f323a18ae6f55da9e83535f25575fc13e74d1f00b0",
+    "fill": "4bfb665202762acb980638ebba4bac87771b69aa8c9436d446921c4c111dcd66",
+}
+
+
+def test_generator_pd_golden():
+    def digest(diagrams):
+        h = hashlib.sha256()
+        for d in diagrams:
+            h.update(emit_pd(d).encode() + b"\n")
+        return h.hexdigest()
+
+    def fill(p, q):
+        d = fill_crossing_circle(gen_augmented(Slope(p, q)), "C1", 2)
+        return fill_crossing_circle(d, "C2", -1)
+
+    got = {
+        "augmented": digest(gen_augmented(Slope(p, q)) for p, q in GOLDEN_SLOPES),
+        "clasped": digest(gen_clasped_two_bridge(Slope(p, q)) for p, q in GOLDEN_SLOPES),
+        "two_bridge": digest(
+            gen_two_bridge(cfrac_expand(Slope(p, q))) for p, q in GOLDEN_SLOPES
+        ),
+        "coil": digest(gen_double_coil(CoilSpec(p, q, 1, -2)) for p, q in GOLDEN_COIL_SLOPES),
+        "fill": digest(fill(p, q) for p, q in GOLDEN_COIL_SLOPES),
+    }
+    assert got == GOLDEN_PD_SHA256
