@@ -14,6 +14,7 @@ from .errors import (
     ZeroOverZero,
     NonHyperbolicSlope,
     OracleCapExceeded,
+    TooManyCrossings,
     DiagramError,
     PDSyntaxError,
     NonQuadrivalent,

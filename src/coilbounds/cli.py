@@ -134,8 +134,9 @@ def _cmd_curve(args):
         cc = curve_curve_intersection(s1, s2)
         ac = arc_curve_intersection(s1, s2)
     if args.svg:
+        picture = svg.curve_svg(s1, s2)  # may refuse; then no file is created
         with open(args.svg, "w") as fh:
-            fh.write(svg.curve_svg(s1, s2))
+            fh.write(picture)
     print(f"curve-curve={cc} arc-curve={ac}")
     return 0
 
@@ -198,7 +199,7 @@ def _cmd_family(args):
 
 
 def _cmd_verify(args):
-    if args.pd:
+    if args.pd is not None:
         with open(args.pd) as fh:
             print(verify_mod.verify_pd_text(fh.read()))
         return 0
@@ -306,7 +307,7 @@ def main(argv=None) -> int:
     except CoilboundsError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, UnicodeDecodeError, OverflowError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OracleCapExceeded
+from .errors import OracleCapExceeded, TooManyCrossings
 from .slopes import Slope, reduce_slope
 
 __all__ = [
@@ -48,9 +48,23 @@ __all__ = [
     "trace_gate_events",
     "fold_parameters",
     "DEFAULT_ORACLE_CAP",
+    "MAX_CROSSINGS",
+    "check_crossing_count",
 ]
 
 DEFAULT_ORACLE_CAP = 12
+
+# No diagram, curve picture or oracle run is started on more crossings than
+# this.  The largest diagrams in everyday use have about 2*10^4; the limit
+# stops inputs such as a 10^8-crossing coil before memory is spent on them.
+MAX_CROSSINGS = 10**6
+
+
+def check_crossing_count(count: int, what: str) -> None:
+    """Raise ``TooManyCrossings`` if ``what`` would have more than
+    ``MAX_CROSSINGS`` crossings."""
+    if count > MAX_CROSSINGS:
+        raise TooManyCrossings(f"{what} would have more than {MAX_CROSSINGS} crossings")
 
 # Gate indices for the four vertical lines bounding thin neighborhoods of
 # the arcs D1 (x ~ 0) and D2 (x = 1/2); generators hang crossing circles
@@ -165,11 +179,17 @@ def _line_families(s1: Slope, s2: Slope, mode: str, cap: int):
         if max(abs(s.p), s.q) > cap:
             raise OracleCapExceeded(f"slope {s} exceeds oracle cap {cap}")
     if mode == "curve-curve":
-        fam1 = (s1.p, s1.q, _line_constants(s1.p, s1.q, (1, 3)))
+        residues = (1, 3)
     elif mode == "arc-curve":
-        fam1 = (s1.p, s1.q, _line_constants(s1.p, s1.q, (0,)))
+        residues = (0,)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    # every pair of lines is a candidate crossing; _line_constants gives
+    # (|P|+Q) constants per residue, plus one for residue 0
+    lines1 = (abs(s1.p) + s1.q) * len(residues) + (0 in residues)
+    lines2 = (abs(s2.p) + s2.q) * 2
+    check_crossing_count(lines1 * lines2, f"the {mode} oracle on {s1} and {s2}")
+    fam1 = (s1.p, s1.q, _line_constants(s1.p, s1.q, residues))
     fam2 = (s2.p, s2.q, _line_constants(s2.p, s2.q, (1, 3)))
     return fam1, fam2
 

@@ -26,6 +26,11 @@ class OracleCapExceeded(CoilboundsError):
     """Brute-force intersection oracle refused an oversized input."""
 
 
+class TooManyCrossings(CoilboundsError):
+    """A diagram, drawing or oracle run would exceed the crossing limit;
+    refused before anything is built."""
+
+
 # --- diagrams -------------------------------------------------------------
 
 class DiagramError(CoilboundsError):

@@ -23,6 +23,7 @@ in the tests and in ``verify`` (criterion-09).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 from .bounds import bound_report, disk_obstruction_check
@@ -139,7 +140,9 @@ def analyze_family(f: CoilFamily, jobs: int = 1) -> FamilyReport:
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # more workers than rows or cores only costs process start-ups
+        workers = min(jobs, len(indexed), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_row_or_error, indexed))
     else:
         outcomes = [_row_or_error(item) for item in indexed]

@@ -37,6 +37,7 @@ from math import gcd
 from .curves import (
     GATE_C1_EAST,
     GATE_C2_EAST,
+    check_crossing_count,
     circle_passages,
     is_entering_event,
     trace_gate_events,
@@ -212,6 +213,7 @@ def _build_plat(terms, with_clasp: bool):
 
 def gen_two_bridge(c: ContinuedFraction) -> PlanarDiagram:
     """Standard alternating 2-bridge diagram with one twist region per term."""
+    check_crossing_count(sum(c.terms), f"two-bridge diagram {c}")
     b, _ = _build_plat(c.terms, with_clasp=False)
     prov = {"generator": "two_bridge", "cfrac": list(c.terms)}
     diagram, _ = b.finish(prov)
@@ -230,6 +232,7 @@ def gen_clasped_two_bridge(s: Slope) -> PlanarDiagram:
     if s.is_infinite or not 0 < s.p < s.q:
         raise ValueError(f"need 0 < p < q, got {s}")
     c = cfrac_expand(s)
+    check_crossing_count(sum(c.terms) + 4, f"clasped two-bridge diagram of {s}")
     b, clasp_info = _build_plat(c.terms, with_clasp=True)
     prov = {
         "generator": "clasped_two_bridge",
@@ -279,6 +282,9 @@ def gen_double_coil(spec: CoilSpec) -> PlanarDiagram:
     strands off to one side and q-p to the other, exactly as the traced
     curve of slope p/q dictates.
     """
+    check_crossing_count(
+        spec.crossing_count, f"double coil (p,q,n1,n2)=({spec.p},{spec.q},{spec.n1},{spec.n2})"
+    )
     events = trace_gate_events(spec.p, spec.q)
     passages = circle_passages(events)
     b = DiagramBuilder()
@@ -318,6 +324,7 @@ def gen_augmented(s: Slope) -> PlanarDiagram:
     """
     if s.is_infinite or not 0 < s.p < s.q:
         raise ValueError(f"need 0 < p < q, got {s}")
+    check_crossing_count(4 * s.q, f"augmented link of {s}")
     events = trace_gate_events(s.p, s.q)
     passages = circle_passages(events)
     b = DiagramBuilder()

@@ -18,9 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import networkx as nx
-
-from .curves import fold_parameters
+from .curves import check_crossing_count, curve_coordinates, fold_parameters
 from .diagrams import PlanarDiagram
 from .slopes import Slope
 
@@ -60,8 +58,7 @@ def render_svg(d: PlanarDiagram, seed_layout: int = 0, size: int = 480) -> str:
     if d.n_crossings == 0:
         return _SVG_OPEN.format(w=size, h=size) + "</svg>"
 
-    pos = nx.combinatorial_embedding_to_pos(_subdivided_embedding(d))
-    pos = _normalize(pos, seed_layout, size)
+    pos = _normalize(_layout(d), seed_layout, size)
     v = d.n_crossings
 
     comp_of = {}
@@ -97,14 +94,18 @@ def _lerp(a, b, t):
     return (a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
 
 
-def _subdivided_embedding(d: PlanarDiagram):
-    """PlanarEmbedding of the twice-subdivided diagram graph.
+def _layout(d: PlanarDiagram):
+    """Straight-line positions of the twice-subdivided diagram graph.
 
     Crossing c is node c, and the subdivision node next to dart e is node
     V + e, so the edge with darts e < mate[e] becomes the path
     c(e), V + e, V + mate[e], c(mate[e]).  Integer nodes keep networkx's
     set iteration, and with it the drawing, independent of the hash seed.
+    networkx is imported here, not at module level, so that only commands
+    that draw a diagram pay for loading it.
     """
+    import networkx as nx
+
     v = d.n_crossings
     neighbors = {c: [v + 4 * c + s for s in range(4)] for c in range(v)}
     for e, f in enumerate(d.mate):
@@ -122,7 +123,7 @@ def _subdivided_embedding(d: PlanarDiagram):
                 emb.add_half_edge(node, w, ccw=prev)
             prev = w
     emb.check_structure()
-    return emb
+    return nx.combinatorial_embedding_to_pos(emb)
 
 
 def _normalize(pos, seed_layout, size):
@@ -216,6 +217,10 @@ def _outer_connector(x0: float):
 
 def curve_svg(*slopes: Slope) -> str:
     """Framed-sphere picture of one or more curves, as SVG polylines."""
+    for s in slopes:
+        check_crossing_count(
+            sum(curve_coordinates(s).tick_counts), f"picture of the curve {s} on its framing"
+        )
     parts = [_SVG_OPEN.format(w=_CURVE_SIZE, h=_CURVE_SIZE)]
     # framing: boundary circles (arcs A, A'), the two vertical arcs, punctures
     for r in (_R_INNER, _R_OUTER):

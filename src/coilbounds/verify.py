@@ -18,6 +18,7 @@ law, verified separately, is  t(D) = k - 1 if a1 = 1 else k.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from math import gcd
@@ -307,7 +308,9 @@ def run_checks(jobs: int = 1) -> list[CheckResult]:
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # more workers than checks or cores only costs process start-ups
+        workers = min(jobs, len(ACCEPTANCE_CHECKS), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_one, ACCEPTANCE_CHECKS))
     return [_run_one(entry) for entry in ACCEPTANCE_CHECKS]
 
@@ -316,8 +319,8 @@ def verify_pd_text(text: str) -> str:
     """Validate a PD code: parse (Euler count included) and emit/parse round trip."""
     d = parse_pd(text)
     v, f = d.n_crossings, len(d.faces())
-    again = parse_pd(emit_pd(d))
-    if emit_pd(again) != emit_pd(d):
+    text_out = emit_pd(d)
+    if emit_pd(parse_pd(text_out)) != text_out:
         raise CoilboundsError("emit/parse round trip is not stable")
     return (
         f"ok: {v} crossings, {d.n_edges} edges, {f} faces, "

@@ -1,7 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import coilbounds
 from coilbounds.cli import main
 from coilbounds.diagrams import parse_pd
 
@@ -127,6 +135,8 @@ BAD_SLOPE_ARGV = [
         ("gen", "coil", "--slope", "2/5", "--n1", "0", "--n2", "1"),
         *BAD_SLOPE_ARGV,
         ("verify", "--pd", "."),  # a directory where a file is read
+        ("verify", "--pd", ""),  # an empty path is a path, not "run the suite"
+        ("bounds", "--p", "1", "--q", "3", "--n1", str(10**400), "--n2", "5"),  # beyond float
         ("render", "."),
         ("family", "--config", "."),
     ],
@@ -267,6 +277,11 @@ def test_family_csv_and_json(tmp_path, capsys):
         capsys, "family", "--config", str(cfg), "--format", "json", "--jobs", "2"
     )
     assert json.loads(out_j) == data
+    # workers are capped by rows and cores, so a huge count starts few processes
+    code, out_j, _ = run(
+        capsys, "family", "--config", str(cfg), "--format", "json", "--jobs", str(10**9)
+    )
+    assert code == 0 and json.loads(out_j) == data
 
 
 def test_family_bad_config(tmp_path, capsys):
@@ -280,3 +295,150 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# Only drawing a diagram needs networkx; every other command starts without it.
+IMPORT_CONTRACT = """
+import sys
+from coilbounds.cli import main
+
+tmp = sys.argv[1]
+pd, cfg = tmp + "/coil.pd", tmp + "/fam.cfg"
+with open(cfg, "w") as fh:
+    fh.write("kind = fixed-slope\\np = 2\\nq = 5\\nn2 = 6\\nrange_start = 4\\nrange_end = 6\\n")
+for argv in (
+    ["bounds", "--p", "3", "--q", "5", "--n1", "4", "--n2", "4"],
+    ["cfrac", "2/5"],
+    ["curve", "1/0", "2/5", "--svg", tmp + "/curve.svg"],
+    ["gen", "coil", "--p", "2", "--q", "5", "--n1", "1", "--n2", "1", "--out", pd],
+    ["verify", "--pd", pd],
+    ["family", "--config", cfg],
+):
+    assert main(argv) == 0, argv
+    assert "networkx" not in sys.modules, argv
+assert main(["gen", "coil", "--p", "2", "--q", "5", "--n1", "1", "--n2", "1",
+             "--out", pd, "--svg", tmp + "/coil.svg"]) == 0
+assert "networkx" in sys.modules
+"""
+
+
+def test_only_drawing_imports_networkx(tmp_path):
+    src = str(Path(coilbounds.__file__).parents[1])
+    r = subprocess.run(
+        [sys.executable, "-c", IMPORT_CONTRACT, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "coil", "--p", "1", "--q", "1000", "--n1", "100", "--n2", "100"),
+        ("gen", "twobridge", "--cfrac", "[100000000]"),
+        ("gen", "twobridge", "--slope", "1/100000000"),
+        ("gen", "clasped", "--slope", "1/999997"),
+        ("gen", "augmented", "--p", "1", "--q", "250001"),
+        ("curve", "1/1000000000", "2/5", "--svg", "never.svg"),
+        ("curve", "1/100000", "2/5", "--oracle", "--oracle-cap", "1000000000"),
+    ],
+)
+def test_oversized_input_refused(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("TooManyCrossings: ")
+    assert not any(tmp_path.iterdir())  # nothing written
+
+
+# --- argv fuzz --------------------------------------------------------------
+
+_INT = st.sampled_from([0, 1, 2, 3, 5, -1, -3, 10**9, -(10**9), 2**63, 10**100, 10**400])
+_INT_TEXT = st.one_of(_INT.map(str), st.sampled_from(["", "x", "1.5", "0x10"]))
+_SLOPE = st.one_of(
+    st.builds("{}/{}".format, _INT, _INT),
+    _INT.map(str),
+    st.sampled_from(["inf", "1/0", "0/0", "-2/5", " 3/7 ", "2//5", "/", "1/x", "abc", ""]),
+    st.text(max_size=6),
+)
+_CFRAC = st.one_of(
+    st.lists(_INT, max_size=4).map(lambda t: "[" + ",".join(map(str, t)) + "]"),
+    st.sampled_from(["[]", "[", "2,2", "[a]", "[1,,2]", "[2.5]"]),
+    st.text(max_size=6),
+)
+_OUT = st.sampled_from(["out.txt", "out.svg", ".", "missing/out.txt"])
+_PD_IN = st.sampled_from(["good.pd", "fam.cfg", "missing.pd", "."])
+_CONFIG = st.sampled_from(["fam.cfg", "vary.cfg", "bad.cfg", "good.pd", "missing.cfg", "."])
+_SPEC = {"--p": _INT_TEXT, "--q": _INT_TEXT, "--n1": _INT_TEXT, "--n2": _INT_TEXT, "--slope": _SLOPE}
+_PRECISION = {"--precision": _INT_TEXT}
+
+# subcommand -> (positional argument strategies, {flag: value strategy or None})
+_COMMANDS = {
+    "cfrac": ([_SLOPE], {}),
+    "slope": ([_SLOPE], {"--format": st.sampled_from(["text", "json", "xml"])}),
+    "curve": ([_SLOPE, _SLOPE], {"--oracle": None, "--oracle-cap": _INT_TEXT, "--svg": _OUT}),
+    "gen": (
+        [st.sampled_from(["twobridge", "clasped", "coil", "augmented", "knot"])],
+        {"--cfrac": _CFRAC, "--svg": _OUT, "--seed-layout": _INT_TEXT, "--out": _OUT, **_SPEC},
+    ),
+    "bounds": ([], {**_PRECISION, "--out": _OUT, **_SPEC}),
+    "lambda": ([], {**_PRECISION, "--out": _OUT, **_SPEC}),
+    "family": ([], {"--config": _CONFIG, "--format": st.sampled_from(["csv", "json", "xml"]),
+                    "--jobs": _INT_TEXT, **_PRECISION, "--out": _OUT}),
+    # the bare suite is covered by test_acceptance; here verify always reads a file
+    "verify": ([], {"--pd": _PD_IN, "--jobs": _INT_TEXT}),
+    "render": ([_PD_IN], {"--svg": _OUT, "--seed-layout": _INT_TEXT}),
+}
+_ALL_FLAGS = sorted({flag for _, flags in _COMMANDS.values() for flag in flags})
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    positional, flags = _COMMANDS[command]
+    argv = [command] + [draw(s) for s in positional]
+    names = draw(st.lists(st.sampled_from(sorted(flags)), unique=True) if flags else st.just([]))
+    if command == "verify":
+        names = ["--pd"] + [n for n in names if n != "--pd"]
+    elif "--n1" in flags and draw(st.booleans()):  # a whole coil spec
+        spec = ["--p", "--q", "--n1", "--n2"]
+        names = spec + [n for n in names if n not in spec]
+    if draw(st.booleans()):
+        names.append(draw(st.sampled_from(_ALL_FLAGS)))  # possibly not this command's
+    for name in names:
+        argv.append(name)
+        value = flags.get(name, _INT_TEXT)
+        if value is not None:
+            argv.append(draw(value))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "good.pd").write_text("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)\n")  # trefoil
+    (d / "fam.cfg").write_text(
+        "kind = fixed-slope\np = 2\nq = 5\nn2 = 6\nrange_start = 4\nrange_end = 6\n"
+    )
+    (d / "vary.cfg").write_text("kind = vary-slope\nrange_end = 4\nn1 = 5\n")
+    (d / "bad.cfg").write_text("kind = fixed-slope\n")
+    return d
+
+
+@settings(max_examples=300, deadline=5000, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argv())
+def test_cli_fuzz_exits_cleanly(fuzz_dir, argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)  # relative paths, even mis-parsed ones, stay in the fuzz dir
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse: usage error
+                code = e.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
