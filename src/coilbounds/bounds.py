@@ -176,8 +176,10 @@ def dehn_filling_factor(ell_min: float) -> float:
 
 def slope_length_lower(n: int) -> float:
     """Length lower bound sqrt(1/4 + 4n^2) for the slope 1/n on a crossing
-    circle cusp of the reflection-symmetric parent diagram."""
-    return math.sqrt(0.25 + 4.0 * n * n)
+    circle cusp of the reflection-symmetric parent diagram.  ``hypot`` keeps
+    it finite for every |n| a float can hold (squaring overflows past
+    |n| ~ 1e154)."""
+    return math.hypot(0.5, 2.0 * n)
 
 
 def cusp_slope_length_lower(k: int, n: int) -> float:

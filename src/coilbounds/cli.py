@@ -69,12 +69,23 @@ def _positive_int(text):
     return value
 
 
+# Slope and continued-fraction integers are capped so that no product of
+# two of them reaches Python's 4300-digit int-to-str limit.
+MAX_DIGITS = 2000
+_DIGIT_LIMIT = 10**MAX_DIGITS
+
+
 def _parse_arg(parse, text, what):
-    """Parse a slope or continued-fraction argument; bad text is a usage error."""
+    """Parse a slope or continued-fraction argument; bad text is a usage error,
+    and so is an integer of more than ``MAX_DIGITS`` digits."""
     try:
-        return parse(text)
+        value = parse(text)
     except ValueError as e:
         raise _UsageError(f"bad {what} {text!r}: {e}") from None
+    ints = value.terms if isinstance(value, ContinuedFraction) else (value.p, value.q)
+    if any(abs(x) >= _DIGIT_LIMIT for x in ints):
+        raise _UsageError(f"bad {what}: integers are limited to {MAX_DIGITS} digits")
+    return value
 
 
 def _unit_slope(s: Slope) -> Slope:
@@ -206,6 +217,10 @@ def _cmd_verify(args):
     failed = 0
     for result in verify_mod.run_checks(jobs=args.jobs):
         print(result.line)
+        if args.timings:
+            over = "  OVER BUDGET" if result.elapsed > result.limit else ""
+            print(f"{result.elapsed:.3f}s/{result.limit:g}s {result.name}{over}",
+                  file=sys.stderr)
         if not result.ok:
             failed += 1
     if failed:
@@ -287,6 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the acceptance/oracle suite")
     p.add_argument("--pd", metavar="PATH", help="validate a PD-code file instead")
     p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--timings", action="store_true",
+                   help="print each check's elapsed time against its budget to stderr")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("render", help="render a PD-code file to SVG")

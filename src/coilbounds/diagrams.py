@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     EdgePairingError,
@@ -69,14 +70,24 @@ class PlanarDiagram:
         "_faces",
     )
 
-    def __init__(self, crossings, provenance=None):
-        crossings = tuple(tuple(x) for x in crossings)
+    def __init__(self, crossings, provenance=None, *, _mate=None):
+        # ``_mate`` is the builder path: ``DiagramBuilder.finish`` hands over
+        # the dart array it wired, so the labels, paired by construction,
+        # are not paired again.  Everything else is checked on both paths.
+        if _mate is None:
+            crossings = tuple(tuple(x) for x in crossings)
+            self.mate, self._edge_dart = _pair_labels(crossings)
+        else:
+            self.mate, self._edge_dart = _mate, None
         self.crossings = crossings
         self.provenance = provenance
-        self.mate, self._edge_dart = _pair_labels(crossings)
         self._components, self._component_slots = self._walk_strands()
         self._faces = self._trace_faces()
-        self._check_sphere()
+        if crossings and len(self._faces) != len(crossings) + 2:
+            raise NonPlanarRotation(
+                f"rotation system has {len(self._faces)} faces, "
+                f"a sphere embedding needs {len(crossings) + 2}"
+            )
 
     # -- validation ---------------------------------------------------------
 
@@ -86,78 +97,55 @@ class PlanarDiagram:
         Components containing under-passages are walked in the orientation
         the PD convention dictates (under-strands enter at slot 0); meeting
         a slot-2 entrance means the code orients some strand both ways.
+        The underlying graph is connected iff the components are, joined at
+        the crossings where they meet; a knot needs no such check.
         """
-        n = 4 * len(self.crossings)
-        entered = [False] * n
+        mate, crossings = self.mate, self.crossings
+        n = len(mate)
+        comp = [0] * n  # 1 + component of each dart's strand; 0 until walked
         components: list[tuple[int, ...]] = []
         component_slots: list[tuple[int, ...]] = []
-
-        def walk(start: int):
+        for start in chain(range(0, n, 4), range(n)):
+            if comp[start]:
+                continue
+            k = len(components) + 1
             labels, slots = [], []
             d = start
             while True:
-                c, s = divmod(d, 4)
+                s = d & 3
                 if s == 2:
                     raise EdgePairingError(
-                        f"inconsistent strand orientation at crossing {c}"
+                        f"inconsistent strand orientation at crossing {d >> 2}"
                     )
-                entered[d] = True
-                entered[4 * c + (s + 2) % 4] = True
+                out = d ^ 2
+                comp[d] = comp[out] = k
                 slots.append(s)
-                out = 4 * c + (s + 2) % 4
-                labels.append(self.crossings[c][(s + 2) % 4])
-                d = self.mate[out]
+                labels.append(crossings[d >> 2][out & 3])
+                d = mate[out]
                 if d == start:
                     break
             components.append(tuple(labels))
             component_slots.append(tuple(slots))
-
-        for c in range(len(self.crossings)):
-            if not entered[4 * c]:
-                walk(4 * c)
-        for d in range(n):
-            if not entered[d]:
-                walk(d)
+        if len(components) > 1:
+            _check_joined(len(components), comp)
         return tuple(components), tuple(component_slots)
 
     def _trace_faces(self):
-        n = 4 * len(self.crossings)
-        seen = [False] * n
+        mate = self.mate
+        seen = bytearray(len(mate))
         out: list[tuple[int, ...]] = []
-        for d0 in range(n):
+        for d0 in range(len(mate)):
             if seen[d0]:
                 continue
             face = []
             d = d0
             while not seen[d]:
-                seen[d] = True
+                seen[d] = 1
                 face.append(d)
-                m = self.mate[d]
+                m = mate[d]
                 d = (m & ~3) + ((m + 1) & 3)
             out.append(tuple(face))
         return tuple(out)
-
-    def _check_sphere(self):
-        v = len(self.crossings)
-        if v == 0:
-            return
-        # connectivity of the underlying 4-valent graph
-        seen = {0}
-        stack = [0]
-        while stack:
-            c = stack.pop()
-            for s in range(4):
-                c2 = self.mate[4 * c + s] // 4
-                if c2 not in seen:
-                    seen.add(c2)
-                    stack.append(c2)
-        if len(seen) != v:
-            raise NonPlanarRotation("diagram is split (underlying graph disconnected)")
-        if len(self._faces) != v + 2:
-            raise NonPlanarRotation(
-                f"rotation system has {len(self._faces)} faces, "
-                f"a sphere embedding needs {v + 2}"
-            )
 
     # -- queries -------------------------------------------------------------
 
@@ -167,7 +155,7 @@ class PlanarDiagram:
 
     @property
     def n_edges(self) -> int:
-        return len(self._edge_dart)
+        return len(self.mate) // 2
 
     @property
     def n_components(self) -> int:
@@ -180,6 +168,8 @@ class PlanarDiagram:
 
     def ends_of(self, label: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """(crossing, slot) of both ends of an edge, smaller dart first."""
+        if self._edge_dart is None:
+            self._edge_dart = _first_darts(self.crossings)
         d = self._edge_dart[label]
         return divmod(d, 4), divmod(self.mate[d], 4)
 
@@ -234,25 +224,57 @@ class PlanarDiagram:
         return f"<PlanarDiagram {self.n_crossings} crossings, {self.n_components} components>"
 
 
+def _check_joined(n_components, comp):
+    """Raise unless the components, joined at shared crossings, are one piece.
+
+    ``comp`` holds 1 + the component of every dart; darts 4c and 4c+1 lie
+    on the two strands through crossing c.
+    """
+    parent = list(range(n_components + 1))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    pieces = n_components
+    for d in range(0, len(comp), 4):
+        a, b = find(comp[d]), find(comp[d + 1])
+        if a != b:
+            parent[a] = b
+            pieces -= 1
+    if pieces != 1:
+        raise NonPlanarRotation("diagram is split (underlying graph disconnected)")
+
+
+def _first_darts(crossings):
+    """Map each edge label to its first dart, in order of first appearance."""
+    edge_dart: dict[int, int] = {}
+    for d, label in enumerate(chain.from_iterable(crossings)):
+        edge_dart.setdefault(label, d)
+    return edge_dart
+
+
 def _pair_labels(crossings):
     """Check the tuples and pair equal labels into the dart array ``mate``.
 
     Returns ``(mate, edge_dart)``; ``edge_dart`` maps each label to its
     first dart, in order of first appearance.
     """
-    mate = [-1] * (4 * len(crossings))
-    edge_dart: dict[int, int] = {}
-    for c, x in enumerate(crossings):
+    for x in crossings:
         if len(x) != 4:
             raise NonQuadrivalent(f"crossing {x} does not have four edge-ends")
-        for s, label in enumerate(x):
+        for label in x:
             if not isinstance(label, int) or label < 1:
                 raise EdgePairingError(f"bad edge label {label!r}")
-            d = 4 * c + s
-            e = edge_dart.setdefault(label, d)
-            if e != d and mate[e] < 0:
-                mate[e] = d
-                mate[d] = e
+    edge_dart = _first_darts(crossings)
+    mate = [-1] * (4 * len(crossings))
+    for d, label in enumerate(chain.from_iterable(crossings)):
+        e = edge_dart[label]
+        if e != d and mate[e] < 0:
+            mate[e] = d
+            mate[d] = e
     if -1 in mate:  # some label appears once, or three or more times
         counts = Counter(label for x in crossings for label in x)
         label = next(label for label in edge_dart if counts[label] != 2)
@@ -292,6 +314,10 @@ def emit_pd(d: PlanarDiagram) -> str:
 # ---------------------------------------------------------------------------
 
 
+# slots of a crossing read counterclockwise from slot r
+_ROTATED = tuple(tuple((r + i) % 4 for i in range(4)) for r in range(4))
+
+
 class DiagramBuilder:
     """Assemble a diagram from crossings with explicit slot wiring.
 
@@ -307,57 +333,66 @@ class DiagramBuilder:
         self._peer: list[int] = []  # dart -> dart, -1 while unwired
         self._under: list[int] = []
 
-    def crossing(self, under: int = 0) -> int:
+    def crossings(self, count: int, under: int = 0) -> range:
+        """Add ``count`` crossings with the same under diagonal; return their ids."""
         if under not in (0, 1):
             raise NonQuadrivalent("under diagonal must be 0 or 1")
-        self._peer.extend((-1, -1, -1, -1))
-        self._under.append(under)
-        return len(self._under) - 1
+        first = len(self._under)
+        self._peer += [-1] * (4 * count)
+        self._under += [under] * count
+        return range(first, first + count)
+
+    def crossing(self, under: int = 0) -> int:
+        return self.crossings(1, under).start
 
     def wire(self, a: tuple[int, int], b: tuple[int, int]) -> None:
         if not (0 <= a[1] < 4 and 0 <= b[1] < 4):
             raise EdgePairingError(f"slots are 0..3, got {a} and {b}")
-        da, db = 4 * a[0] + a[1], 4 * b[0] + b[1]
-        for end, d in ((a, da), (b, db)):
-            if self._peer[d] >= 0:
-                raise EdgePairingError(f"slot {end} wired twice")
+        self._join(4 * a[0] + a[1], 4 * b[0] + b[1])
+
+    def _join(self, da: int, db: int) -> None:
+        """Wire dart ``da`` to dart ``db`` (dart = 4 * crossing + slot)."""
+        peer = self._peer
+        for d in (da, db):
+            if peer[d] >= 0:
+                raise EdgePairingError(f"slot {divmod(d, 4)} wired twice")
         if da == db:
-            raise EdgePairingError(f"cannot wire slot {a} to itself")
-        self._peer[da] = db
-        self._peer[db] = da
+            raise EdgePairingError(f"cannot wire slot {divmod(da, 4)} to itself")
+        peer[da] = db
+        peer[db] = da
 
     def finish(self, provenance=None):
         """Return ``(diagram, rotations)``; final slot = (slot - rot) mod 4."""
         peer, under = self._peer, self._under
+        n = len(peer)
         if -1 in peer:
             raise EdgePairingError(f"slot {divmod(peer.index(-1), 4)} left dangling")
 
-        labels = [0] * len(peer)
-        incoming_under = [None] * len(under)
-        entered = [False] * len(peer)
+        # Walk every strand once, numbering its edges in walk order; a dart
+        # is walked once its edge has a label.
+        labels = [0] * n
+        entered = bytearray(n)
         next_label = 1
-        for start in range(len(peer)):
-            if entered[start]:
+        for start in range(n):
+            if labels[start]:
                 continue
             d = start
             while True:
-                c, s = divmod(d, 4)
+                entered[d] = 1
                 out = d ^ 2  # slot s + 2 of the same crossing
-                entered[d] = entered[out] = True
-                if s % 2 == under[c]:
-                    incoming_under[c] = s
-                if labels[out] == 0:
-                    labels[out] = labels[peer[out]] = next_label
-                    next_label += 1
+                labels[out] = labels[peer[out]] = next_label
+                next_label += 1
                 d = peer[out]
                 if d == start:
                     break
-
-        rotations = []
-        tuples = []
-        for c, r in enumerate(incoming_under):
-            if r is None:
-                raise EdgePairingError(f"crossing {c} has no under passage")
-            rotations.append(r)
-            tuples.append(tuple(labels[4 * c + (r + i) % 4] for i in range(4)))
-        return PlanarDiagram(tuples, provenance), rotations
+        # rotate each crossing so its tuple starts at the incoming under-strand
+        rotations = [u if entered[4 * c + u] else u + 2 for c, u in enumerate(under)]
+        # finished dart 4c + i is builder dart 4c + (i + rot[c]) mod 4
+        source = [4 * c + i for c, r in enumerate(rotations) for i in _ROTATED[r]]
+        final = [0] * n
+        for e, d in enumerate(source):
+            final[d] = e
+        mate = tuple([final[peer[d]] for d in source])
+        flat = [labels[d] for d in source]
+        tuples = tuple(zip(flat[0::4], flat[1::4], flat[2::4], flat[3::4]))
+        return PlanarDiagram(tuples, provenance, _mate=mate), rotations

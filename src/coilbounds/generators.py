@@ -258,19 +258,26 @@ def gen_clasped_two_bridge(s: Slope) -> PlanarDiagram:
 
 def _coil_braid(b, q: int, n_signed: int):
     """Lay n_signed full twists on q strands; return (west, east) port darts."""
-    under = 0 if n_signed > 0 else 1
-    west = [None] * q
+    rows = q * abs(n_signed)
+    first = b.crossings(rows * (q - 1), under=0 if n_signed > 0 else 1).start
+    join = b._join
+    # row 0 reaches every position for the first time: those are the west ports
+    west = [4 * first + 1] + [4 * (first + i) for i in range(q - 1)]
     current = [None] * q
-    for _ in range(q * abs(n_signed)):
+    d = 4 * first
+    for i in range(q - 1):
+        if i:
+            join(current[i], d + 1)
+        current[i] = d + 2
+        current[i + 1] = d + 3
+        d += 4
+    for _ in range(rows - 1):
         for i in range(q - 1):
-            c = b.crossing(under=under)
-            for pos, slot in ((i, 1), (i + 1, 0)):
-                if current[pos] is None:
-                    west[pos] = (c, slot)
-                else:
-                    b.wire(current[pos], (c, slot))
-            current[i] = (c, 2)
-            current[i + 1] = (c, 3)
+            join(current[i], d + 1)
+            join(current[i + 1], d)
+            current[i] = d + 2
+            current[i + 1] = d + 3
+            d += 4
     return west, current
 
 
@@ -288,7 +295,7 @@ def gen_double_coil(spec: CoilSpec) -> PlanarDiagram:
     events = trace_gate_events(spec.p, spec.q)
     passages = circle_passages(events)
     b = DiagramBuilder()
-    port = {}
+    port = [0] * len(events)  # gate event -> braid port dart
     for region, n in ((0, spec.n1), (1, spec.n2)):
         west, east = _coil_braid(b, spec.q, n * _REGION_ORIENT[region])
         for pos, (w, e) in enumerate(passages[region]):
@@ -296,7 +303,7 @@ def gen_double_coil(spec: CoilSpec) -> PlanarDiagram:
     for i, ev in enumerate(events):
         if not is_entering_event(ev):
             j = (i + 1) % len(events)
-            b.wire(port[i], port[j])
+            b._join(port[i], port[j])
     prov = {
         "generator": "double_coil",
         "p": spec.p,
@@ -417,66 +424,54 @@ def fill_crossing_circle(d: PlanarDiagram, circle, n: int) -> PlanarDiagram:
     info = circles.pop(role)
     recs = info["passages"]
     q = len(recs)
-    deleted = {c for ca, _, cb, _ in recs for c in (ca, cb)}
-    outer = {}
-    for pos, (ca, sa, cb, sb) in enumerate(recs):
-        outer[(ca, sa)] = ("W", pos)
-        outer[(cb, sb)] = ("E", pos)
-    through = {}
-    for ca, sa, cb, sb in recs:
-        through[ca] = (sa % 2)
-        through[cb] = (sb % 2)
-
     mate = d.mate
-
+    deleted = {c for ca, _, cb, _ in recs for c in (ca, cb)}
     kept = [c for c in range(d.n_crossings) if c not in deleted]
-    old2new = {c: i for i, c in enumerate(kept)}
     b = DiagramBuilder()
-    for _ in kept:
-        b.crossing(under=0)
+    old2new = dict(zip(kept, b.crossings(len(kept))))
+    # old dart -> new dart; a kept crossing keeps its slots, the circle's get -1
+    new = [-1] * len(mate)
+    for old, c in old2new.items():
+        new[4 * old:4 * old + 4] = range(4 * c, 4 * c + 4)
+    join = b._join
 
     if n == 0:
+        through = {}
+        for ca, sa, cb, sb in recs:
+            through[ca] = sa % 2
+            through[cb] = sb % 2
+
         def resolve(dart):
-            while dart // 4 in deleted:
+            # follow the encircled strand through the circle's crossings
+            while new[dart] < 0:
                 if dart % 2 != through[dart // 4]:
                     raise AssertionError("resolution strayed onto the circle strand")
                 dart = mate[dart ^ 2]
             return dart
 
-        done = set()
+        done = bytearray(len(mate))
         for c in kept:
-            for slot in range(4):
-                here = 4 * c + slot
-                if here in done:
+            for here in range(4 * c, 4 * c + 4):
+                if done[here]:
                     continue
                 other = resolve(mate[here])
-                done.add(here)
-                done.add(other)
-                b.wire((old2new[c], slot), (old2new[other // 4], other % 4))
+                done[here] = done[other] = 1
+                join(new[here], new[other])
         if not kept:
             return PlanarDiagram((), {"generator": "trivial", "note": "all crossings removed"})
     else:
         west, east = _coil_braid(b, q, n * info.get("orient", 1))
-
-        def port_dart(tag):
-            side, pos = tag
-            return west[pos] if side == "W" else east[pos]
-
-        for a, b_end in enumerate(mate):
-            if a > b_end:
-                continue
-            resolved = []
-            for c, slot in (divmod(a, 4), divmod(b_end, 4)):
-                if c in deleted:
-                    tag = outer.get((c, slot))
-                    resolved.append(port_dart(tag) if tag else None)
-                else:
-                    resolved.append((old2new[c], slot))
-            if resolved[0] is None and resolved[1] is None:
-                continue  # circle strand or in-region edge
-            if None in resolved:
-                raise AssertionError("edge half-deleted by circle surgery")
-            b.wire(resolved[0], resolved[1])
+        for pos, (ca, sa, cb, sb) in enumerate(recs):
+            new[4 * ca + sa] = west[pos]
+            new[4 * cb + sb] = east[pos]
+        for x, y in enumerate(mate):
+            if x < y:
+                nx, ny = new[x], new[y]
+                if nx >= 0 and ny >= 0:
+                    join(nx, ny)
+                elif nx >= 0 or ny >= 0:
+                    raise AssertionError("edge half-deleted by circle surgery")
+                # else: the circle strand, or an edge inside its region
 
     for other in circles.values():
         other["passages"] = [

@@ -82,44 +82,51 @@ def check_02_cfrac_roundtrip():
     return True, f"{count} coprime pairs, exact"
 
 
+# Criteria 03 and 03* read one generation of the q <= 100 two-bridge
+# diagrams; ``run_checks`` keeps it for the length of one run.
+_shared: dict | None = None
+
+
+def _two_bridge_survey():
+    """(p, q, terms, twist regions, crossings, alternating) per slope q <= 100."""
+    rows = _shared.get("two_bridge") if _shared is not None else None
+    if rows is None:
+        rows = []
+        for p, q in _coprime_pairs(100):
+            c = cfrac_expand(Slope(p, q))
+            d = generators.gen_two_bridge(c)
+            rows.append((p, q, c.terms, d.twist_regions().count, d.n_crossings,
+                         d.is_alternating()))
+        if _shared is not None:
+            _shared["two_bridge"] = rows
+    return rows
+
+
 def check_03_two_bridge_cross_check():
-    failures = []
-    total = 0
-    for p, q in _coprime_pairs(100):
-        c = cfrac_expand(Slope(p, q))
-        d = generators.gen_two_bridge(c)
-        total += 1
-        if not (
-            d.twist_regions().count == c.length
-            and d.n_crossings == sum(c.terms)
-            and d.is_alternating()
-        ):
-            failures.append((p, q, tuple(c.terms), d.twist_regions().count))
+    rows = _two_bridge_survey()
+    failures = [
+        (p, q, terms, t)
+        for p, q, terms, t, crossings, alternating in rows
+        if not (t == len(terms) and crossings == sum(terms) and alternating)
+    ]
     if failures:
         p, q, terms, got = failures[0]
         return False, (
-            f"{len(failures)}/{total} slopes violate count=k, first {p}/{q} "
+            f"{len(failures)}/{len(rows)} slopes violate count=k, first {p}/{q} "
             f"{list(terms)}: t(D)={got}, k={len(terms)} -- unattainable for "
             "a1=1 (e.g. [1,2] is the trefoil; every 3-crossing diagram of it "
             "has one twist region); true law t = k - [a1=1] verified separately"
         )
-    return True, f"{total} slopes: t(D)=k, crossings=sum(a_i), alternating"
+    return True, f"{len(rows)} slopes: t(D)=k, crossings=sum(a_i), alternating"
 
 
 def check_03adj_two_bridge_true_law():
-    total = 0
-    for p, q in _coprime_pairs(100):
-        c = cfrac_expand(Slope(p, q))
-        d = generators.gen_two_bridge(c)
-        expected = c.length - (1 if c.terms[0] == 1 else 0)
-        if not (
-            d.twist_regions().count == expected
-            and d.n_crossings == sum(c.terms)
-            and d.is_alternating()
-        ):
-            return False, f"true-law violation at {p}/{q} {list(c.terms)}"
-        total += 1
-    return True, f"{total} slopes: t(D) = k - [a1=1], crossings=sum(a_i), alternating"
+    rows = _two_bridge_survey()
+    for p, q, terms, t, crossings, alternating in rows:
+        expected = len(terms) - (1 if terms[0] == 1 else 0)
+        if not (t == expected and crossings == sum(terms) and alternating):
+            return False, f"true-law violation at {p}/{q} {list(terms)}"
+    return True, f"{len(rows)} slopes: t(D) = k - [a1=1], crossings=sum(a_i), alternating"
 
 
 def check_04_oracle_equivalence(cap=12):
@@ -305,25 +312,35 @@ def _run_one(entry) -> CheckResult:
 def run_checks(jobs: int = 1) -> list[CheckResult]:
     """Run every acceptance check; results come back in declaration order
     regardless of the worker count."""
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    global _shared
+    _shared = {}
+    try:
+        if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        # more workers than checks or cores only costs process start-ups
-        workers = min(jobs, len(ACCEPTANCE_CHECKS), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_one, ACCEPTANCE_CHECKS))
-    return [_run_one(entry) for entry in ACCEPTANCE_CHECKS]
+            # more workers than checks or cores only costs process start-ups
+            workers = min(jobs, len(ACCEPTANCE_CHECKS), os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(_run_one, ACCEPTANCE_CHECKS))
+        return [_run_one(entry) for entry in ACCEPTANCE_CHECKS]
+    finally:
+        _shared = None
 
 
 def verify_pd_text(text: str) -> str:
-    """Validate a PD code: parse (Euler count included) and emit/parse round trip."""
+    """Validate a PD code: parse (Euler count included) and emit/parse round trip.
+
+    The report is built first and the diagram dropped before the re-parse,
+    so only one diagram is held at a time.
+    """
     d = parse_pd(text)
-    v, f = d.n_crossings, len(d.faces())
-    text_out = emit_pd(d)
-    if emit_pd(parse_pd(text_out)) != text_out:
-        raise CoilboundsError("emit/parse round trip is not stable")
-    return (
-        f"ok: {v} crossings, {d.n_edges} edges, {f} faces, "
+    report = (
+        f"ok: {d.n_crossings} crossings, {d.n_edges} edges, {len(d.faces())} faces, "
         f"{d.n_components} components, {d.twist_regions().count} twist regions, "
         f"alternating={d.is_alternating()}"
     )
+    text_out = emit_pd(d)
+    del d
+    if emit_pd(parse_pd(text_out)) != text_out:
+        raise CoilboundsError("emit/parse round trip is not stable")
+    return report

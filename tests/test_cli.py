@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,10 @@ BAD_SLOPE_ARGV = [
     ("gen", "augmented", "--p", "2", "--q", "4"),
     ("gen", "augmented", "--p", "-1", "--q", "3"),
     ("bounds", "--slope", "2/x", "--n1", "4", "--n2", "4"),
+    # over 2000 digits: the intersection number would pass Python's str limit
+    ("curve", f"1/{10**2200 + 1}", f"{10**2200 + 1}/1"),
+    ("cfrac", f"1/{10**2200 + 1}"),
+    ("gen", "twobridge", "--cfrac", f"[{10**2200 + 1}]"),
 ]
 
 
@@ -154,6 +159,24 @@ def test_bad_coil_spec_is_named_or_usage_error(capsys, argv):
     assert "error:" in err if code == 2 else err.split(":")[0].isidentifier()
 
 
+def test_widest_slope_still_accepted(capsys):
+    big = 10**2000 - 1
+    code, out, _ = run(capsys, "curve", f"1/{big}", f"{big}/1")
+    assert code == 0 and out == f"curve-curve={2 * (big * big - 1)} arc-curve={big * big - 1}\n"
+
+
+def _no_constants(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("n", [10**160, 10**300, -(10**300)])
+def test_bounds_huge_twist_is_finite_json(capsys, n):
+    code, out, _ = run(capsys, "bounds", "--p", "2", "--q", "5", "--n1", str(n), "--n2", "5")
+    assert code == 0
+    data = json.loads(out, parse_constant=_no_constants)
+    assert data["certificate"]["witnesses"]["slope_length_lower"][0] >= 2 * abs(n)
+
+
 def test_zero_over_zero_stays_named(capsys):
     code, _, err = run(capsys, "cfrac", "0/0")
     assert code == 1 and err.startswith("ZeroOverZero")
@@ -165,6 +188,30 @@ def test_undecodable_file_is_named(tmp_path, capsys, cmd):
     pd_file.write_bytes(b"X(1,\xff,2,2)\n")
     code, out, err = run(capsys, *cmd, str(pd_file))
     assert code == 1 and out == "" and err.startswith("UnicodeDecodeError: ")
+
+
+def _slow_check():
+    time.sleep(0.02)
+    return True, "slept"
+
+
+def test_verify_timings_keep_stdout(monkeypatch, capsys):
+    from coilbounds import verify
+
+    # the 1 s checks plus one planted over its budget keep the test short
+    fast = [entry for entry in verify.ACCEPTANCE_CHECKS if entry[2] == 1.0]
+    late = ("criterion-99 planted slow check", _slow_check, 0.001)
+    monkeypatch.setattr(verify, "ACCEPTANCE_CHECKS", (*fast, late))
+    code, plain, plain_err = run(capsys, "verify")
+    code_t, timed, err = run(capsys, "verify", "--timings")
+    assert code == code_t == 0 and timed == plain and plain_err == ""
+    lines = err.splitlines()
+    assert len(lines) == len(fast) + 1
+    for line, (name, _, limit) in zip(lines, (*fast, late)):
+        elapsed, _, rest = line.partition("s/")
+        assert float(elapsed) >= 0 and rest.startswith(f"{limit:g}s {name}")
+    assert lines[-1].endswith("OVER BUDGET")
+    assert not any("OVER BUDGET" in line for line in lines[:-1])
 
 
 def test_verify_pd_non_planar(tmp_path, capsys):
@@ -353,7 +400,9 @@ def test_oversized_input_refused(tmp_path, monkeypatch, capsys, argv):
 
 # --- argv fuzz --------------------------------------------------------------
 
-_INT = st.sampled_from([0, 1, 2, 3, 5, -1, -3, 10**9, -(10**9), 2**63, 10**100, 10**400])
+_INT = st.sampled_from(
+    [0, 1, 2, 3, 5, -1, -3, 10**9, -(10**9), 2**63, 10**100, 10**400, 10**2200 + 1]
+)
 _INT_TEXT = st.one_of(_INT.map(str), st.sampled_from(["", "x", "1.5", "0x10"]))
 _SLOPE = st.one_of(
     st.builds("{}/{}".format, _INT, _INT),

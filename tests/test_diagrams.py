@@ -1,7 +1,8 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coilbounds.diagrams import (
     DiagramBuilder,
@@ -15,8 +16,15 @@ from coilbounds.errors import (
     NonQuadrivalent,
     PDSyntaxError,
 )
-from coilbounds.generators import CoilSpec, gen_double_coil, gen_two_bridge
-from coilbounds.slopes import ContinuedFraction
+from coilbounds.generators import (
+    CoilSpec,
+    fill_crossing_circle,
+    gen_augmented,
+    gen_clasped_two_bridge,
+    gen_double_coil,
+    gen_two_bridge,
+)
+from coilbounds.slopes import ContinuedFraction, Slope, cfrac_expand
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIGURE8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
@@ -168,3 +176,141 @@ def test_roundtrip_random_two_bridge(terms):
     d = gen_two_bridge(ContinuedFraction(tuple(terms)))
     text = emit_pd(d)
     assert emit_pd(parse_pd(text)) == text
+
+
+# --- builder path -------------------------------------------------------------
+#
+# DiagramBuilder.finish hands its dart array to PlanarDiagram and skips the
+# label pairing; everything else is validated as for parsed text.
+
+def _assert_same_diagram(d, again):
+    assert again.mate == d.mate
+    assert again.components == d.components
+    assert again._component_slots == d._component_slots
+    assert again.faces() == d.faces()
+    assert again.n_edges == d.n_edges
+    for label in range(1, d.n_edges + 1):
+        assert again.ends_of(label) == d.ends_of(label)
+
+
+_PQ = st.integers(2, 7).flatmap(
+    lambda q: st.tuples(st.integers(1, q - 1), st.just(q))
+).filter(lambda pq: math.gcd(*pq) == 1)
+_TWIST = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+
+@st.composite
+def _built_diagram(draw):
+    p, q = draw(_PQ)
+    kind = draw(st.sampled_from(["coil", "two_bridge", "clasped", "augmented", "fill"]))
+    if kind == "coil":
+        return gen_double_coil(CoilSpec(p, q, draw(_TWIST), draw(_TWIST)))
+    if kind == "two_bridge":
+        return gen_two_bridge(cfrac_expand(Slope(p, q)))
+    if kind == "clasped":
+        return gen_clasped_two_bridge(Slope(p, q))
+    d = gen_augmented(Slope(p, q))
+    if kind == "fill":
+        for role in draw(st.sampled_from([["C1"], ["C2"], ["C1", "C2"], ["C2", "C1"]])):
+            d = fill_crossing_circle(d, role, draw(st.sampled_from([0, -2, -1, 1, 2])))
+    return d
+
+
+@settings(max_examples=60, deadline=None)
+@given(_built_diagram())
+def test_builder_path_matches_parse_path(d):
+    _assert_same_diagram(d, parse_pd(emit_pd(d)))
+
+
+def _labelled(mate):
+    """PD tuples whose labels pair exactly the darts that ``mate`` pairs."""
+    labels = [0] * len(mate)
+    edges = 0
+    for d, m in enumerate(mate):
+        if not labels[d]:
+            edges += 1
+            labels[d] = labels[m] = edges
+    return [tuple(labels[4 * c:4 * c + 4]) for c in range(len(mate) // 4)]
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (EdgePairingError, NonPlanarRotation) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_built_diagram(), st.data())
+def test_corrupted_mate_same_outcome_on_both_paths(d, data):
+    # rewire two edges {a, b}, {c, e} into {a, c}, {b, e}
+    assume(d.n_crossings > 0)
+    mate = list(d.mate)
+    a = data.draw(st.integers(0, len(mate) - 1))
+    c = data.draw(st.sampled_from([x for x in range(len(mate)) if x not in (a, mate[a])]))
+    b, e = mate[a], mate[c]
+    mate[a], mate[c], mate[b], mate[e] = c, a, e, b
+    tuples = _labelled(mate)
+    fast = _outcome(lambda: PlanarDiagram(tuples, _mate=tuple(mate)))
+    full = _outcome(lambda: PlanarDiagram(tuples))
+    if isinstance(full, tuple):
+        assert fast == full
+    else:
+        _assert_same_diagram(full, fast)
+
+
+def _builder_copy(b, d, offset=0):
+    """Wire ``d``'s crossings into builder ``b``, crossing ids shifted by ``offset``."""
+    b.crossings(d.n_crossings)  # PD slot 0 enters under: diagonal 0/2 is under
+    for x, y in enumerate(d.mate):
+        if x < y:
+            b.wire(divmod(x + 4 * offset, 4), divmod(y + 4 * offset, 4))
+
+
+def test_builder_rejects_non_planar_rotation():
+    # one crossing whose two diagonals close on themselves: 1 face, not 3
+    b = DiagramBuilder()
+    b.crossing()
+    b.wire((0, 0), (0, 2))
+    b.wire((0, 1), (0, 3))
+    with pytest.raises(NonPlanarRotation, match="faces"):
+        b.finish()
+    with pytest.raises(NonPlanarRotation, match="faces"):
+        parse_pd("X(1,2,1,2)")
+
+
+def test_builder_rejects_split_diagram():
+    trefoil = parse_pd(TREFOIL)
+    b = DiagramBuilder()
+    _builder_copy(b, trefoil)
+    _builder_copy(b, trefoil, offset=3)
+    with pytest.raises(NonPlanarRotation, match="split"):
+        b.finish()
+    shifted = " ".join(f"X({a + 6},{b + 6},{c + 6},{e + 6})" for a, b, c, e in trefoil.crossings)
+    with pytest.raises(NonPlanarRotation, match="split"):
+        parse_pd(TREFOIL + " " + shifted)
+
+
+def test_builder_copy_round_trips():
+    d = parse_pd(FIGURE8)
+    b = DiagramBuilder()
+    _builder_copy(b, d)
+    again, _ = b.finish()
+    assert again.n_crossings == 4 and again.n_components == 1
+    assert len(again.faces()) == 6
+
+
+def test_flipped_strand_rejected_on_both_paths():
+    # finish orients every strand itself, so a flipped strand can only reach
+    # the builder path as a corrupted dart array: turn crossing 0 by half a
+    # turn, so its under-strand enters at slot 2
+    d = parse_pd(TREFOIL)
+    turn = [4 * c + s for c in range(d.n_crossings) for s in range(4)]
+    turn[0:4] = [2, 3, 0, 1]  # new dart -> old dart (an involution)
+    mate = tuple(turn[d.mate[turn[x]]] for x in range(len(turn)))
+    tuples = [tuple(d.crossings[c][turn[4 * c + s] % 4] for s in range(4))
+              for c in range(d.n_crossings)]
+    with pytest.raises(EdgePairingError, match="orientation"):
+        PlanarDiagram(tuples, _mate=mate)
+    with pytest.raises(EdgePairingError, match="orientation"):
+        parse_pd(" ".join("X({},{},{},{})".format(*x) for x in tuples))
