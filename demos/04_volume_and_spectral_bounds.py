@@ -24,8 +24,6 @@ from coilbounds import (
     bound_report,
     cfrac_expand,
     coil_hyperbolicity_certificate,
-    coil_lambda_interval,
-    coil_volume_interval,
     dehn_filling_factor,
     disk_obstruction_check,
     ell_param,
@@ -47,32 +45,33 @@ print(f"Certificate: {cert.condition.value}")
 print(f"  slope length >= {slope_length_lower(spec.n1):.5f} (needs > 2*pi = {2*math.pi:.5f})")
 
 ell = ell_param(k, spec.n1, spec.n2)
-print(f"ell = {ell}; filling keeps a fraction {(1 - 4*math.pi**2/ell)**1.5:.5f} of the volume")
+print(f"ell = {ell}; filling keeps a fraction {dehn_filling_factor(ell):.5f} of the volume")
 
-vol = coil_volume_interval(spec)
-print(f"Coil volume in [{vol.lower:.5f}, {vol.upper:.5f})")
+report = bound_report(spec)
+vol = report["volume"]
+print(f"Coil volume in [{vol['lower']:.5f}, {vol['upper']:.5f})")
 print(f"  linear law 0.9718*k - 0.3241 = {0.9718*k - 0.3241:.5f}")
 
-lam = coil_lambda_interval(spec)
-print(f"lambda_1 in [{lam.lower:.4g}, {lam.upper:.4g}]")
+lam = report["lambda"]
+print(f"lambda_1 in [{lam['lower']:.4g}, {lam['upper']:.4g}]")
 print()
 
 print("The same data as the machine-readable report:")
-print(json.dumps(bound_report(spec), indent=2)[:320], "...")
+print(json.dumps(report, indent=2)[:320], "...")
 print()
 
 print("Conditional means conditional: (1,2,1,1) is the figure-8 knot,")
 print("certainly hyperbolic, but no certificate applies and no interval")
 print("is emitted:")
 try:
-    coil_volume_interval(CoilSpec(1, 2, 1, 1))
+    bound_report(CoilSpec(1, 2, 1, 1))
 except NoHyperbolicityCertificate as e:
     print(f"  NoHyperbolicityCertificate: {e}")
 print()
 
 print("Dehn filling decay factor as the slope length grows:")
 for length in (6.5, 8.0, 12.0, 100.0):
-    print(f"  length {length:>6}: factor {dehn_filling_factor(length):.6f}")
+    print(f"  length {length:>6}: factor {dehn_filling_factor(length**2):.6f}")  # ell = length^2
 print()
 
 print("The 1/6 filling is the smallest defeating the punctured-disk case:")

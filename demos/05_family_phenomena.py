@@ -14,9 +14,9 @@ expanding family, at constant generalized twisting.
 
 from coilbounds import (
     analyze_family,
+    disk_obstruction_check,
     fixed_slope_vary_twists,
     vary_slope_fixed_twists,
-    twist_growth_experiment,
 )
 from coilbounds.family import fibonacci_slopes
 
@@ -36,10 +36,11 @@ print()
 
 print("The experiment table records the disk obstruction that keeps the")
 print("construction honest (1/6 filling has slope length sqrt(144.25) > 12):")
-for row in twist_growth_experiment(2, 5, 6, range(4, 8)):
+obstruction = disk_obstruction_check(6)
+for row in report.rows[:4]:
     print(
-        f"  n1={row['n1']}: {row['crossings']} crossings, t(D)={row['twist_regions']},"
-        f" vol < {row['vol_upper']:.4f}, obstruction={row['disk_obstruction']}"
+        f"  n1={row.spec.n1}: {row.crossings} crossings, t(D)={row.twist_regions},"
+        f" vol < {row.vol_upper:.4f}, obstruction={obstruction}"
     )
 print()
 

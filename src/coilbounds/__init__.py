@@ -71,12 +71,10 @@ from .bounds import (
     slope_length_lower,
     cusp_slope_length_lower,
     coil_hyperbolicity_certificate,
-    coil_volume_interval,
     lambda_lower,
     cheeger_upper,
     buser_upper,
     lambda_upper,
-    coil_lambda_interval,
     disk_obstruction_check,
     bound_report,
 )
@@ -88,7 +86,6 @@ from .family import (
     vary_slope_fixed_twists,
     analyze_family,
     expanding_verdict,
-    twist_growth_experiment,
     load_family_config,
 )
 

@@ -53,12 +53,10 @@ __all__ = [
     "slope_length_lower",
     "cusp_slope_length_lower",
     "coil_hyperbolicity_certificate",
-    "coil_volume_interval",
     "lambda_lower",
     "cheeger_upper",
     "buser_upper",
     "lambda_upper",
-    "coil_lambda_interval",
     "disk_obstruction_check",
     "bound_report",
 ]
@@ -89,7 +87,6 @@ class Constants:
 
 CONSTANTS = Constants()
 
-_TWO_PI = 2.0 * math.pi
 _FOUR_PI_SQ = 4.0 * math.pi**2
 
 
@@ -136,21 +133,24 @@ class HyperbolicityCertificate:
         return self.condition is not Condition.NONE
 
 
+def _parent_volume(k: int) -> VolumeInterval:
+    """4*k*v3 - 1.3536 <= vol <= 4*k*v8 for the parent link of a slope whose
+    continued fraction has length k."""
+    c = CONSTANTS
+    return VolumeInterval(
+        lower=4.0 * k * c.v3 - c.parent_deficit,
+        upper=4.0 * k * c.v8,
+        methods=(f"parent-volume(k={k})",),
+    )
+
+
 def parent_volume_interval(s: Slope) -> VolumeInterval:
     """Two-sided volume bounds for the 3-component parent link of slope s.
 
     The slope is brought to its canonical class 0 < p < q first; classes 0
     and infinity raise ``NonHyperbolicSlope``.
     """
-    s = canonical_coil_slope(s)
-    k = cfrac_expand(s).length
-    c = CONSTANTS
-    return VolumeInterval(
-        lower=4.0 * k * c.v3 - c.parent_deficit,
-        upper=4.0 * k * c.v8,
-        strict_upper=False,
-        methods=(f"parent-volume(k={k})",),
-    )
+    return _parent_volume(cfrac_expand(canonical_coil_slope(s)).length)
 
 
 def ell_param(k: int, n1: int, n2: int) -> float:
@@ -166,12 +166,12 @@ def ell_param(k: int, n1: int, n2: int) -> float:
     return max(0.25 + 4.0 * n * n, CONSTANTS.ell_coefficient * k * k * n * n)
 
 
-def dehn_filling_factor(ell_min: float) -> float:
-    """Volume decay factor (1 - (2*pi/ell_min)^2)^(3/2) for filling slopes
-    of length at least ell_min > 2*pi."""
-    if ell_min <= _TWO_PI:
-        raise SlopeTooShort(f"slope length {ell_min} is not greater than 2*pi")
-    return (1.0 - (_TWO_PI / ell_min) ** 2) ** 1.5
+def dehn_filling_factor(ell: float) -> float:
+    """Volume decay factor (1 - 4*pi^2/ell)^(3/2) for filling slopes whose
+    squared lengths are at least ell > 4*pi^2 (the ``ell_param`` value)."""
+    if ell <= _FOUR_PI_SQ:
+        raise SlopeTooShort(f"ell={ell} not greater than 4*pi^2")
+    return (1.0 - _FOUR_PI_SQ / ell) ** 1.5
 
 
 def slope_length_lower(n: int) -> float:
@@ -202,9 +202,6 @@ def coil_hyperbolicity_certificate(k: int, n1: int, n2: int) -> HyperbolicityCer
         (False, False): Condition.NONE,
     }[(cond1, cond2)]
     witnesses = {
-        "k": k,
-        "n1": n1,
-        "n2": n2,
         "slope_length_lower": (slope_length_lower(n1), slope_length_lower(n2)),
         "cusp_slope_length_lower": (
             cusp_slope_length_lower(k, n1),
@@ -212,43 +209,6 @@ def coil_hyperbolicity_certificate(k: int, n1: int, n2: int) -> HyperbolicityCer
         ),
     }
     return HyperbolicityCertificate(condition, witnesses)
-
-
-def _evaluate(spec: CoilSpec):
-    """k, certificate, ell and the volume interval of a spec, each once."""
-    k = cfrac_expand(spec.slope).length
-    cert = coil_hyperbolicity_certificate(k, spec.n1, spec.n2)
-    if not cert.satisfied:
-        raise NoHyperbolicityCertificate(
-            f"(p,q,n1,n2)=({spec.p},{spec.q},{spec.n1},{spec.n2}) with k={k}: "
-            "neither |n_i|>=4 nor k|n_i|>=80 holds for both regions"
-        )
-    ell = ell_param(k, spec.n1, spec.n2)
-    if ell <= _FOUR_PI_SQ:  # unreachable given a certificate
-        raise SlopeTooShort(f"ell={ell} not greater than 4*pi^2")
-    c = CONSTANTS
-    factor = (1.0 - _FOUR_PI_SQ / ell) ** 1.5
-    vol = VolumeInterval(
-        lower=factor * (4.0 * k * c.v3 - c.parent_deficit),
-        upper=4.0 * c.v8 * k,
-        strict_upper=True,
-        methods=(
-            f"parent-volume(k={k})",
-            f"dehn-filling-decay(ell={ell:.6g})",
-            f"certificate:{cert.condition.value}",
-        ),
-    )
-    return k, cert, ell, vol
-
-
-def coil_volume_interval(spec: CoilSpec) -> VolumeInterval:
-    """Certified volume interval for the (p, q, n1, n2) double coil knot.
-
-    Raises ``NoHyperbolicityCertificate`` unless one of the two twist
-    conditions holds; the estimates are conditional and this module never
-    emits an uncertified interval.
-    """
-    return _evaluate(spec)[3]
 
 
 def lambda_lower(vol: float) -> float:
@@ -291,6 +251,9 @@ def lambda_upper(g: int, vol: float) -> float:
 
 
 def _lambda_interval(vol: VolumeInterval) -> SpectralInterval:
+    """The lambda_1 sandwich A1/vol^2 <= lambda_1 <= A2/vol over a certified
+    volume interval: the lower end is taken at the volume upper bound and
+    vice versa, both sound because both functions decrease in vol."""
     return SpectralInterval(
         lower=lambda_lower(vol.upper),
         upper=CONSTANTS.lambda_ceiling_coefficient / vol.lower,
@@ -302,17 +265,6 @@ def _lambda_interval(vol: VolumeInterval) -> SpectralInterval:
             "volume-endpoint-substitution",
         ),
     )
-
-
-def coil_lambda_interval(spec: CoilSpec) -> SpectralInterval:
-    """Certified lambda_1 interval for a double coil knot.
-
-    Uses A1 = pi^2/2^50 and A2 = 12650 with the Heegaard genus at most 3;
-    the unknown true volume is replaced by the certified volume interval's
-    endpoints (lower bound evaluated at the volume upper bound and vice
-    versa, both substitutions sound by monotonicity).
-    """
-    return _lambda_interval(coil_volume_interval(spec))
 
 
 def disk_obstruction_check(n2: int) -> bool:
@@ -327,9 +279,27 @@ def disk_obstruction_check(n2: int) -> bool:
 def bound_report(spec: CoilSpec) -> dict:
     """Complete JSON-ready report: certificate, volume, and lambda_1.
 
-    The single evaluation of a spec: family rows read from it too.
+    The single evaluation of a spec: family rows read from it too.  Raises
+    ``NoHyperbolicityCertificate`` unless one of the two twist conditions
+    holds; the estimates are conditional and no uncertified interval is
+    emitted.
     """
-    k, cert, ell, vol = _evaluate(spec)
+    k = cfrac_expand(spec.slope).length
+    cert = coil_hyperbolicity_certificate(k, spec.n1, spec.n2)
+    if not cert.satisfied:
+        raise NoHyperbolicityCertificate(
+            f"(p,q,n1,n2)=({spec.p},{spec.q},{spec.n1},{spec.n2}) with k={k}: "
+            "neither |n_i|>=4 nor k|n_i|>=80 holds for both regions"
+        )
+    ell = ell_param(k, spec.n1, spec.n2)
+    parent = _parent_volume(k)
+    vol = VolumeInterval(
+        lower=dehn_filling_factor(ell) * parent.lower,
+        upper=parent.upper,
+        strict_upper=True,
+        methods=parent.methods
+        + (f"dehn-filling-decay(ell={ell:.6g})", f"certificate:{cert.condition.value}"),
+    )
     lam = _lambda_interval(vol)
     return {
         "spec": {"p": spec.p, "q": spec.q, "n1": spec.n1, "n2": spec.n2},
@@ -337,12 +307,7 @@ def bound_report(spec: CoilSpec) -> dict:
         "ell": ell,
         "certificate": {
             "condition": cert.condition.value,
-            "witnesses": {
-                "slope_length_lower": list(cert.witnesses["slope_length_lower"]),
-                "cusp_slope_length_lower": list(
-                    cert.witnesses["cusp_slope_length_lower"]
-                ),
-            },
+            "witnesses": {name: list(pair) for name, pair in cert.witnesses.items()},
         },
         "volume": {
             "lower": vol.lower,

@@ -28,6 +28,7 @@ from .generators import (
     gen_two_bridge,
 )
 from .slopes import (
+    MAX_DIGITS,
     ContinuedFraction,
     Slope,
     canonical_coil_slope,
@@ -38,7 +39,7 @@ from .slopes import (
 
 def _round_floats(obj, precision):
     if isinstance(obj, float):
-        return float(f"{obj:.{precision}g}")
+        return float(family_mod._format_float(obj, precision))
     if isinstance(obj, dict):
         return {k: _round_floats(v, precision) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -69,9 +70,6 @@ def _positive_int(text):
     return value
 
 
-# Slope and continued-fraction integers are capped so that no product of
-# two of them reaches Python's 4300-digit int-to-str limit.
-MAX_DIGITS = 2000
 _DIGIT_LIMIT = 10**MAX_DIGITS
 
 
@@ -201,21 +199,19 @@ def _cmd_family(args):
         data = _round_floats(family_mod.report_to_json(report), args.precision)
         _emit(json.dumps(data, indent=2) + "\n", args.out)
     else:
-        p = args.precision
-        _emit(
-            family_mod.report_to_csv(report, fmt_float=lambda x: f"{x:.{p}g}"),
-            args.out,
-        )
+        _emit(family_mod.report_to_csv(report, args.precision), args.out)
     return 0
 
 
 def _cmd_verify(args):
     if args.pd is not None:
+        if args.jobs is not None or args.timings:
+            raise _UsageError("--jobs and --timings run the suite; verify --pd reads neither")
         with open(args.pd) as fh:
             print(verify_mod.verify_pd_text(fh.read()))
         return 0
     failed = 0
-    for result in verify_mod.run_checks(jobs=args.jobs):
+    for result in verify_mod.run_checks(jobs=args.jobs or 1):
         print(result.line)
         if args.timings:
             over = "  OVER BUDGET" if result.elapsed > result.limit else ""
@@ -301,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance/oracle suite")
     p.add_argument("--pd", metavar="PATH", help="validate a PD-code file instead")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_positive_int)
     p.add_argument("--timings", action="store_true",
                    help="print each check's elapsed time against its budget to stderr")
     p.set_defaults(fn=_cmd_verify)

@@ -26,10 +26,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .bounds import bound_report, disk_obstruction_check
+from .bounds import bound_report
 from .errors import CoilboundsError, ConfigError, NoCertifiedRows
 from .generators import CoilSpec
-from .slopes import Slope
+from .slopes import MAX_DIGITS, Slope
 
 __all__ = [
     "CoilFamily",
@@ -41,7 +41,6 @@ __all__ = [
     "odd_denominator_slopes",
     "analyze_family",
     "expanding_verdict",
-    "twist_growth_experiment",
     "load_family_config",
     "report_to_csv",
     "report_to_json",
@@ -184,10 +183,6 @@ def _summarize(report: FamilyReport) -> None:
     }
 
 
-def _k_sequence(report: FamilyReport):
-    return [r.k for r in report.rows]
-
-
 def expanding_verdict(r: FamilyReport) -> str:
     """Expanding-family verdict for the infinite family the window samples.
 
@@ -201,36 +196,12 @@ def expanding_verdict(r: FamilyReport) -> str:
     """
     if not r.rows:
         raise NoCertifiedRows("verdict needs at least one certified member")
-    ks = _k_sequence(r)
+    ks = [row.k for row in r.rows]
     if r.family.kind == "fixed-slope" or len(set(ks)) == 1:
         return "ExpandingCertified"
     if all(b > a for a, b in zip(ks, ks[1:])):
         return "NotExpandingCertified"
     return "Inconclusive"
-
-
-def twist_growth_experiment(p: int, q: int, n2_fixed: int, n1_range) -> list[dict]:
-    """Per-n1 table behind the bounded-volume / growing-twist phenomenon.
-
-    Each row projects a family row: the exact crossing count
-    q(q-1)(|n1|+|n2|), the twist number t(D) of the generated diagram (an
-    upper bound for the twist number of the knot), the constant volume
-    upper bound, and whether the punctured-disk obstruction applies to the
-    fixed 1/n2 filling.
-    """
-    disk = disk_obstruction_check(n2_fixed)
-    rows = (_row(i, CoilSpec(p, q, n1, n2_fixed)) for i, n1 in enumerate(n1_range))
-    return [
-        {
-            "n1": r.spec.n1,
-            "crossings": r.crossings,
-            "twist_regions": r.twist_regions,
-            "generalized_twist_regions": r.gen_twist_regions,
-            "vol_upper": r.vol_upper,
-            "disk_obstruction": disk,
-        }
-        for r in rows
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +211,14 @@ def twist_growth_experiment(p: int, q: int, n2_fixed: int, n1_range) -> list[dic
 # Key-value text, one ``key = value`` per line, '#' comments.  Keys:
 #   kind            fixed-slope | vary-slope
 #   p, q, n1, n2    integers (fixed-slope: p, q, n2 fixed, n1 swept)
-#   range_start, range_end, range_step    the swept window (inclusive end)
+#   range_start, range_end, range_step    the swept window (inclusive end;
+#                   vary-slope reads range_start and range_end only for the
+#                   fibonacci and odd-denominators sequences)
 #   slope_sequence  fibonacci | odd-denominators | custom-list
 #   slopes          comma-separated p/q list for custom-list
-# Unrecognised keys are ignored.
+# Unrecognised keys are ignored.  The crossing column q(q-1)(|n1|+|n2|) is
+# the widest printed integer, so it is held to MAX_DIGITS digits, like the
+# CLI's slope integers.
 
 CSV_COLUMNS = (
     "index",
@@ -287,16 +262,14 @@ def load_family_config(text: str) -> CoilFamily:
             )
         elif kind == "vary-slope":
             seq = kv.get("slope_sequence", "fibonacci")
-            start = int(kv.get("range_start", "1"))
-            end = int(kv["range_end"])
-            if start < 1:
-                raise ConfigError(f"range_start must be at least 1, got {start}")
-            if seq == "fibonacci":
-                slopes = fibonacci_slopes(end)[start - 1 :]
-            elif seq == "odd-denominators":
-                slopes = odd_denominator_slopes(end)[start - 1 :]
-            elif seq == "custom-list":
+            if seq == "custom-list":
                 slopes = [Slope.parse(tok) for tok in kv["slopes"].split(",")]
+            elif seq in ("fibonacci", "odd-denominators"):
+                start = int(kv.get("range_start", "1"))
+                if start < 1:
+                    raise ConfigError(f"range_start must be at least 1, got {start}")
+                sequence = fibonacci_slopes if seq == "fibonacci" else odd_denominator_slopes
+                slopes = sequence(int(kv["range_end"]))[start - 1 :]
             else:
                 raise ConfigError(f"unknown slope_sequence {seq!r}")
             family = vary_slope_fixed_twists(slopes, int(kv["n1"]))
@@ -306,6 +279,10 @@ def load_family_config(text: str) -> CoilFamily:
         raise ConfigError(f"missing config key {e.args[0]!r}") from None
     except ValueError as e:
         raise ConfigError(f"bad config value: {e}") from None
+    if max(spec.crossing_count for spec in family.members) >= 10**MAX_DIGITS:
+        raise ConfigError(
+            f"a member's crossing count q(q-1)(|n1|+|n2|) has more than {MAX_DIGITS} digits"
+        )
     return family
 
 
@@ -343,18 +320,18 @@ def report_to_json(report: FamilyReport) -> dict:
     }
 
 
-def report_to_csv(report: FamilyReport, fmt_float=lambda x: f"{x:.6g}") -> str:
+def _format_float(x: float, precision: int) -> str:
+    """The one rounding rule of printed reports: ``precision`` significant
+    digits, to nearest.  The CSV cells and the CLI's JSON numbers use it."""
+    return f"{x:.{precision}g}"
+
+
+def report_to_csv(report: FamilyReport, precision: int = 6) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for r in report.rows:
         rec = _row_record(r)
-        cells = []
-        for col in CSV_COLUMNS:
-            v = rec[col]
-            if v is None:
-                cells.append("")
-            elif isinstance(v, float):
-                cells.append(fmt_float(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+        lines.append(",".join(
+            _format_float(v, precision) if isinstance(v, float) else str(v)
+            for v in (rec[col] for col in CSV_COLUMNS)
+        ))
     return "\n".join(lines) + "\n"

@@ -34,6 +34,11 @@ __all__ = [
 
 INFINITY_NUMERATOR = 1
 
+# Integers read from outside (slopes, continued-fraction terms, family
+# crossing counts) are capped so that no product of two of them reaches
+# Python's 4300-digit int-to-str limit.
+MAX_DIGITS = 2000
+
 
 @dataclass(frozen=True, order=False)
 class Slope:

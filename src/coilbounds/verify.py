@@ -60,7 +60,7 @@ def _coprime_pairs(qmax):
 
 
 def check_01_constant_reproduction():
-    factor = (1.0 - 4.0 * math.pi**2 / 64.25) ** 1.5
+    factor = bounds.dehn_filling_factor(64.25)
     coeff_k = factor * 4.0 * bounds.CONSTANTS.v3
     coeff_c = factor * bounds.CONSTANTS.parent_deficit
     err_k = abs(coeff_k - 0.9718)
@@ -266,8 +266,8 @@ def check_10_family_phenomena():
 
 def check_11_error_paths():
     try:
-        bounds.coil_volume_interval(CoilSpec(1, 2, 1, 1))
-        return False, "(1,2,1,1) produced an interval"
+        bounds.bound_report(CoilSpec(1, 2, 1, 1))
+        return False, "(1,2,1,1) produced a report"
     except NoHyperbolicityCertificate:
         pass
     try:
@@ -276,8 +276,8 @@ def check_11_error_paths():
     except NonHyperbolicSlope:
         pass
     try:
-        bounds.dehn_filling_factor(6.0)
-        return False, "length 6 accepted"
+        bounds.dehn_filling_factor(36.0)
+        return False, "ell=36 (slope length 6) accepted"
     except SlopeTooShort:
         pass
     return True, "NoHyperbolicityCertificate, NonHyperbolicSlope, SlopeTooShort raised"

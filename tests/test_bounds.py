@@ -2,6 +2,7 @@ import math
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coilbounds.bounds import (
     CONSTANTS,
@@ -9,8 +10,6 @@ from coilbounds.bounds import (
     buser_upper,
     cheeger_upper,
     coil_hyperbolicity_certificate,
-    coil_lambda_interval,
-    coil_volume_interval,
     cusp_slope_length_lower,
     dehn_filling_factor,
     disk_obstruction_check,
@@ -31,6 +30,7 @@ from coilbounds.generators import CoilSpec
 from coilbounds.slopes import Slope, cfrac_expand
 
 TWO_PI = 2.0 * math.pi
+FOUR_PI_SQ = 4.0 * math.pi**2
 
 
 def test_ideal_polyhedron_volumes_against_quadrature():
@@ -90,15 +90,16 @@ def test_ell_param():
 
 
 def test_dehn_filling_factor():
-    assert abs(dehn_filling_factor(TWO_PI * math.sqrt(2.0)) - 0.5**1.5) < 1e-9
+    """The factor takes ell, the squared slope length that ell_param returns."""
+    assert dehn_filling_factor(8.0 * math.pi**2) == 0.5**1.5
     with pytest.raises(SlopeTooShort):
-        dehn_filling_factor(6.0)
+        dehn_filling_factor(36.0)  # slope length 6 < 2*pi
     with pytest.raises(SlopeTooShort):
-        dehn_filling_factor(TWO_PI)
+        dehn_filling_factor(FOUR_PI_SQ)
     # strictly increasing toward 1
-    values = [dehn_filling_factor(TWO_PI + 0.1 * 2**i) for i in range(20)]
+    values = [dehn_filling_factor(FOUR_PI_SQ + 0.1 * 2**i) for i in range(20)]
     assert all(b > a for a, b in zip(values, values[1:]))
-    assert values[-1] < 1.0 and 1.0 - dehn_filling_factor(1e9) < 1e-9
+    assert values[-1] < 1.0 and 1.0 - dehn_filling_factor(1e18) < 1e-9
 
 
 def test_slope_length_lower():
@@ -136,29 +137,29 @@ def test_certificates():
 
 def test_coil_volume_examples():
     spec = CoilSpec(3, 5, 4, 4)
-    v = coil_volume_interval(spec)
-    assert v.strict_upper
-    assert abs(v.upper - 43.96635) < 1e-4
-    assert abs(v.lower - 2.5916) < 2e-3
+    v = bound_report(spec)["volume"]
+    assert v["strictUpper"]
+    assert abs(v["upper"] - 43.96635) < 1e-4
+    assert abs(v["lower"] - 2.5916) < 2e-3
     with pytest.raises(NoHyperbolicityCertificate):
-        coil_volume_interval(CoilSpec(1, 2, 1, 1))
+        bound_report(CoilSpec(1, 2, 1, 1))
 
 
 def test_coil_volume_linear_coefficients():
     for spec in [CoilSpec(3, 5, 4, 4), CoilSpec(2, 5, 4, -4), CoilSpec(5, 8, -4, 4)]:
         k = cfrac_expand(spec.slope).length
-        v = coil_volume_interval(spec)
-        assert abs(v.lower - (0.9718 * k - 0.3241)) < 2e-4 * max(k, 1)
+        lower = bound_report(spec)["volume"]["lower"]
+        assert abs(lower - (0.9718 * k - 0.3241)) < 2e-4 * max(k, 1)
 
 
 def test_coil_lower_monotonicity():
     """Non-decreasing in ell (via larger twists at fixed k), strictly
     increasing in k (via longer continued fractions at fixed twists)."""
-    by_twist = [coil_volume_interval(CoilSpec(2, 5, n, n)).lower for n in range(4, 15)]
+    by_twist = [bound_report(CoilSpec(2, 5, n, n))["volume"]["lower"] for n in range(4, 15)]
     assert all(b >= a for a, b in zip(by_twist, by_twist[1:]))
     slopes = [Slope(2, 5), Slope(3, 5), Slope(5, 8), Slope(8, 13)]
     assert [cfrac_expand(s).length for s in slopes] == [2, 3, 4, 5]
-    by_k = [coil_volume_interval(CoilSpec(s.p, s.q, 4, 4)).lower for s in slopes]
+    by_k = [bound_report(CoilSpec(s.p, s.q, 4, 4))["volume"]["lower"] for s in slopes]
     assert all(b > a for a, b in zip(by_k, by_k[1:]))
 
 
@@ -168,10 +169,67 @@ def test_volume_interval_containment():
     for p, q in [(1, 2), (2, 5), (3, 7), (5, 8)]:
         for n1, n2 in [(4, 4), (5, -4), (-6, 6)]:
             spec = CoilSpec(p, q, n1, n2)
-            coil = coil_volume_interval(spec)
+            coil = bound_report(spec)["volume"]
             parent = parent_volume_interval(spec.slope)
-            assert coil.upper == parent.upper
-            assert coil.lower <= parent.lower
+            assert coil["upper"] == parent.upper
+            assert coil["lower"] <= parent.lower
+
+
+@st.composite
+def coil_specs(draw):
+    """Coil specs with small and long continued fractions (Fibonacci slopes
+    reach k = 120), small and huge twist counts, certified or not."""
+    if draw(st.booleans()):
+        q = draw(st.integers(2, 10**6))
+        p = draw(st.integers(1, q - 1))
+        p, q = p // gcd(p, q), q // gcd(p, q)
+    else:
+        p, q = 1, 2
+        for _ in range(draw(st.integers(0, 119))):
+            p, q = q, p + q
+
+    def twist():
+        n = draw(st.one_of(st.integers(1, 100), st.integers(1, 10**300)))
+        return n if draw(st.booleans()) else -n
+
+    return CoilSpec(p, q, twist(), twist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(coil_specs())
+def test_bound_report_composes_public_pieces(spec):
+    """bound_report is, bit for bit, the composition of the public formulas:
+    no second copy of any of them can drift."""
+    k = cfrac_expand(spec.slope).length
+    cert = coil_hyperbolicity_certificate(k, spec.n1, spec.n2)
+    if not cert.satisfied:
+        with pytest.raises(NoHyperbolicityCertificate):
+            bound_report(spec)
+        return
+    rep = bound_report(spec)
+    parent = parent_volume_interval(spec.slope)
+    ell = ell_param(k, spec.n1, spec.n2)
+    lower = dehn_filling_factor(ell) * parent.lower
+    assert (rep["k"], rep["ell"]) == (k, ell)
+    assert rep["certificate"] == {
+        "condition": cert.condition.value,
+        "witnesses": {
+            "slope_length_lower": [slope_length_lower(spec.n1), slope_length_lower(spec.n2)],
+            "cusp_slope_length_lower": [
+                cusp_slope_length_lower(k, spec.n1), cusp_slope_length_lower(k, spec.n2)
+            ],
+        },
+    }
+    assert rep["volume"] == {"lower": lower, "upper": parent.upper, "strictUpper": True}
+    assert rep["lambda"] == {
+        "lower": lambda_lower(parent.upper),
+        "upper": CONSTANTS.lambda_ceiling_coefficient / lower,
+    }
+    assert rep["methods"][:3] == [
+        *parent.methods,
+        f"dehn-filling-decay(ell={ell:.6g})",
+        f"certificate:{cert.condition.value}",
+    ]
 
 
 def test_lambda_lower():
@@ -209,12 +267,10 @@ def test_lambda_upper_figure8():
 
 
 def test_coil_lambda_examples():
-    lam = coil_lambda_interval(CoilSpec(3, 5, 4, 4))
-    assert abs(lam.lower - 4.53e-18) < 2e-20
-    assert abs(lam.upper - 4881.1) < 1.0
-    assert "heegaard-genus<=3" in lam.methods
-    with pytest.raises(NoHyperbolicityCertificate):
-        coil_lambda_interval(CoilSpec(1, 2, 1, 1))
+    rep = bound_report(CoilSpec(3, 5, 4, 4))
+    assert abs(rep["lambda"]["lower"] - 4.53e-18) < 2e-20
+    assert abs(rep["lambda"]["upper"] - 4881.1) < 1.0
+    assert "heegaard-genus<=3" in rep["methods"]
 
 
 def test_interval_sanity_sweep():
@@ -233,8 +289,7 @@ def test_interval_sanity_sweep():
                 cert = coil_hyperbolicity_certificate(k, n1, n2)
                 if not cert.satisfied:
                     continue
-                ell = ell_param(k, n1, n2)
-                factor = (1.0 - 4.0 * math.pi**2 / ell) ** 1.5
+                factor = dehn_filling_factor(ell_param(k, n1, n2))
                 lower = factor * (4 * k * CONSTANTS.v3 - CONSTANTS.parent_deficit)
                 upper = 4 * CONSTANTS.v8 * k
                 assert 0 < lower <= upper

@@ -1,10 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import coilbounds
 from coilbounds.cli import main
 from coilbounds.diagrams import parse_pd
+from coilbounds.errors import ConfigError
+from coilbounds.family import fibonacci_slopes, load_family_config
 
 
 def run(capsys, *argv):
@@ -128,6 +132,24 @@ BAD_SLOPE_ARGV = [
 ]
 
 
+# crossing columns q(q-1)(|n1|+|n2|) past Python's 4300-digit int-to-str limit,
+# and one under it but past the 2000-digit cap
+HUGE_CONFIGS = {
+    "huge-slope.cfg": "kind = vary-slope\nslope_sequence = custom-list\n"
+    f"slopes = 1/{10**2200 + 1}\nn1 = 4\nrange_end = 1\n",
+    "huge-q.cfg": f"kind = fixed-slope\np = 1\nq = {10**2200 + 1}\nn2 = 4\n"
+    "range_start = 4\nrange_end = 4\n",
+    "wide.cfg": "kind = vary-slope\nslope_sequence = custom-list\n"
+    f"slopes = 1/{10**1999 + 1}\nn1 = {10**300}\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_CONFIGS))
+def test_family_crossing_digits_capped(name):
+    with pytest.raises(ConfigError, match="2000 digits"):
+        load_family_config(HUGE_CONFIGS[name])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -144,9 +166,13 @@ BAD_SLOPE_ARGV = [
         ("bounds", "--p", "1", "--q", "3", "--n1", str(10**400), "--n2", "5"),  # beyond float
         ("render", "."),
         ("family", "--config", "."),
+        *(("family", "--config", name) for name in sorted(HUGE_CONFIGS)),
     ],
 )
-def test_bad_coil_spec_is_named_or_usage_error(capsys, argv):
+def test_bad_coil_spec_is_named_or_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in HUGE_CONFIGS.items():
+        (tmp_path / name).write_text(text)
     try:
         code = main(list(argv))
     except SystemExit as exc:
@@ -233,6 +259,9 @@ def test_verify_pd_non_planar(tmp_path, capsys):
         ("family", "--config", "fam.cfg", "--jobs", "-1"),
         ("family", "--config", "fam.cfg", "--jobs", "0"),
         ("verify", "--jobs", "0"),
+        # --pd validates one file; the worker pool and the timings belong to the suite
+        ("verify", "--pd", "x.pd", "--jobs", "1"),
+        ("verify", "--pd", "x.pd", "--timings"),
     ],
 )
 def test_unread_flags_rejected(capsys, argv):
@@ -338,6 +367,64 @@ def test_family_bad_config(tmp_path, capsys):
     assert code == 1 and err.startswith("ConfigError")
 
 
+# sha256 of the printed `bounds` JSON and `family` CSV/JSON: the reports are
+# a contract, so any change to these digests must be deliberate
+def _printed(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0, argv
+    return buf.getvalue().encode()
+
+
+def _golden_bounds_argv():
+    for q in range(2, 13):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                for n1 in (4, -5, 80):
+                    for n2 in (4, -5, 80):
+                        yield p, q, n1, n2
+    fib = fibonacci_slopes(80)  # the i-th has k = i
+    for k, n1, n2 in ((80, 1, -1), (80, 1, 4), (40, 2, -2), (27, 3, 3), (2, 10**300, 5)):
+        yield fib[k - 1].p, fib[k - 1].q, n1, n2
+
+
+README_CONFIGS = {
+    "fixed-slope": "kind = fixed-slope\np = 2\nq = 5\nn2 = 6\nrange_start = 4\nrange_end = 100\n",
+    "vary-slope": "kind = vary-slope\nslope_sequence = fibonacci\nrange_end = 20\nn1 = 4\n",
+}
+GOLDEN_REPORT_SHA256 = {
+    "bounds-6": "dd8e4be6eb72120dc71958dcde0026ca93fcce25a67df1844742250a389f12b6",
+    "bounds-15": "efb00a5536b0e36517c667c4ccd7bb714d92ac2eebabe240e160896f1aa08f64",
+    "family-fixed-slope-csv-6": "33cdcb717cd4b450399ba37bd117171aba71edb388bb07cd6712db2ec866c961",
+    "family-fixed-slope-csv-15": "30cd02b33f39c28898738e4450def1fe5b66cdd25d097d91f986c078b5da36ad",
+    "family-fixed-slope-json-6": "2dbef61c7741d0084997560a9d392cdfa545efdd284b26007e78e0029ec40f7d",
+    "family-fixed-slope-json-15": "4bbcf3bae618f7094648ea2df36b25216741ba028deaefe9f82220f5eb3ea522",
+    "family-vary-slope-csv-6": "597df7b4b56298e977de7379236c68c204a8de0b668f2f270996e1a2497e0ec6",
+    "family-vary-slope-csv-15": "94c8837b6fb116e1d676217161dd0c378a3b1c7a6d239edef2527a7b407a4077",
+    "family-vary-slope-json-6": "2d615d29606d62ecf5b7a29f11d5aef9f6fb19f67799ff12dfc71e4d51be6682",
+    "family-vary-slope-json-15": "69b839c3461ebf03f0684eb1ba42f7aa178bc294f7b270b76d16d5ffc5ee3165",
+}
+
+
+def test_printed_reports_golden(tmp_path):
+    got = {}
+    for precision in ("6", "15"):
+        h = hashlib.sha256()
+        for p, q, n1, n2 in _golden_bounds_argv():
+            h.update(_printed(["bounds", "--p", str(p), "--q", str(q), "--n1", str(n1),
+                               "--n2", str(n2), "--precision", precision]))
+        got[f"bounds-{precision}"] = h.hexdigest()
+    for name, text in README_CONFIGS.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        for fmt in ("csv", "json"):
+            for precision in ("6", "15"):
+                out = _printed(["family", "--config", str(cfg), "--format", fmt,
+                                "--precision", precision])
+                got[f"family-{name}-{fmt}-{precision}"] = hashlib.sha256(out).hexdigest()
+    assert got == GOLDEN_REPORT_SHA256
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -417,7 +504,9 @@ _CFRAC = st.one_of(
 )
 _OUT = st.sampled_from(["out.txt", "out.svg", ".", "missing/out.txt"])
 _PD_IN = st.sampled_from(["good.pd", "fam.cfg", "missing.pd", "."])
-_CONFIG = st.sampled_from(["fam.cfg", "vary.cfg", "bad.cfg", "good.pd", "missing.cfg", "."])
+_CONFIG = st.sampled_from(
+    ["fam.cfg", "vary.cfg", "bad.cfg", "good.pd", "missing.cfg", ".", *sorted(HUGE_CONFIGS)]
+)
 _SPEC = {"--p": _INT_TEXT, "--q": _INT_TEXT, "--n1": _INT_TEXT, "--n2": _INT_TEXT, "--slope": _SLOPE}
 _PRECISION = {"--precision": _INT_TEXT}
 
@@ -471,6 +560,8 @@ def fuzz_dir(tmp_path_factory):
     )
     (d / "vary.cfg").write_text("kind = vary-slope\nrange_end = 4\nn1 = 5\n")
     (d / "bad.cfg").write_text("kind = fixed-slope\n")
+    for name, text in HUGE_CONFIGS.items():
+        (d / name).write_text(text)
     return d
 
 

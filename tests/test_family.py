@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from coilbounds import bounds
-from coilbounds.bounds import CONSTANTS, bound_report
+from coilbounds.bounds import CONSTANTS, bound_report, disk_obstruction_check
 from coilbounds.errors import ConfigError, NoCertifiedRows
 from coilbounds.family import (
     CoilFamily,
@@ -17,7 +17,6 @@ from coilbounds.family import (
     odd_denominator_slopes,
     report_to_csv,
     report_to_json,
-    twist_growth_experiment,
     vary_slope_fixed_twists,
     CSV_COLUMNS,
 )
@@ -91,13 +90,15 @@ def test_jobs_parallel_matches_serial():
 
 
 def test_twist_growth_experiment():
-    tbl = twist_growth_experiment(2, 5, 6, range(4, 11))
-    assert [row["crossings"] for row in tbl] == [20 * (n + 6) for n in range(4, 11)]
-    assert all(row["disk_obstruction"] for row in tbl)
-    assert all(row["vol_upper"] == tbl[0]["vol_upper"] for row in tbl)
-    growth = [row["twist_regions"] for row in tbl]
+    """Bounded volume, growing twist number, and the fixed 1/6 filling past
+    the punctured-disk obstruction, read from the family rows."""
+    rows = analyze_family(fixed_slope_vary_twists(2, 5, 6, range(4, 11))).rows
+    assert [r.crossings for r in rows] == [20 * (n + 6) for n in range(4, 11)]
+    assert disk_obstruction_check(rows[0].spec.n2)
+    assert all(r.vol_upper == rows[0].vol_upper for r in rows)
+    growth = [r.twist_regions for r in rows]
     assert all(b > a for a, b in zip(growth, growth[1:]))
-    assert len(twist_growth_experiment(2, 5, 6, [4])) == 1
+    assert len(analyze_family(fixed_slope_vary_twists(2, 5, 6, [4])).rows) == 1
 
 
 def test_config_fixed_slope():
@@ -123,6 +124,13 @@ def test_config_vary_slope_custom():
     )
     assert [str(m.slope) for m in fam.members] == ["2/5", "3/7"]
     assert all(m.n1 == m.n2 == 5 for m in fam.members)
+
+
+def test_config_custom_list_needs_no_range_end():
+    fam = load_family_config(
+        "kind = vary-slope\nslope_sequence = custom-list\nslopes = 2/5, 3/7\nn1 = 4\n"
+    )
+    assert [str(m.slope) for m in fam.members] == ["2/5", "3/7"]
 
 
 def test_config_errors():
