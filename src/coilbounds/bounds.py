@@ -153,17 +153,25 @@ def parent_volume_interval(s: Slope) -> VolumeInterval:
     return _parent_volume(cfrac_expand(canonical_coil_slope(s)).length)
 
 
+def _finite(x: float, name: str) -> float:
+    """``x``, unless it overflowed a float: a report never prints inf."""
+    if math.isinf(x):
+        raise OverflowError(f"{name} is beyond float range")
+    return x
+
+
 def ell_param(k: int, n1: int, n2: int) -> float:
     """The slope-length-squared parameter: max of the two length estimates.
 
     With n = min(|n1|, |n2|) this is max(1/4 + 4n^2, 32*sqrt(2)*k^2*n^2/7203).
     The right-hand term generically takes over around k = 26; the maximum
-    is always computed directly.
+    is always computed directly.  Raises ``OverflowError`` when it leaves
+    float range (n past about 1e154).
     """
     if n1 == 0 or n2 == 0:
         raise ValueError("full-twist counts must be non-zero")
     n = min(abs(n1), abs(n2))
-    return max(0.25 + 4.0 * n * n, CONSTANTS.ell_coefficient * k * k * n * n)
+    return _finite(max(0.25 + 4.0 * n * n, CONSTANTS.ell_coefficient * k * k * n * n), "ell")
 
 
 def dehn_filling_factor(ell: float) -> float:
@@ -177,15 +185,16 @@ def dehn_filling_factor(ell: float) -> float:
 def slope_length_lower(n: int) -> float:
     """Length lower bound sqrt(1/4 + 4n^2) for the slope 1/n on a crossing
     circle cusp of the reflection-symmetric parent diagram.  ``hypot`` keeps
-    it finite for every |n| a float can hold (squaring overflows past
-    |n| ~ 1e154)."""
-    return math.hypot(0.5, 2.0 * n)
+    it finite while 2|n| fits a float (squaring would overflow past
+    |n| ~ 1e154); beyond that it raises ``OverflowError``."""
+    return _finite(math.hypot(0.5, 2.0 * n), "slope_length_lower")
 
 
 def cusp_slope_length_lower(k: int, n: int) -> float:
     """Length lower bound (4*sqrt(6*sqrt(2))/147) * k * |n|, from the
-    maximal-cusp area estimate of 2-bridge knots with k+1 twist regions."""
-    return CONSTANTS.cusp_arc_coefficient * k * abs(n)
+    maximal-cusp area estimate of 2-bridge knots with k+1 twist regions.
+    Raises ``OverflowError`` when the product leaves float range."""
+    return _finite(CONSTANTS.cusp_arc_coefficient * k * abs(n), "cusp_slope_length_lower")
 
 
 def coil_hyperbolicity_certificate(k: int, n1: int, n2: int) -> HyperbolicityCertificate:

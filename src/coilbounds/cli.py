@@ -194,7 +194,7 @@ def _cmd_bounds(args):
 def _cmd_family(args):
     with open(args.config) as fh:
         fam = family_mod.load_family_config(fh.read())
-    report = family_mod.analyze_family(fam, jobs=args.jobs)
+    report = family_mod.analyze_family(fam)
     if args.format == "json":
         data = _round_floats(family_mod.report_to_json(report), args.precision)
         _emit(json.dumps(data, indent=2) + "\n", args.out)
@@ -290,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="analyze a family from a config file")
     p.add_argument("--config", required=True, metavar="PATH")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="accepted and validated; family runs in one process")
     precision(p)
     out(p)
     p.set_defaults(fn=_cmd_family)

@@ -127,7 +127,7 @@ class PlanarDiagram:
             components.append(tuple(labels))
             component_slots.append(tuple(slots))
         if len(components) > 1:
-            _check_joined(len(components), comp)
+            _check_connected(len(components), comp)
         return tuple(components), tuple(component_slots)
 
     def _trace_faces(self):
@@ -172,12 +172,6 @@ class PlanarDiagram:
             self._edge_dart = _first_darts(self.crossings)
         d = self._edge_dart[label]
         return divmod(d, 4), divmod(self.mate[d], 4)
-
-    def component_of_edge(self, label: int) -> int:
-        for i, comp in enumerate(self._components):
-            if label in comp:
-                return i
-        raise KeyError(label)
 
     def faces(self) -> tuple[tuple[int, ...], ...]:
         if not self.crossings:
@@ -224,7 +218,7 @@ class PlanarDiagram:
         return f"<PlanarDiagram {self.n_crossings} crossings, {self.n_components} components>"
 
 
-def _check_joined(n_components, comp):
+def _check_connected(n_components, comp):
     """Raise unless the components, joined at shared crossings, are one piece.
 
     ``comp`` holds 1 + the component of every dart; darts 4c and 4c+1 lie
@@ -321,12 +315,13 @@ _ROTATED = tuple(tuple((r + i) % 4 for i in range(4)) for r in range(4))
 class DiagramBuilder:
     """Assemble a diagram from crossings with explicit slot wiring.
 
-    Slots are given in counterclockwise planar order; ``under`` selects
-    which diagonal carries the under-strand (0 for slots 0/2, 1 for 1/3).
-    ``finish`` orients each component, numbers the edges along the strands,
-    and rotates every crossing so its tuple starts at the incoming
-    under-strand; it reports the applied rotations so callers can translate
-    slot references into the finished diagram.
+    Positions are darts ``4*crossing + slot``, slots in counterclockwise
+    planar order; ``under`` selects which diagonal carries the under-strand
+    (0 for slots 0/2, 1 for 1/3).  ``finish`` orients each component,
+    numbers the edges along the strands, and rotates every crossing so its
+    tuple starts at the incoming under-strand; it returns the map from
+    builder darts to finished darts so callers can carry the darts they
+    recorded into the finished diagram.
     """
 
     def __init__(self):
@@ -345,14 +340,11 @@ class DiagramBuilder:
     def crossing(self, under: int = 0) -> int:
         return self.crossings(1, under).start
 
-    def wire(self, a: tuple[int, int], b: tuple[int, int]) -> None:
-        if not (0 <= a[1] < 4 and 0 <= b[1] < 4):
-            raise EdgePairingError(f"slots are 0..3, got {a} and {b}")
-        self._join(4 * a[0] + a[1], 4 * b[0] + b[1])
-
-    def _join(self, da: int, db: int) -> None:
+    def join(self, da: int, db: int) -> None:
         """Wire dart ``da`` to dart ``db`` (dart = 4 * crossing + slot)."""
         peer = self._peer
+        if not (0 <= da < len(peer) and 0 <= db < len(peer)):
+            raise EdgePairingError(f"darts are 0..{len(peer) - 1}, got {da} and {db}")
         for d in (da, db):
             if peer[d] >= 0:
                 raise EdgePairingError(f"slot {divmod(d, 4)} wired twice")
@@ -362,7 +354,7 @@ class DiagramBuilder:
         peer[db] = da
 
     def finish(self, provenance=None):
-        """Return ``(diagram, rotations)``; final slot = (slot - rot) mod 4."""
+        """Return ``(diagram, final)``; builder dart d is diagram dart final[d]."""
         peer, under = self._peer, self._under
         n = len(peer)
         if -1 in peer:
@@ -386,13 +378,13 @@ class DiagramBuilder:
                 if d == start:
                     break
         # rotate each crossing so its tuple starts at the incoming under-strand
-        rotations = [u if entered[4 * c + u] else u + 2 for c, u in enumerate(under)]
-        # finished dart 4c + i is builder dart 4c + (i + rot[c]) mod 4
-        source = [4 * c + i for c, r in enumerate(rotations) for i in _ROTATED[r]]
+        turns = [u if entered[4 * c + u] else u + 2 for c, u in enumerate(under)]
+        # finished dart 4c + i is builder dart 4c + (i + turns[c]) mod 4
+        source = [4 * c + i for c, r in enumerate(turns) for i in _ROTATED[r]]
         final = [0] * n
         for e, d in enumerate(source):
             final[d] = e
         mate = tuple([final[peer[d]] for d in source])
         flat = [labels[d] for d in source]
         tuples = tuple(zip(flat[0::4], flat[1::4], flat[2::4], flat[3::4]))
-        return PlanarDiagram(tuples, provenance, _mate=mate), rotations
+        return PlanarDiagram(tuples, provenance, _mate=mate), final

@@ -23,7 +23,6 @@ in the tests and in ``verify`` (criterion-09).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from .bounds import bound_report
@@ -132,38 +131,20 @@ def _row(index: int, spec: CoilSpec) -> FamilyRow:
     )
 
 
-def analyze_family(f: CoilFamily, jobs: int = 1) -> FamilyReport:
+def analyze_family(f: CoilFamily) -> FamilyReport:
     """Evaluate every member; uncertified members are listed, never fatal."""
     report = FamilyReport(family=f)
-    indexed = list(enumerate(f.members))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # more workers than rows or cores only costs process start-ups
-        workers = min(jobs, len(indexed), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_row_or_error, indexed))
-    else:
-        outcomes = [_row_or_error(item) for item in indexed]
-    for (i, spec), outcome in zip(indexed, outcomes):
-        if isinstance(outcome, FamilyRow):
-            report.rows.append(outcome)
-        else:
-            report.uncertified.append((i, spec, outcome))
+    for i, spec in enumerate(f.members):
+        try:
+            report.rows.append(_row(i, spec))
+        except CoilboundsError as e:
+            report.uncertified.append((i, spec, type(e).__name__))
     _summarize(report)
     try:
         report.verdict = expanding_verdict(report)
     except NoCertifiedRows:
         report.verdict = "Inconclusive"
     return report
-
-
-def _row_or_error(item):
-    i, spec = item
-    try:
-        return _row(i, spec)
-    except CoilboundsError as e:
-        return type(e).__name__
 
 
 def _summarize(report: FamilyReport) -> None:
@@ -216,9 +197,21 @@ def expanding_verdict(r: FamilyReport) -> str:
 #                   fibonacci and odd-denominators sequences)
 #   slope_sequence  fibonacci | odd-denominators | custom-list
 #   slopes          comma-separated p/q list for custom-list
-# Unrecognised keys are ignored.  The crossing column q(q-1)(|n1|+|n2|) is
-# the widest printed integer, so it is held to MAX_DIGITS digits, like the
-# CLI's slope integers.
+# Unrecognised keys are ignored.  A window holds at most _MAX_MEMBERS
+# members, counted before any is built; the fibonacci and odd-denominators
+# sequences are built from their first term, so for them range_end is the
+# count.  The crossing column q(q-1)(|n1|+|n2|) is the widest printed
+# integer, so it is held to MAX_DIGITS digits, like the CLI's slope integers.
+
+_MAX_MEMBERS = 10_000
+
+
+def _window(start: int, stop: int, step: int = 1) -> range:
+    """``range(start, stop, step)``, refused past _MAX_MEMBERS members."""
+    r = range(start, stop, step)  # step 0 raises ValueError
+    if r and (r[-1] - r[0]) // step >= _MAX_MEMBERS:
+        raise ConfigError(f"family window has more than {_MAX_MEMBERS} members")
+    return r
 
 CSV_COLUMNS = (
     "index",
@@ -258,18 +251,21 @@ def load_family_config(text: str) -> CoilFamily:
             end = int(kv["range_end"])
             step = int(kv.get("range_step", "1"))
             family = fixed_slope_vary_twists(
-                int(kv["p"]), int(kv["q"]), int(kv["n2"]), range(start, end + 1, step)
+                int(kv["p"]), int(kv["q"]), int(kv["n2"]), _window(start, end + 1, step)
             )
         elif kind == "vary-slope":
             seq = kv.get("slope_sequence", "fibonacci")
             if seq == "custom-list":
-                slopes = [Slope.parse(tok) for tok in kv["slopes"].split(",")]
+                tokens = kv["slopes"].split(",")
+                _window(0, len(tokens))  # the member cap holds for listed slopes too
+                slopes = [Slope.parse(tok) for tok in tokens]
             elif seq in ("fibonacci", "odd-denominators"):
                 start = int(kv.get("range_start", "1"))
                 if start < 1:
                     raise ConfigError(f"range_start must be at least 1, got {start}")
                 sequence = fibonacci_slopes if seq == "fibonacci" else odd_denominator_slopes
-                slopes = sequence(int(kv["range_end"]))[start - 1 :]
+                count = len(_window(1, int(kv["range_end"]) + 1))  # built from term 1
+                slopes = sequence(count)[start - 1 :]
             else:
                 raise ConfigError(f"unknown slope_sequence {seq!r}")
             family = vary_slope_fixed_twists(slopes, int(kv["n1"]))

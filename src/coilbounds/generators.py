@@ -122,46 +122,34 @@ def _syllable_column(idx: int) -> int:
     return 1 if idx % 2 == 0 else 0
 
 
-def _resolve_plat_closure(b, col_items, top_caps, bottom_caps):
+def _close_plat(b, cols, top_caps, bottom_caps):
     """Wire column chains and the plat caps.
 
-    ``col_items[j]`` lists (north_dart, south_dart) per crossing on column
-    j, top to bottom.  Caps and crossing-free columns are symbolic links
-    between column terminals; each chain of links joins exactly two
-    concrete darts.
+    ``cols[j]`` lists (north, south) darts per crossing on column j, top to
+    bottom.  A cap joins two column ends on one side; from each end of a
+    column with crossings, caps and crossing-free columns lead to exactly
+    one other such end.
     """
-    for items in col_items:
+    for items in cols:
         for (_, south), (north, _) in zip(items, items[1:]):
-            b.wire(south, north)
-
-    darts = {}
-    links: dict[tuple, list] = {}
-    for j, items in enumerate(col_items):
-        darts[("T", j)] = items[0][0] if items else None
-        darts[("B", j)] = items[-1][1] if items else None
-        if not items:
-            links.setdefault(("T", j), []).append(("B", j))
-            links.setdefault(("B", j), []).append(("T", j))
-    for side, (a, bb) in (("T", top_caps[0]), ("T", top_caps[1]),
-                          ("B", bottom_caps[0]), ("B", bottom_caps[1])):
-        links.setdefault((side, a), []).append((side, bb))
-        links.setdefault((side, bb), []).append((side, a))
-
-    wired = set()
-    for start, dart in darts.items():
-        if dart is None or start in wired:
-            continue
-        prev, node = None, start
-        while True:
-            nxt = [x for x in links[node] if x != prev]
-            if not nxt:
+            b.join(south, north)
+    cap = {}
+    for side, caps in enumerate((top_caps, bottom_caps)):
+        for x, y in caps:
+            cap[side, x], cap[side, y] = y, x
+    ends = [(items[0][0], items[-1][1]) if items else None for items in cols]
+    for j, pair in enumerate(ends):
+        for side in (0, 1) if pair else ():
+            s, k = side, cap[side, j]
+            for _ in cols:
+                if ends[k]:
+                    break
+                s = 1 - s  # through the empty column, then its cap
+                k = cap[s, k]
+            else:
                 raise AssertionError("open plat closure chain")
-            prev, node = node, nxt[0]
-            if darts[node] is not None:
-                break
-        wired.add(start)
-        wired.add(node)
-        b.wire(dart, darts[node])
+            if pair[side] < ends[k][s]:  # each joined pair once
+                b.join(pair[side], ends[k][s])
 
 
 def _plat_caps(last_col: int):
@@ -173,41 +161,34 @@ def _plat_caps(last_col: int):
 
 def _build_plat(terms, with_clasp: bool):
     b = DiagramBuilder()
-    col_items = [[] for _ in range(4)]
+    cols = [[] for _ in range(4)]
     for idx, a in enumerate(terms):
         col = _syllable_column(idx)
         # alternating diagram: syllables alternate handedness
         under = 1 if idx % 2 == 0 else 0
-        for _ in range(a):
-            c = b.crossing(under=under)
-            col_items[col].append(((c, 0), (c, 1)))
-            col_items[col + 1].append(((c, 3), (c, 2)))
+        for c in b.crossings(a, under=under):
+            cols[col].append((4 * c, 4 * c + 1))
+            cols[col + 1].append((4 * c + 3, 4 * c + 2))
 
     clasp_info = None
     k = len(terms)
     if with_clasp:
         col = _syllable_column(k)
-        nl = b.crossing(under=0)  # north gate passes over the strands
-        nr = b.crossing(under=0)
-        sl = b.crossing(under=1)
-        sr = b.crossing(under=1)
-        for c_top, c_bot, j in ((nl, sl, col), (nr, sr, col + 1)):
-            col_items[j].append(((c_top, 0), (c_top, 2)))
-            col_items[j].append(((c_bot, 0), (c_bot, 2)))
-        b.wire((nl, 3), (nr, 1))
-        b.wire((sl, 3), (sr, 1))
-        b.wire((nr, 3), (sr, 3))
-        b.wire((nl, 1), (sl, 1))
+        nl, nr = (4 * c for c in b.crossings(2, under=0))  # north gate passes over
+        sl, sr = (4 * c for c in b.crossings(2, under=1))
+        for top, bot, j in ((nl, sl, col), (nr, sr, col + 1)):
+            cols[j] += [(top, top + 2), (bot, bot + 2)]
+        b.join(nl + 3, nr + 1)
+        b.join(sl + 3, sr + 1)
+        b.join(nr + 3, sr + 3)
+        b.join(nl + 1, sl + 1)
         # strand passages through the clasp, braid-start side first
-        clasp_info = {
-            "orient": 1,
-            "passages": [[nl, 0, sl, 2], [nr, 0, sr, 2]],
-        }
+        clasp_info = {"orient": 1, "passages": [(nl, sl + 2), (nr, sr + 2)]}
         last_col = col
     else:
         last_col = _syllable_column(k - 1)
 
-    _resolve_plat_closure(b, col_items, ((0, 1), (2, 3)), _plat_caps(last_col))
+    _close_plat(b, cols, ((0, 1), (2, 3)), _plat_caps(last_col))
     return b, clasp_info
 
 
@@ -241,10 +222,7 @@ def gen_clasped_two_bridge(s: Slope) -> PlanarDiagram:
         "circles": {"clasp": clasp_info},
         "roles": {},
     }
-    diagram, rotations = b.finish(prov)
-    _remap_circle_slots(prov, rotations)
-    _assign_circle_components(diagram, prov)
-    return diagram
+    return _finish_circles(b, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +238,7 @@ def _coil_braid(b, q: int, n_signed: int):
     """Lay n_signed full twists on q strands; return (west, east) port darts."""
     rows = q * abs(n_signed)
     first = b.crossings(rows * (q - 1), under=0 if n_signed > 0 else 1).start
-    join = b._join
+    join = b.join
     # row 0 reaches every position for the first time: those are the west ports
     west = [4 * first + 1] + [4 * (first + i) for i in range(q - 1)]
     current = [None] * q
@@ -303,7 +281,7 @@ def gen_double_coil(spec: CoilSpec) -> PlanarDiagram:
     for i, ev in enumerate(events):
         if not is_entering_event(ev):
             j = (i + 1) % len(events)
-            b._join(port[i], port[j])
+            b.join(port[i], port[j])
     prov = {
         "generator": "double_coil",
         "p": spec.p,
@@ -336,7 +314,8 @@ def gen_augmented(s: Slope) -> PlanarDiagram:
     passages = circle_passages(events)
     b = DiagramBuilder()
     over_gates = (GATE_C1_EAST, GATE_C2_EAST)
-    cross = [b.crossing(under=0 if ev.gate in over_gates else 1) for ev in events]
+    # first dart of each gate event's crossing
+    cross = [4 * b.crossing(under=0 if ev.gate in over_gates else 1) for ev in events]
 
     # curve: one edge between consecutive gate events
     m = len(events)
@@ -344,21 +323,21 @@ def gen_augmented(s: Slope) -> PlanarDiagram:
         j = (i + 1) % m
         out_slot = 2 if ev.eastbound else 0
         in_slot = 0 if events[j].eastbound else 2
-        b.wire((cross[i], out_slot), (cross[j], in_slot))
+        b.join(cross[i] + out_slot, cross[j] + in_slot)
 
     circles = {}
     for region, role in ((0, "C1"), (1, "C2")):
         west = [cross[w] for w, _ in passages[region]]
         east = [cross[e] for _, e in passages[region]]
         for t in range(len(east) - 1):
-            b.wire((east[t], 3), (east[t + 1], 1))
-            b.wire((west[t], 3), (west[t + 1], 1))
-        b.wire((east[-1], 3), (west[-1], 3))
-        b.wire((east[0], 1), (west[0], 1))
+            b.join(east[t] + 3, east[t + 1] + 1)
+            b.join(west[t] + 3, west[t + 1] + 1)
+        b.join(east[-1] + 3, west[-1] + 3)
+        b.join(east[0] + 1, west[0] + 1)
         circles[role] = {
             "orient": _REGION_ORIENT[region],
             # outer slots: west faces W, east faces E
-            "passages": [[w, 0, e, 2] for w, e in zip(west, east)],
+            "passages": [(w, e + 2) for w, e in zip(west, east)],
         }
 
     prov = {
@@ -369,28 +348,27 @@ def gen_augmented(s: Slope) -> PlanarDiagram:
         "roles": {},
         "fills": {},
     }
-    diagram, rotations = b.finish(prov)
-    _remap_circle_slots(prov, rotations)
-    _assign_circle_components(diagram, prov)
+    diagram = _finish_circles(b, prov)
     if diagram.n_components != 3:
         raise AssertionError("augmented link must have three components")
     return diagram
 
 
-def _remap_circle_slots(prov, rotations):
-    for info in prov.get("circles", {}).values():
-        info["passages"] = [
-            [ca, (sa - rotations[ca]) % 4, cb, (sb - rotations[cb]) % 4]
-            for ca, sa, cb, sb in info["passages"]
-        ]
+def _finish_circles(b, prov):
+    """Finish ``b``; carry circle passages into it and name each circle's component.
 
-
-def _assign_circle_components(diagram, prov):
-    roles = prov.setdefault("roles", {})
-    for role, info in prov.get("circles", {}).items():
-        ca, sa, _, _ = info["passages"][0]
-        circle_slot = (sa + 1) % 4  # the non-through diagonal
-        roles[role] = diagram.component_of_edge(diagram.crossings[ca][circle_slot])
+    A passage ``(w, e)`` holds the outer darts of one encircled strand at
+    the circle's two crossings: its edge inside the circle joins ``w ^ 2``
+    to ``e ^ 2``, and ``w ^ 1`` lies on the circle itself.
+    """
+    diagram, final = b.finish(prov)
+    roles = prov["roles"] = {}
+    for role, info in prov["circles"].items():
+        info["passages"] = [(final[w], final[e]) for w, e in info["passages"]]
+        w = info["passages"][0][0] ^ 1
+        label = diagram.crossings[w >> 2][w & 3]
+        roles[role] = next(i for i, comp in enumerate(diagram.components) if label in comp)
+    return diagram
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +377,6 @@ def _assign_circle_components(diagram, prov):
 
 
 def _find_circle_role(prov, circle):
-    prov = prov or {}
     if isinstance(circle, str) and circle in prov.get("circles", {}):
         return circle
     for role, comp in prov.get("roles", {}).items():
@@ -425,26 +402,23 @@ def fill_crossing_circle(d: PlanarDiagram, circle, n: int) -> PlanarDiagram:
     recs = info["passages"]
     q = len(recs)
     mate = d.mate
-    deleted = {c for ca, _, cb, _ in recs for c in (ca, cb)}
+    deleted = {x >> 2 for rec in recs for x in rec}
     kept = [c for c in range(d.n_crossings) if c not in deleted]
     b = DiagramBuilder()
-    old2new = dict(zip(kept, b.crossings(len(kept))))
+    b.crossings(len(kept))
     # old dart -> new dart; a kept crossing keeps its slots, the circle's get -1
     new = [-1] * len(mate)
-    for old, c in old2new.items():
-        new[4 * old:4 * old + 4] = range(4 * c, 4 * c + 4)
-    join = b._join
+    for i, c in enumerate(kept):
+        new[4 * c:4 * c + 4] = range(4 * i, 4 * i + 4)
+    join = b.join
 
     if n == 0:
-        through = {}
-        for ca, sa, cb, sb in recs:
-            through[ca] = sa % 2
-            through[cb] = sb % 2
+        through = {x >> 2: x & 1 for rec in recs for x in rec}
 
         def resolve(dart):
             # follow the encircled strand through the circle's crossings
             while new[dart] < 0:
-                if dart % 2 != through[dart // 4]:
+                if dart & 1 != through[dart >> 2]:
                     raise AssertionError("resolution strayed onto the circle strand")
                 dart = mate[dart ^ 2]
             return dart
@@ -460,10 +434,10 @@ def fill_crossing_circle(d: PlanarDiagram, circle, n: int) -> PlanarDiagram:
         if not kept:
             return PlanarDiagram((), {"generator": "trivial", "note": "all crossings removed"})
     else:
-        west, east = _coil_braid(b, q, n * info.get("orient", 1))
-        for pos, (ca, sa, cb, sb) in enumerate(recs):
-            new[4 * ca + sa] = west[pos]
-            new[4 * cb + sb] = east[pos]
+        west, east = _coil_braid(b, q, n * info["orient"])
+        for pos, (w, e) in enumerate(recs):
+            new[w] = west[pos]
+            new[e] = east[pos]
         for x, y in enumerate(mate):
             if x < y:
                 nx, ny = new[x], new[y]
@@ -474,15 +448,12 @@ def fill_crossing_circle(d: PlanarDiagram, circle, n: int) -> PlanarDiagram:
                 # else: the circle strand, or an edge inside its region
 
     for other in circles.values():
-        other["passages"] = [
-            [old2new[ca], sa, old2new[cb], sb] for ca, sa, cb, sb in other["passages"]
-        ]
+        other["passages"] = [(new[w], new[e]) for w, e in other["passages"]]
 
     fills = dict(prov.get("fills", {}))
     fills[role] = n
     prov["fills"] = fills
     prov["circles"] = circles
-    prov["roles"] = {}
     if (
         prov.get("generator") == "augmented"
         and not circles
@@ -498,10 +469,7 @@ def fill_crossing_circle(d: PlanarDiagram, circle, n: int) -> PlanarDiagram:
         }
         diagram, _ = b.finish(prov)
         return diagram
-    diagram, rotations = b.finish(prov)
-    _remap_circle_slots(prov, rotations)
-    _assign_circle_components(diagram, prov)
-    return diagram
+    return _finish_circles(b, prov)
 
 
 # ---------------------------------------------------------------------------

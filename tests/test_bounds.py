@@ -2,7 +2,7 @@ import math
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coilbounds.bounds import (
     CONSTANTS,
@@ -206,9 +206,14 @@ def test_bound_report_composes_public_pieces(spec):
         with pytest.raises(NoHyperbolicityCertificate):
             bound_report(spec)
         return
+    try:
+        ell = ell_param(k, spec.n1, spec.n2)
+    except OverflowError:  # both |n_i| past about 1e154: refused, never inf
+        with pytest.raises(OverflowError):
+            bound_report(spec)
+        return
     rep = bound_report(spec)
     parent = parent_volume_interval(spec.slope)
-    ell = ell_param(k, spec.n1, spec.n2)
     lower = dehn_filling_factor(ell) * parent.lower
     assert (rep["k"], rep["ell"]) == (k, ell)
     assert rep["certificate"] == {
@@ -230,6 +235,32 @@ def test_bound_report_composes_public_pieces(spec):
         f"dehn-filling-decay(ell={ell:.6g})",
         f"certificate:{cert.condition.value}",
     ]
+
+
+def _big_int():
+    """Signed integers of every magnitude up to 10^400, not just the largest."""
+    return st.builds(
+        lambda m, e, neg: -m * 10**e if neg else m * 10**e,
+        st.integers(1, 99), st.integers(0, 398), st.booleans(),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**4), _big_int(), _big_int())
+@example(20, 17 * 10**307, 5)
+@example(2, 10**155, 10**155)
+def test_length_formulas_finite_or_overflow(k, n1, n2):
+    """No formula hands a report inf: each is finite or raises OverflowError."""
+    for formula in (
+        lambda: ell_param(k, n1, n2),
+        lambda: slope_length_lower(n1),
+        lambda: cusp_slope_length_lower(k, n1),
+    ):
+        try:
+            value = formula()
+        except OverflowError:
+            continue
+        assert math.isfinite(value)
 
 
 def test_lambda_lower():

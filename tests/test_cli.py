@@ -10,7 +10,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import coilbounds
 from coilbounds.cli import main
@@ -150,6 +150,49 @@ def test_family_crossing_digits_capped(name):
         load_family_config(HUGE_CONFIGS[name])
 
 
+# windows past the 10 000-member cap, which must be refused before any
+# member is built: range(4, 10**100) has no len(), and each term of the
+# sequences costs work
+WIDE_CONFIGS = {
+    "wide-fixed.cfg": "kind = fixed-slope\np = 2\nq = 5\nn2 = 6\nrange_start = 4\n"
+    f"range_end = {10**100}\n",
+    "wide-fibonacci.cfg": f"kind = vary-slope\nslope_sequence = fibonacci\nn1 = 4\nrange_end = {10**100}\n",
+    "wide-odd.cfg": "kind = vary-slope\nslope_sequence = odd-denominators\nn1 = 4\n"
+    f"range_end = {10**100}\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_CONFIGS))
+def test_family_window_capped_before_building(name):
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="more than 10000 members"):
+        load_family_config(WIDE_CONFIGS[name])
+    assert time.perf_counter() - start < 3
+
+
+# a float past its range is refused, never printed as Infinity
+FLOAT_OVERFLOW_ARGV = [
+    ("bounds", "--p", "2", "--q", "5", "--n1", str(10**155), "--n2", str(10**155)),
+    ("bounds", "--p", "6765", "--q", "10946", "--n1", str(17 * 10**307), "--n2", "5"),
+    ("family", "--config", "overflow.cfg"),
+    ("family", "--config", "overflow.cfg", "--format", "json"),
+]
+# every family config file the error tests read
+FAMILY_FILES = {
+    **HUGE_CONFIGS,
+    **WIDE_CONFIGS,
+    "overflow.cfg": f"kind = vary-slope\nslope_sequence = custom-list\nslopes = 2/5\nn1 = {10**155}\n",
+}
+
+
+@pytest.mark.parametrize("argv", FLOAT_OVERFLOW_ARGV)
+def test_float_overflow_refused(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "overflow.cfg").write_text(FAMILY_FILES["overflow.cfg"])
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("OverflowError: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -167,11 +210,13 @@ def test_family_crossing_digits_capped(name):
         ("render", "."),
         ("family", "--config", "."),
         *(("family", "--config", name) for name in sorted(HUGE_CONFIGS)),
+        *(("family", "--config", name) for name in sorted(WIDE_CONFIGS)),
+        *FLOAT_OVERFLOW_ARGV,
     ],
 )
 def test_bad_coil_spec_is_named_or_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
-    for name, text in HUGE_CONFIGS.items():
+    for name, text in FAMILY_FILES.items():
         (tmp_path / name).write_text(text)
     try:
         code = main(list(argv))
@@ -353,7 +398,7 @@ def test_family_csv_and_json(tmp_path, capsys):
         capsys, "family", "--config", str(cfg), "--format", "json", "--jobs", "2"
     )
     assert json.loads(out_j) == data
-    # workers are capped by rows and cores, so a huge count starts few processes
+    # --jobs is validated but has no effect on family, however large
     code, out_j, _ = run(
         capsys, "family", "--config", str(cfg), "--format", "json", "--jobs", str(10**9)
     )
@@ -488,7 +533,8 @@ def test_oversized_input_refused(tmp_path, monkeypatch, capsys, argv):
 # --- argv fuzz --------------------------------------------------------------
 
 _INT = st.sampled_from(
-    [0, 1, 2, 3, 5, -1, -3, 10**9, -(10**9), 2**63, 10**100, 10**400, 10**2200 + 1]
+    [0, 1, 2, 3, 5, -1, -3, 10**9, -(10**9), 2**63, 10**100, 10**155, 17 * 10**307,
+     10**400, 10**2200 + 1]
 )
 _INT_TEXT = st.one_of(_INT.map(str), st.sampled_from(["", "x", "1.5", "0x10"]))
 _SLOPE = st.one_of(
@@ -505,7 +551,7 @@ _CFRAC = st.one_of(
 _OUT = st.sampled_from(["out.txt", "out.svg", ".", "missing/out.txt"])
 _PD_IN = st.sampled_from(["good.pd", "fam.cfg", "missing.pd", "."])
 _CONFIG = st.sampled_from(
-    ["fam.cfg", "vary.cfg", "bad.cfg", "good.pd", "missing.cfg", ".", *sorted(HUGE_CONFIGS)]
+    ["fam.cfg", "vary.cfg", "bad.cfg", "good.pd", "missing.cfg", ".", *sorted(FAMILY_FILES)]
 )
 _SPEC = {"--p": _INT_TEXT, "--q": _INT_TEXT, "--n1": _INT_TEXT, "--n2": _INT_TEXT, "--slope": _SLOPE}
 _PRECISION = {"--precision": _INT_TEXT}
@@ -560,7 +606,7 @@ def fuzz_dir(tmp_path_factory):
     )
     (d / "vary.cfg").write_text("kind = vary-slope\nrange_end = 4\nn1 = 5\n")
     (d / "bad.cfg").write_text("kind = fixed-slope\n")
-    for name, text in HUGE_CONFIGS.items():
+    for name, text in FAMILY_FILES.items():
         (d / name).write_text(text)
     return d
 
@@ -568,6 +614,9 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=300, deadline=5000, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=_argv())
+@example(argv=["bounds", "--p", "2", "--q", "5", "--n1", str(10**155), "--n2", str(10**155)])
+@example(argv=["family", "--config", "overflow.cfg", "--format", "json"])
+@example(argv=["family", "--config", "overflow.cfg"])
 def test_cli_fuzz_exits_cleanly(fuzz_dir, argv):
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
@@ -582,3 +631,10 @@ def test_cli_fuzz_exits_cleanly(fuzz_dir, argv):
         os.chdir(cwd)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    # a printed report holds no Infinity or NaN
+    text = out.getvalue()
+    if code == 0 and text.startswith("{"):
+        json.loads(text, parse_constant=_no_constants)
+    if code == 0 and text.startswith("index,"):
+        cells = {cell for line in text.splitlines() for cell in line.split(",")}
+        assert not cells & {"inf", "-inf", "nan"}, (argv, text)

@@ -155,15 +155,16 @@ def test_builder_dangling_slot():
 
 def test_builder_rejects_bad_slots():
     b = DiagramBuilder()
-    b.crossing()
-    b.crossing()
-    with pytest.raises(EdgePairingError):
-        b.wire((0, 4), (1, 1))  # would alias slot 0 of crossing 1
-    b.wire((0, 0), (1, 1))
-    with pytest.raises(EdgePairingError):
-        b.wire((0, 0), (1, 2))
-    with pytest.raises(EdgePairingError):
-        b.wire((0, 2), (0, 2))
+    b.crossings(2)
+    for bad in (-1, 8):  # darts are 0..4V-1; a list index -1 would alias dart 7
+        with pytest.raises(EdgePairingError, match="darts are 0..7"):
+            b.join(bad, 5)
+    b.join(0, 5)
+    with pytest.raises(EdgePairingError, match="wired twice"):
+        b.join(0, 6)
+    with pytest.raises(EdgePairingError, match="itself"):
+        b.join(2, 2)
+    b.join(7, 1)  # the rejected calls left darts 7 and 1 unwired
 
 
 @settings(max_examples=40, deadline=None)
@@ -264,15 +265,15 @@ def _builder_copy(b, d, offset=0):
     b.crossings(d.n_crossings)  # PD slot 0 enters under: diagonal 0/2 is under
     for x, y in enumerate(d.mate):
         if x < y:
-            b.wire(divmod(x + 4 * offset, 4), divmod(y + 4 * offset, 4))
+            b.join(x + 4 * offset, y + 4 * offset)
 
 
 def test_builder_rejects_non_planar_rotation():
     # one crossing whose two diagonals close on themselves: 1 face, not 3
     b = DiagramBuilder()
     b.crossing()
-    b.wire((0, 0), (0, 2))
-    b.wire((0, 1), (0, 3))
+    b.join(0, 2)
+    b.join(1, 3)
     with pytest.raises(NonPlanarRotation, match="faces"):
         b.finish()
     with pytest.raises(NonPlanarRotation, match="faces"):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from coilbounds import bounds
 from coilbounds.bounds import CONSTANTS, bound_report, disk_obstruction_check
+from coilbounds.cli import main
 from coilbounds.errors import ConfigError, NoCertifiedRows
 from coilbounds.family import (
     CoilFamily,
@@ -82,11 +83,16 @@ def test_verdict_stable_under_reordering():
     assert rep_fwd.verdict == rep_rev.verdict
 
 
-def test_jobs_parallel_matches_serial():
+def test_jobs_parallel_matches_serial(tmp_path, capsys):
+    """family runs in one process; --jobs is still accepted and changes nothing."""
+    cfg = tmp_path / "fam.cfg"
+    cfg.write_text("kind = fixed-slope\np = 2\nq = 5\nn2 = 6\nrange_start = 4\nrange_end = 15\n")
+    printed = []
+    for jobs in ("1", "2"):
+        assert main(["family", "--config", str(cfg), "--jobs", jobs]) == 0
+        printed.append(capsys.readouterr().out)
     fam = fixed_slope_vary_twists(2, 5, 6, range(4, 16))
-    serial = analyze_family(fam, jobs=1)
-    parallel = analyze_family(fam, jobs=2)
-    assert report_to_csv(serial) == report_to_csv(parallel)
+    assert printed == [report_to_csv(analyze_family(fam))] * 2
 
 
 def test_twist_growth_experiment():

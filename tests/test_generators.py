@@ -206,6 +206,30 @@ def test_fill_by_component_id():
     assert f.n_crossings == d.n_crossings - 2 * 3 + 2 * 3 * 2
 
 
+def test_circle_passages_are_dart_pairs():
+    """Every passage (w, e) is one encircled strand, whose edge inside the
+    circle joins w ^ 2 to e ^ 2, and w ^ 1 lies on the circle its role names."""
+    passages = 0
+    for p, q in coprime_pairs(8):
+        s = Slope(p, q)
+        augmented = gen_augmented(s)
+        diagrams = [augmented, gen_clasped_two_bridge(s)] + [
+            fill_crossing_circle(augmented, role, n)
+            for role in ("C1", "C2")
+            for n in (-2, -1, 0, 1, 2)
+        ]
+        for d in diagrams:
+            prov = d.provenance
+            for role, info in prov["circles"].items():
+                circle = d.components[prov["roles"][role]]
+                for w, e in info["passages"]:
+                    assert d.mate[w ^ 2] == e ^ 2
+                    x = w ^ 1
+                    assert d.crossings[x >> 2][x & 3] in circle
+                    passages += 1
+    assert passages == 2 * 122 + 2 * 21 + 10 * 122
+
+
 def test_delete_clasp():
     s = Slope(2, 5)
     d = gen_clasped_two_bridge(s)
