@@ -318,10 +318,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except _UsageError as e:
         parser.error(str(e))  # exits 2
-    except CoilboundsError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    except (OSError, UnicodeDecodeError, OverflowError) as e:
+    except (CoilboundsError, OSError, UnicodeDecodeError, OverflowError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

@@ -57,18 +57,13 @@ class PlanarDiagram:
     """An immutable, validated planar diagram in PD form.
 
     ``mate`` is the dart array: ``mate[4*c + s]`` is the other end of the
-    edge leaving crossing ``c`` at slot ``s``.
+    edge leaving crossing ``c`` at slot ``s``.  ``strands[k]`` lists the
+    darts at which link component k enters its crossings, in walk order;
+    ``component_of`` names the component through any dart.  Edge labels are
+    read only to pair and print the PD text.
     """
 
-    __slots__ = (
-        "crossings",
-        "provenance",
-        "mate",
-        "_edge_dart",
-        "_components",
-        "_component_slots",
-        "_faces",
-    )
+    __slots__ = ("crossings", "provenance", "mate", "strands", "_comp", "_faces")
 
     def __init__(self, crossings, provenance=None, *, _mate=None):
         # ``_mate`` is the builder path: ``DiagramBuilder.finish`` hands over
@@ -76,12 +71,11 @@ class PlanarDiagram:
         # are not paired again.  Everything else is checked on both paths.
         if _mate is None:
             crossings = tuple(tuple(x) for x in crossings)
-            self.mate, self._edge_dart = _pair_labels(crossings)
-        else:
-            self.mate, self._edge_dart = _mate, None
+            _mate = _pair_labels(crossings)
+        self.mate = _mate
         self.crossings = crossings
         self.provenance = provenance
-        self._components, self._component_slots = self._walk_strands()
+        self.strands, self._comp = self._walk_strands()
         self._faces = self._trace_faces()
         if crossings and len(self._faces) != len(crossings) + 2:
             raise NonPlanarRotation(
@@ -92,43 +86,43 @@ class PlanarDiagram:
     # -- validation ---------------------------------------------------------
 
     def _walk_strands(self):
-        """Partition edges into link components; record crossing passages.
+        """Partition the darts into link components; return ``(strands, comp)``.
 
-        Components containing under-passages are walked in the orientation
-        the PD convention dictates (under-strands enter at slot 0); meeting
-        a slot-2 entrance means the code orients some strand both ways.
-        The underlying graph is connected iff the components are, joined at
-        the crossings where they meet; a knot needs no such check.
+        ``comp[d]`` is the component through dart d.  Components containing
+        under-passages are walked in the orientation the PD convention
+        dictates (under-strands enter at slot 0); meeting a slot-2 entrance
+        means the code orients some strand both ways.  The underlying graph
+        is connected iff the components are, joined at the crossings where
+        they meet; a knot needs no such check.
         """
-        mate, crossings = self.mate, self.crossings
+        mate = self.mate
         n = len(mate)
-        comp = [0] * n  # 1 + component of each dart's strand; 0 until walked
-        components: list[tuple[int, ...]] = []
-        component_slots: list[tuple[int, ...]] = []
+        comp = [-1] * n
+        strands: list[tuple[int, ...]] = []
         for start in chain(range(0, n, 4), range(n)):
-            if comp[start]:
+            if comp[start] >= 0:
                 continue
-            k = len(components) + 1
-            labels, slots = [], []
+            k = len(strands)
+            strand = []
             d = start
             while True:
-                s = d & 3
-                if s == 2:
+                if d & 3 == 2:
                     raise EdgePairingError(
                         f"inconsistent strand orientation at crossing {d >> 2}"
                     )
                 out = d ^ 2
                 comp[d] = comp[out] = k
-                slots.append(s)
-                labels.append(crossings[d >> 2][out & 3])
+                strand.append(d)
                 d = mate[out]
                 if d == start:
                     break
-            components.append(tuple(labels))
-            component_slots.append(tuple(slots))
-        if len(components) > 1:
-            _check_connected(len(components), comp)
-        return tuple(components), tuple(component_slots)
+            strands.append(tuple(strand))
+        if len(strands) > 1:
+            # darts 4c and 4c + 1 lie on the two strands through crossing c
+            roots = _roots(len(strands), zip(comp[0::4], comp[1::4]))
+            if len(set(roots)) > 1:
+                raise NonPlanarRotation("diagram is split (underlying graph disconnected)")
+        return tuple(strands), comp
 
     def _trace_faces(self):
         mate = self.mate
@@ -159,19 +153,20 @@ class PlanarDiagram:
 
     @property
     def n_components(self) -> int:
-        return len(self._components)
+        return len(self.strands)
 
     @property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """Edge labels of each link component, in traversal order."""
-        return self._components
+        """Edge labels of each link component, in traversal order: the edge
+        leaving each dart of its strand."""
+        crossings = self.crossings
+        return tuple(
+            tuple(crossings[d >> 2][(d & 3) ^ 2] for d in strand) for strand in self.strands
+        )
 
-    def ends_of(self, label: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """(crossing, slot) of both ends of an edge, smaller dart first."""
-        if self._edge_dart is None:
-            self._edge_dart = _first_darts(self.crossings)
-        d = self._edge_dart[label]
-        return divmod(d, 4), divmod(self.mate[d], 4)
+    def component_of(self, dart: int) -> int:
+        """The link component whose strand passes through ``dart``."""
+        return self._comp[dart]
 
     def faces(self) -> tuple[tuple[int, ...], ...]:
         if not self.crossings:
@@ -180,11 +175,13 @@ class PlanarDiagram:
 
     def is_alternating(self) -> bool:
         """True iff crossings alternate over/under along every component."""
-        for slots in self._component_slots:
-            n = len(slots)
-            for i in range(n):
-                if (slots[i] == 0) == (slots[(i + 1) % n] == 0):
+        for strand in self.strands:
+            prev = strand[-1] & 3 == 0  # slot 0 enters under
+            for d in strand:
+                under = d & 3 == 0
+                if under == prev:
                     return False
+                prev = under
         return True
 
     def twist_regions(self) -> TwistRegionPartition:
@@ -195,36 +192,20 @@ class PlanarDiagram:
         to a bigon folding back onto itself) is a region by itself.
         """
         v = len(self.crossings)
-        parent = list(range(v))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for face in self._faces:
-            if len(face) == 2:
-                c1, c2 = face[0] // 4, face[1] // 4
-                if c1 != c2:
-                    parent[find(c1)] = find(c2)
+        bigons = ((f[0] >> 2, f[1] >> 2) for f in self._faces if len(f) == 2)
         groups: dict[int, list[int]] = {}
-        for c in range(v):
-            groups.setdefault(find(c), []).append(c)
-        regions = tuple(tuple(g) for g in sorted(groups.values()))
-        return TwistRegionPartition(regions)
+        for c, root in enumerate(_roots(v, bigons)):
+            groups.setdefault(root, []).append(c)
+        # each region opens at its smallest crossing, so they come out sorted
+        return TwistRegionPartition(tuple(tuple(g) for g in groups.values()))
 
     def __repr__(self):
         return f"<PlanarDiagram {self.n_crossings} crossings, {self.n_components} components>"
 
 
-def _check_connected(n_components, comp):
-    """Raise unless the components, joined at shared crossings, are one piece.
-
-    ``comp`` holds 1 + the component of every dart; darts 4c and 4c+1 lie
-    on the two strands through crossing c.
-    """
-    parent = list(range(n_components + 1))
+def _roots(n, pairs):
+    """Union-find over 0..n-1: the root of each element once every pair is joined."""
+    parent = list(range(n))
 
     def find(a):
         while parent[a] != a:
@@ -232,50 +213,33 @@ def _check_connected(n_components, comp):
             a = parent[a]
         return a
 
-    pieces = n_components
-    for d in range(0, len(comp), 4):
-        a, b = find(comp[d]), find(comp[d + 1])
-        if a != b:
-            parent[a] = b
-            pieces -= 1
-    if pieces != 1:
-        raise NonPlanarRotation("diagram is split (underlying graph disconnected)")
-
-
-def _first_darts(crossings):
-    """Map each edge label to its first dart, in order of first appearance."""
-    edge_dart: dict[int, int] = {}
-    for d, label in enumerate(chain.from_iterable(crossings)):
-        edge_dart.setdefault(label, d)
-    return edge_dart
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return [find(a) for a in range(n)]
 
 
 def _pair_labels(crossings):
-    """Check the tuples and pair equal labels into the dart array ``mate``.
-
-    Returns ``(mate, edge_dart)``; ``edge_dart`` maps each label to its
-    first dart, in order of first appearance.
-    """
+    """Check the tuples and pair equal labels into the dart array ``mate``."""
     for x in crossings:
         if len(x) != 4:
             raise NonQuadrivalent(f"crossing {x} does not have four edge-ends")
         for label in x:
             if not isinstance(label, int) or label < 1:
                 raise EdgePairingError(f"bad edge label {label!r}")
-    edge_dart = _first_darts(crossings)
+    first: dict[int, int] = {}  # label -> its first dart, in order of appearance
     mate = [-1] * (4 * len(crossings))
     for d, label in enumerate(chain.from_iterable(crossings)):
-        e = edge_dart[label]
+        e = first.setdefault(label, d)
         if e != d and mate[e] < 0:
             mate[e] = d
             mate[d] = e
     if -1 in mate:  # some label appears once, or three or more times
         counts = Counter(label for x in crossings for label in x)
-        label = next(label for label in edge_dart if counts[label] != 2)
+        label = next(label for label in first if counts[label] != 2)
         raise EdgePairingError(
             f"edge label {label} appears {counts[label]} times, expected 2"
         )
-    return tuple(mate), edge_dart
+    return tuple(mate)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ in the tests and in ``verify`` (criterion-09).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .bounds import bound_report
 from .errors import CoilboundsError, ConfigError, NoCertifiedRows
@@ -63,30 +64,61 @@ class CoilFamily:
 
 
 def fixed_slope_vary_twists(p: int, q: int, n2: int, n1_range) -> CoilFamily:
-    members = tuple(CoilSpec(p, q, n1, n2) for n1 in n1_range if n1 != 0)
+    members = _capped(CoilSpec(p, q, n1, n2) for n1 in n1_range if n1 != 0)
     return CoilFamily(
         "fixed-slope", members, f"(p,q)=({p},{q}), n2={n2}, n1 in given range"
     )
 
 
 def vary_slope_fixed_twists(slopes, n: int) -> CoilFamily:
-    members = tuple(CoilSpec(s.p, s.q, n, n) for s in slopes)
+    members = _capped(CoilSpec(s.p, s.q, n, n) for s in slopes)
     return CoilFamily("vary-slope", members, f"n1=n2={n}, slopes as given")
+
+
+# The crossing column q(q-1)(|n1|+|n2|) is the widest printed integer, so it
+# is held to MAX_DIGITS digits, like the CLI's slope integers.
+_CROSSING_COLUMN_CAP = 10**MAX_DIGITS
+
+
+def _capped(specs) -> tuple[CoilSpec, ...]:
+    """Collect ``specs`` as members, refusing the first over the crossing
+    column cap; a lazy ``specs`` is built no further than that member."""
+    members = []
+    for i, spec in enumerate(specs):
+        if spec.crossing_count >= _CROSSING_COLUMN_CAP:
+            raise ConfigError(
+                f"member {i}: crossing count q(q-1)(|n1|+|n2|) has more than "
+                f"{MAX_DIGITS} digits"
+            )
+        members.append(spec)
+    return tuple(members)
+
+
+def _fibonacci_pairs():
+    a, b = 1, 2
+    while True:
+        yield a, b
+        a, b = b, a + b
+
+
+def _odd_denominator_pairs():
+    q = 3
+    while True:
+        yield 1, q
+        q += 2
 
 
 def fibonacci_slopes(count: int):
     """Slopes F(i)/F(i+1): continued fraction [1,...,1,2] of length i."""
-    out = []
-    a, b = 1, 2
-    for _ in range(count):
-        out.append(Slope(a, b))
-        a, b = b, a + b
-    return out
+    return [Slope(p, q) for p, q in islice(_fibonacci_pairs(), count)]
 
 
 def odd_denominator_slopes(count: int):
     """Slopes 1/3, 1/5, 1/7, ...: every continued fraction has length 1."""
-    return [Slope(1, 2 * i + 3) for i in range(count)]
+    return [Slope(p, q) for p, q in islice(_odd_denominator_pairs(), count)]
+
+
+_SEQUENCES = {"fibonacci": _fibonacci_pairs, "odd-denominators": _odd_denominator_pairs}
 
 
 @dataclass(frozen=True)
@@ -200,8 +232,8 @@ def expanding_verdict(r: FamilyReport) -> str:
 # Unrecognised keys are ignored.  A window holds at most _MAX_MEMBERS
 # members, counted before any is built; the fibonacci and odd-denominators
 # sequences are built from their first term, so for them range_end is the
-# count.  The crossing column q(q-1)(|n1|+|n2|) is the widest printed
-# integer, so it is held to MAX_DIGITS digits, like the CLI's slope integers.
+# count.  Members are built lazily and refused at the first over the
+# crossing column cap (``_capped``).
 
 _MAX_MEMBERS = 10_000
 
@@ -259,13 +291,13 @@ def load_family_config(text: str) -> CoilFamily:
                 tokens = kv["slopes"].split(",")
                 _window(0, len(tokens))  # the member cap holds for listed slopes too
                 slopes = [Slope.parse(tok) for tok in tokens]
-            elif seq in ("fibonacci", "odd-denominators"):
+            elif seq in _SEQUENCES:
                 start = int(kv.get("range_start", "1"))
                 if start < 1:
                     raise ConfigError(f"range_start must be at least 1, got {start}")
-                sequence = fibonacci_slopes if seq == "fibonacci" else odd_denominator_slopes
-                count = len(_window(1, int(kv["range_end"]) + 1))  # built from term 1
-                slopes = sequence(count)[start - 1 :]
+                terms = len(_window(1, int(kv["range_end"]) + 1))  # built from term 1
+                window = islice(_SEQUENCES[seq](), start - 1, terms)
+                slopes = (Slope(p, q) for p, q in window)  # lazy: ``_capped`` may stop early
             else:
                 raise ConfigError(f"unknown slope_sequence {seq!r}")
             family = vary_slope_fixed_twists(slopes, int(kv["n1"]))
@@ -275,10 +307,6 @@ def load_family_config(text: str) -> CoilFamily:
         raise ConfigError(f"missing config key {e.args[0]!r}") from None
     except ValueError as e:
         raise ConfigError(f"bad config value: {e}") from None
-    if max(spec.crossing_count for spec in family.members) >= 10**MAX_DIGITS:
-        raise ConfigError(
-            f"a member's crossing count q(q-1)(|n1|+|n2|) has more than {MAX_DIGITS} digits"
-        )
     return family
 
 

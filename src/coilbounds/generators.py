@@ -365,9 +365,7 @@ def _finish_circles(b, prov):
     roles = prov["roles"] = {}
     for role, info in prov["circles"].items():
         info["passages"] = [(final[w], final[e]) for w, e in info["passages"]]
-        w = info["passages"][0][0] ^ 1
-        label = diagram.crossings[w >> 2][w & 3]
-        roles[role] = next(i for i, comp in enumerate(diagram.components) if label in comp)
+        roles[role] = diagram.component_of(info["passages"][0][0] ^ 1)
     return diagram
 
 
@@ -401,6 +399,9 @@ def fill_crossing_circle(d: PlanarDiagram, circle, n: int) -> PlanarDiagram:
     info = circles.pop(role)
     recs = info["passages"]
     q = len(recs)
+    check_crossing_count(
+        d.n_crossings - 2 * q + q * (q - 1) * abs(n), f"{role} filled with {n} full twists"
+    )
     mate = d.mate
     deleted = {x >> 2 for rec in recs for x in rec}
     kept = [c for c in range(d.n_crossings) if c not in deleted]

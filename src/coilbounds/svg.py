@@ -61,31 +61,25 @@ def render_svg(d: PlanarDiagram, seed_layout: int = 0, size: int = 480) -> str:
     pos = _normalize(_layout(d), seed_layout, size)
     v = d.n_crossings
 
-    comp_of = {}
-    for i, comp in enumerate(d.components):
-        for label in comp:
-            comp_of[label] = i
-
+    mate = d.mate
     parts = [_SVG_OPEN.format(w=size, h=size)]
-    glyphs = []
-    for i, comp in enumerate(d.components):
+    for i, strand in enumerate(d.strands):
         color = _PALETTE[i % len(_PALETTE)]
         parts.append(f'<g class="component" stroke="{color}">')
-        for label in comp:
-            (c1, s1), (c2, s2) = d.ends_of(label)
-            pts = [pos[c1], pos[v + 4 * c1 + s1], pos[v + 4 * c2 + s2], pos[c2]]
-            if s1 in (0, 2):
+        for e in strand:
+            e1, e2 = sorted((e ^ 2, mate[e ^ 2]))  # the edge leaving e, smaller dart first
+            pts = [pos[e1 >> 2], pos[v + e1], pos[v + e2], pos[e2 >> 2]]
+            if e1 & 1 == 0:  # under-strand slots 0 and 2 stop short of the crossing
                 pts[0] = _lerp(pts[0], pts[1], 0.45)
-            if s2 in (0, 2):
+            if e2 & 1 == 0:
                 pts[3] = _lerp(pts[3], pts[2], 0.45)
             parts.append(_polyline(pts, "inherit", 2.4))
         parts.append("</g>")
-    for c, x in enumerate(d.crossings):
+    for c in range(v):
         a = _lerp(pos[c], pos[v + 4 * c + 1], 0.6)
         bb = _lerp(pos[c], pos[v + 4 * c + 3], 0.6)
-        color = _PALETTE[comp_of[x[1]] % len(_PALETTE)]
-        glyphs.append(_polyline([a, pos[c], bb], color, 2.4, cls="xing"))
-    parts.extend(glyphs)
+        color = _PALETTE[d.component_of(4 * c + 1) % len(_PALETTE)]
+        parts.append(_polyline([a, pos[c], bb], color, 2.4, cls="xing"))
     parts.append("</svg>")
     return "".join(parts)
 

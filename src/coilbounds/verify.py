@@ -131,10 +131,7 @@ def check_03adj_two_bridge_true_law():
 
 def check_04_oracle_equivalence(cap=12):
     slopes = [Slope(1, 0), Slope(0, 1), Slope(1, 1)]
-    for q in range(2, cap + 1):
-        for p in range(1, q):
-            if gcd(p, q) == 1:
-                slopes.append(Slope(p, q))
+    slopes += [Slope(p, q) for p, q in _coprime_pairs(cap)]
     pairs = 0
     for a in slopes:
         for b in slopes:
@@ -206,27 +203,24 @@ def check_08_threshold_sharpness():
 def check_09_generator_consistency():
     twists = [-4, -3, -2, -1, 1, 2, 3, 4]
     checked = 0
-    for q in range(2, 9):
-        for p in range(1, q):
-            if gcd(p, q) != 1:
-                continue
-            aug = generators.gen_augmented(Slope(p, q))
-            for n1 in twists:
-                once = generators.fill_crossing_circle(aug, "C1", n1)
-                for n2 in twists:
-                    filled = generators.fill_crossing_circle(once, "C2", n2)
-                    spec = CoilSpec(p, q, n1, n2)
-                    direct = generators.gen_double_coil(spec)
-                    want = q * (q - 1) * (abs(n1) + abs(n2))
-                    if not (
-                        filled.n_crossings == direct.n_crossings == want
-                        and filled.n_components == direct.n_components == 1
-                        and filled.twist_regions().count
-                        == direct.twist_regions().count
-                        == spec.twist_region_count
-                    ):
-                        return False, f"mismatch at ({p},{q},{n1},{n2})"
-                    checked += 1
+    for p, q in _coprime_pairs(8):
+        aug = generators.gen_augmented(Slope(p, q))
+        for n1 in twists:
+            once = generators.fill_crossing_circle(aug, "C1", n1)
+            for n2 in twists:
+                filled = generators.fill_crossing_circle(once, "C2", n2)
+                spec = CoilSpec(p, q, n1, n2)
+                direct = generators.gen_double_coil(spec)
+                want = q * (q - 1) * (abs(n1) + abs(n2))
+                if not (
+                    filled.n_crossings == direct.n_crossings == want
+                    and filled.n_components == direct.n_components == 1
+                    and filled.twist_regions().count
+                    == direct.twist_regions().count
+                    == spec.twist_region_count
+                ):
+                    return False, f"mismatch at ({p},{q},{n1},{n2})"
+                checked += 1
     return True, f"{checked} fill-vs-direct triples agree"
 
 

@@ -170,6 +170,30 @@ def test_family_window_capped_before_building(name):
     assert time.perf_counter() - start < 3
 
 
+# a fibonacci window inside the member cap whose later terms are all past the
+# 2000-digit crossing cap
+FIBONACCI_10000 = "kind = vary-slope\nslope_sequence = fibonacci\nn1 = 4\nrange_end = 10000\n"
+
+
+@pytest.mark.parametrize("range_start", [1, 4000])
+def test_family_refused_at_first_over_cap_member(monkeypatch, range_start):
+    # term t is F(t)/F(t+1), starting 1/2; with n1 = n2 = 4 its crossing
+    # column is 8 q (q - 1)
+    a, b, term = 1, 2, 1
+    while 8 * b * (b - 1) < 10**2000:
+        a, b, term = b, a + b, term + 1
+    first = term - range_start  # its index in the window
+    built = []
+    real = coilbounds.family.CoilSpec
+    monkeypatch.setattr(
+        coilbounds.family, "CoilSpec", lambda *args: built.append(args) or real(*args)
+    )
+    config = FIBONACCI_10000 + f"range_start = {range_start}\n"
+    with pytest.raises(ConfigError, match=rf"^member {first}: .* 2000 digits$"):
+        load_family_config(config)
+    assert len(built) == first + 1  # no member past it was built
+
+
 # a float past its range is refused, never printed as Infinity
 FLOAT_OVERFLOW_ARGV = [
     ("bounds", "--p", "2", "--q", "5", "--n1", str(10**155), "--n2", str(10**155)),
@@ -182,6 +206,7 @@ FAMILY_FILES = {
     **HUGE_CONFIGS,
     **WIDE_CONFIGS,
     "overflow.cfg": f"kind = vary-slope\nslope_sequence = custom-list\nslopes = 2/5\nn1 = {10**155}\n",
+    "fibonacci-10000.cfg": FIBONACCI_10000,
 }
 
 
@@ -212,6 +237,7 @@ def test_float_overflow_refused(tmp_path, monkeypatch, capsys, argv):
         *(("family", "--config", name) for name in sorted(HUGE_CONFIGS)),
         *(("family", "--config", name) for name in sorted(WIDE_CONFIGS)),
         *FLOAT_OVERFLOW_ARGV,
+        ("family", "--config", "fibonacci-10000.cfg"),
     ],
 )
 def test_bad_coil_spec_is_named_or_usage_error(tmp_path, monkeypatch, capsys, argv):

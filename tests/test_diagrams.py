@@ -71,16 +71,17 @@ def test_label_pairing_errors():
         PlanarDiagram([(1, 2, 2, "1")])
 
 
-def test_mate_and_ends_of():
+def test_mate_pairs_edge_labels():
     d = parse_pd(FIGURE8)
     assert d.n_edges == 8
+    label = [x for cr in d.crossings for x in cr]  # label of each dart
+    ends = {}
     for e, f in enumerate(d.mate):
         assert f != e and d.mate[f] == e
-    for label in range(1, 9):
-        (c1, s1), (c2, s2) = d.ends_of(label)
-        assert (c1, s1) < (c2, s2)  # first appearance first
-        assert d.crossings[c1][s1] == d.crossings[c2][s2] == label
-        assert d.mate[4 * c1 + s1] == 4 * c2 + s2
+        assert label[e] == label[f]
+        ends.setdefault(label[e], set()).update((e, f))
+    assert sorted(ends) == list(range(1, 9))
+    assert all(len(darts) == 2 for darts in ends.values())
 
 
 def test_orientation_consistency_required():
@@ -186,12 +187,11 @@ def test_roundtrip_random_two_bridge(terms):
 
 def _assert_same_diagram(d, again):
     assert again.mate == d.mate
-    assert again.components == d.components
-    assert again._component_slots == d._component_slots
+    assert again.strands == d.strands
     assert again.faces() == d.faces()
     assert again.n_edges == d.n_edges
-    for label in range(1, d.n_edges + 1):
-        assert again.ends_of(label) == d.ends_of(label)
+    for dart in range(len(d.mate)):
+        assert again.component_of(dart) == d.component_of(dart)
 
 
 _PQ = st.integers(2, 7).flatmap(
@@ -221,6 +221,29 @@ def _built_diagram(draw):
 @given(_built_diagram())
 def test_builder_path_matches_parse_path(d):
     _assert_same_diagram(d, parse_pd(emit_pd(d)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_built_diagram())
+def test_components_are_dart_strands(d):
+    for dart in range(len(d.mate)):
+        k = d.component_of(dart)
+        assert k == d.component_of(dart ^ 2) == d.component_of(d.mate[dart])
+        assert d.crossings[dart >> 2][dart & 3] in d.components[k]
+    walked = sorted(y for strand in d.strands for x in strand for y in (x, x ^ 2))
+    assert walked == list(range(len(d.mate)))  # each dart on exactly one strand
+    assert d.is_alternating() == parse_pd(emit_pd(d)).is_alternating()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_built_diagram())
+def test_twist_regions_sorted_partition(d):
+    regions = d.twist_regions().regions
+    assert regions == tuple(sorted(regions))
+    assert sorted(c for r in regions for c in r) == list(range(d.n_crossings))
+    for face in d.faces():
+        if len(face) == 2:  # a bigon's two crossings share a region
+            assert any(face[0] >> 2 in r and face[1] >> 2 in r for r in regions)
 
 
 def _labelled(mate):

@@ -1,10 +1,12 @@
 import hashlib
+import time
 from math import gcd
 
 import pytest
 
+from coilbounds import curves
 from coilbounds.diagrams import emit_pd
-from coilbounds.errors import NotACrossingCircle, NotAKnot
+from coilbounds.errors import NotACrossingCircle, NotAKnot, TooManyCrossings
 from coilbounds.generators import (
     CoilSpec,
     fill_crossing_circle,
@@ -204,6 +206,22 @@ def test_fill_by_component_id():
     cid = d.provenance["roles"]["C2"]
     f = fill_crossing_circle(d, cid, 2)
     assert f.n_crossings == d.n_crossings - 2 * 3 + 2 * 3 * 2
+
+
+def test_fill_refuses_oversized_twists_up_front(monkeypatch):
+    d = gen_augmented(Slope(2, 5))
+    start = time.perf_counter()
+    with pytest.raises(TooManyCrossings, match="C1 filled with 1000000 full twists"):
+        fill_crossing_circle(d, "C1", 10**6)  # would be 2*10^7 crossings
+    assert time.perf_counter() - start < 1
+    # the guard counts exactly the crossings the fill builds
+    built = fill_crossing_circle(d, "C2", -3).n_crossings
+    assert built == d.n_crossings - 2 * 5 + 5 * 4 * 3
+    monkeypatch.setattr(curves, "MAX_CROSSINGS", built)
+    fill_crossing_circle(d, "C2", -3)
+    monkeypatch.setattr(curves, "MAX_CROSSINGS", built - 1)
+    with pytest.raises(TooManyCrossings):
+        fill_crossing_circle(d, "C2", -3)
 
 
 def test_circle_passages_are_dart_pairs():
