@@ -62,7 +62,6 @@ from .bounds import (
     CONSTANTS,
     Constants,
     VolumeInterval,
-    SpectralInterval,
     HyperbolicityCertificate,
     Condition,
     parent_volume_interval,

@@ -44,7 +44,6 @@ __all__ = [
     "Constants",
     "CONSTANTS",
     "VolumeInterval",
-    "SpectralInterval",
     "Condition",
     "HyperbolicityCertificate",
     "parent_volume_interval",
@@ -103,17 +102,6 @@ class VolumeInterval:
 
     def intersects(self, other: "VolumeInterval") -> bool:
         return max(self.lower, other.lower) <= min(self.upper, other.upper)
-
-
-@dataclass(frozen=True)
-class SpectralInterval:
-    lower: float
-    upper: float
-    methods: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not (0.0 < self.lower <= self.upper):
-            raise ValueError(f"bad spectral interval [{self.lower}, {self.upper}]")
 
 
 class Condition(enum.Enum):
@@ -259,23 +247,6 @@ def lambda_upper(g: int, vol: float) -> float:
     return 32.0 * math.pi * gm1 / vol + 640.0 * math.pi**2 * gm1 * gm1 / (vol * vol)
 
 
-def _lambda_interval(vol: VolumeInterval) -> SpectralInterval:
-    """The lambda_1 sandwich A1/vol^2 <= lambda_1 <= A2/vol over a certified
-    volume interval: the lower end is taken at the volume upper bound and
-    vice versa, both sound because both functions decrease in vol."""
-    return SpectralInterval(
-        lower=lambda_lower(vol.upper),
-        upper=CONSTANTS.lambda_ceiling_coefficient / vol.lower,
-        methods=vol.methods
-        + (
-            "heegaard-genus<=3",
-            "A1=pi^2/2^50",
-            "A2=12650",
-            "volume-endpoint-substitution",
-        ),
-    )
-
-
 def disk_obstruction_check(n2: int) -> bool:
     """True when 1/n2 filling forces slope length above 12, defeating the
     punctured-disk case: sqrt(1/4 + 4*n2^2) > 12, i.e. |n2| >= 6.
@@ -309,7 +280,13 @@ def bound_report(spec: CoilSpec) -> dict:
         methods=parent.methods
         + (f"dehn-filling-decay(ell={ell:.6g})", f"certificate:{cert.condition.value}"),
     )
-    lam = _lambda_interval(vol)
+    # The lambda_1 sandwich A1/vol^2 <= lambda_1 <= A2/vol over the volume
+    # interval: the lower end is taken at the volume upper bound and vice
+    # versa, both sound because both functions decrease in vol.
+    lam_lower = lambda_lower(vol.upper)
+    lam_upper = CONSTANTS.lambda_ceiling_coefficient / vol.lower
+    if not 0.0 < lam_lower <= lam_upper:
+        raise ValueError(f"bad spectral interval [{lam_lower}, {lam_upper}]")
     return {
         "spec": {"p": spec.p, "q": spec.q, "n1": spec.n1, "n2": spec.n2},
         "k": k,
@@ -323,6 +300,12 @@ def bound_report(spec: CoilSpec) -> dict:
             "upper": vol.upper,
             "strictUpper": vol.strict_upper,
         },
-        "lambda": {"lower": lam.lower, "upper": lam.upper},
-        "methods": list(lam.methods),
+        "lambda": {"lower": lam_lower, "upper": lam_upper},
+        "methods": [
+            *vol.methods,
+            "heegaard-genus<=3",
+            "A1=pi^2/2^50",
+            "A2=12650",
+            "volume-endpoint-substitution",
+        ],
     }

@@ -206,12 +206,12 @@ def _cmd_family(args):
 def _cmd_verify(args):
     if args.pd is not None:
         if args.jobs is not None or args.timings:
-            raise _UsageError("--jobs and --timings run the suite; verify --pd reads neither")
+            raise _UsageError("--jobs and --timings belong to the suite; verify --pd reads neither")
         with open(args.pd) as fh:
             print(verify_mod.verify_pd_text(fh.read()))
         return 0
     failed = 0
-    for result in verify_mod.run_checks(jobs=args.jobs or 1):
+    for result in verify_mod.run_checks():
         print(result.line)
         if args.timings:
             over = "  OVER BUDGET" if result.elapsed > result.limit else ""
@@ -246,6 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def out(p):
         p.add_argument("--out", metavar="PATH", help="write output to a file")
+
+    def jobs(p):
+        # default None, so that ``verify --pd`` can refuse an explicit --jobs
+        p.add_argument("--jobs", type=_positive_int,
+                       help="accepted and validated; the command runs in one process")
 
     def spec_flags(p):
         p.add_argument("--p", type=int)
@@ -290,15 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="analyze a family from a config file")
     p.add_argument("--config", required=True, metavar="PATH")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="accepted and validated; family runs in one process")
+    jobs(p)
     precision(p)
     out(p)
     p.set_defaults(fn=_cmd_family)
 
     p = sub.add_parser("verify", help="run the acceptance/oracle suite")
     p.add_argument("--pd", metavar="PATH", help="validate a PD-code file instead")
-    p.add_argument("--jobs", type=_positive_int)
+    jobs(p)
     p.add_argument("--timings", action="store_true",
                    help="print each check's elapsed time against its budget to stderr")
     p.set_defaults(fn=_cmd_verify)

@@ -26,12 +26,14 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
+from .curves import check_crossing_count
 from .errors import (
     EdgePairingError,
     NonPlanarRotation,
     NonQuadrivalent,
     PDSyntaxError,
 )
+from .slopes import MAX_DIGITS
 
 __all__ = [
     "PlanarDiagram",
@@ -246,13 +248,22 @@ def _pair_labels(crossings):
 # PD-code text
 # ---------------------------------------------------------------------------
 
-_TERM = re.compile(r"X\((\d+),(\d+),(\d+),(\d+)\)\Z")
+# a label of up to MAX_DIGITS digits, like the CLI's slope integers
+_LABEL = rf"(\d{{1,{MAX_DIGITS}}})"
+_TERM = re.compile(rf"X\({_LABEL},{_LABEL},{_LABEL},{_LABEL}\)\Z")
 
 
-def parse_pd(text: str, provenance=None) -> PlanarDiagram:
-    """Parse whitespace-separated ``X(a,b,c,d)`` terms into a diagram."""
+def parse_pd(text: str) -> PlanarDiagram:
+    """Parse whitespace-separated ``X(a,b,c,d)`` terms into a diagram.
+
+    A text of more than ``curves.MAX_CROSSINGS`` terms is refused before any
+    term is read, and a label of more than ``MAX_DIGITS`` digits is a
+    ``PDSyntaxError``.
+    """
+    tokens = text.split()
+    check_crossing_count(len(tokens), "PD code")
     crossings = []
-    for token in text.split():
+    for token in tokens:
         m = _TERM.match(token)
         if not m:
             raise PDSyntaxError(f"bad PD term {token!r}")
@@ -260,7 +271,7 @@ def parse_pd(text: str, provenance=None) -> PlanarDiagram:
         if any(label < 1 for label in labels):
             raise PDSyntaxError(f"edge labels must be positive in {token!r}")
         crossings.append(labels)
-    return PlanarDiagram(crossings, provenance)
+    return PlanarDiagram(crossings)
 
 
 def emit_pd(d: PlanarDiagram) -> str:

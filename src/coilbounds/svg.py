@@ -34,6 +34,8 @@ _PALETTE = (
     "#a0355c",
 )
 
+_DIAGRAM_SIZE = 480  # width and height of a diagram drawing, in pixels
+
 _SVG_OPEN = (
     '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
     'viewBox="0 0 {w} {h}" width="{w}" height="{h}">'
@@ -53,16 +55,16 @@ def _polyline(points, stroke, width, cls=None) -> str:
     )
 
 
-def render_svg(d: PlanarDiagram, seed_layout: int = 0, size: int = 480) -> str:
+def render_svg(d: PlanarDiagram, seed_layout: int = 0) -> str:
     """Deterministic planar drawing of a diagram; strand breaks show depth."""
     if d.n_crossings == 0:
-        return _SVG_OPEN.format(w=size, h=size) + "</svg>"
+        return _SVG_OPEN.format(w=_DIAGRAM_SIZE, h=_DIAGRAM_SIZE) + "</svg>"
 
-    pos = _normalize(_layout(d), seed_layout, size)
+    pos = _normalize(_layout(d), seed_layout)
     v = d.n_crossings
 
     mate = d.mate
-    parts = [_SVG_OPEN.format(w=size, h=size)]
+    parts = [_SVG_OPEN.format(w=_DIAGRAM_SIZE, h=_DIAGRAM_SIZE)]
     for i, strand in enumerate(d.strands):
         color = _PALETTE[i % len(_PALETTE)]
         parts.append(f'<g class="component" stroke="{color}">')
@@ -120,7 +122,7 @@ def _layout(d: PlanarDiagram):
     return nx.combinatorial_embedding_to_pos(emb)
 
 
-def _normalize(pos, seed_layout, size):
+def _normalize(pos, seed_layout):
     angle = (seed_layout % 360) * math.pi / 180.0
     ca, sa = math.cos(angle), math.sin(angle)
     rotated = {
@@ -129,8 +131,8 @@ def _normalize(pos, seed_layout, size):
     xs = [p[0] for p in rotated.values()]
     ys = [p[1] for p in rotated.values()]
     span = max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
-    margin = 0.06 * size
-    scale = (size - 2 * margin) / span
+    margin = 0.06 * _DIAGRAM_SIZE
+    scale = (_DIAGRAM_SIZE - 2 * margin) / span
     return {
         k: (margin + (x - min(xs)) * scale, margin + (y - min(ys)) * scale)
         for k, (x, y) in rotated.items()

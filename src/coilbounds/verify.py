@@ -18,15 +18,13 @@ law, verified separately, is  t(D) = k - 1 if a1 = 1 else k.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from math import gcd
 
 from . import bounds, curves, family, generators
-from .diagrams import parse_pd, emit_pd
+from .diagrams import parse_pd
 from .errors import (
-    CoilboundsError,
     NoHyperbolicityCertificate,
     NonHyperbolicSlope,
     SlopeTooShort,
@@ -303,38 +301,25 @@ def _run_one(entry) -> CheckResult:
     return CheckResult(name, ok, time.perf_counter() - start, limit, detail)
 
 
-def run_checks(jobs: int = 1) -> list[CheckResult]:
-    """Run every acceptance check; results come back in declaration order
-    regardless of the worker count."""
+def run_checks() -> list[CheckResult]:
+    """Run every acceptance check in this process, in declaration order."""
     global _shared
     _shared = {}
     try:
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            # more workers than checks or cores only costs process start-ups
-            workers = min(jobs, len(ACCEPTANCE_CHECKS), os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(_run_one, ACCEPTANCE_CHECKS))
         return [_run_one(entry) for entry in ACCEPTANCE_CHECKS]
     finally:
         _shared = None
 
 
 def verify_pd_text(text: str) -> str:
-    """Validate a PD code: parse (Euler count included) and emit/parse round trip.
+    """Validate a PD code and describe it in one line.
 
-    The report is built first and the diagram dropped before the re-parse,
-    so only one diagram is held at a time.
+    Parsing is the whole check: label pairing, strand orientation, faces,
+    the Euler count and connectivity (see ``parse_pd``).
     """
     d = parse_pd(text)
-    report = (
+    return (
         f"ok: {d.n_crossings} crossings, {d.n_edges} edges, {len(d.faces())} faces, "
         f"{d.n_components} components, {d.twist_regions().count} twist regions, "
         f"alternating={d.is_alternating()}"
     )
-    text_out = emit_pd(d)
-    del d
-    if emit_pd(parse_pd(text_out)) != text_out:
-        raise CoilboundsError("emit/parse round trip is not stable")
-    return report

@@ -287,6 +287,15 @@ def test_undecodable_file_is_named(tmp_path, capsys, cmd):
     assert code == 1 and out == "" and err.startswith("UnicodeDecodeError: ")
 
 
+@pytest.mark.parametrize("cmd", [("verify", "--pd"), ("render",)])
+def test_huge_pd_label_is_named(tmp_path, capsys, cmd):
+    pd_file = tmp_path / "huge.pd"
+    ones = "1" * 5000  # past int()'s 4300-digit limit
+    pd_file.write_text(f"X({ones},2,2,{ones})\n")
+    code, out, err = run(capsys, *cmd, str(pd_file))
+    assert code == 1 and out == "" and err.startswith("PDSyntaxError: bad PD term")
+
+
 def _slow_check():
     time.sleep(0.02)
     return True, "slept"
@@ -311,6 +320,44 @@ def test_verify_timings_keep_stdout(monkeypatch, capsys):
     assert not any("OVER BUDGET" in line for line in lines[:-1])
 
 
+_CHECK_PIDS = []
+
+
+def _pid_check():
+    _CHECK_PIDS.append(os.getpid())
+    return True, "ran"
+
+
+def test_verify_jobs_runs_checks_in_calling_process(monkeypatch, capsys):
+    from coilbounds import verify
+
+    planted = tuple((f"criterion-9{i} planted pid check", _pid_check, 1.0) for i in range(3))
+    monkeypatch.setattr(verify, "ACCEPTANCE_CHECKS", planted)
+    _CHECK_PIDS.clear()
+    code, plain, _ = run(capsys, "verify")
+    code_j, jobs, _ = run(capsys, "verify", "--jobs", "2")
+    assert code == code_j == 0 and jobs == plain
+    assert plain.splitlines() == [f"PASS {name}: ran" for name, _, _ in planted]
+    assert _CHECK_PIDS == [os.getpid()] * 6
+
+
+def test_verify_pd_parses_once(tmp_path, monkeypatch, capsys):
+    from coilbounds import verify
+
+    texts = []
+
+    def counted(text):
+        texts.append(text)
+        return parse_pd(text)
+
+    monkeypatch.setattr(verify, "parse_pd", counted)
+    pd_file = tmp_path / "trefoil.pd"
+    pd_file.write_text("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)\n")
+    code, out, err = run(capsys, "verify", "--pd", str(pd_file))
+    assert code == 0 and err == "" and out.startswith("ok: 3 crossings, 6 edges, 5 faces")
+    assert texts == [pd_file.read_text()]
+
+
 def test_verify_pd_non_planar(tmp_path, capsys):
     pd_file = tmp_path / "split.pd"
     pd_file.write_text("X(1,1,2,2) X(3,3,4,4)\n")
@@ -330,7 +377,7 @@ def test_verify_pd_non_planar(tmp_path, capsys):
         ("family", "--config", "fam.cfg", "--jobs", "-1"),
         ("family", "--config", "fam.cfg", "--jobs", "0"),
         ("verify", "--jobs", "0"),
-        # --pd validates one file; the worker pool and the timings belong to the suite
+        # --pd validates one file; --jobs and --timings belong to the suite
         ("verify", "--pd", "x.pd", "--jobs", "1"),
         ("verify", "--pd", "x.pd", "--timings"),
     ],
@@ -575,7 +622,7 @@ _CFRAC = st.one_of(
     st.text(max_size=6),
 )
 _OUT = st.sampled_from(["out.txt", "out.svg", ".", "missing/out.txt"])
-_PD_IN = st.sampled_from(["good.pd", "fam.cfg", "missing.pd", "."])
+_PD_IN = st.sampled_from(["good.pd", "huge-label.pd", "fam.cfg", "missing.pd", "."])
 _CONFIG = st.sampled_from(
     ["fam.cfg", "vary.cfg", "bad.cfg", "good.pd", "missing.cfg", ".", *sorted(FAMILY_FILES)]
 )
@@ -627,6 +674,8 @@ def _argv(draw):
 def fuzz_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     (d / "good.pd").write_text("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)\n")  # trefoil
+    ones = "1" * 5000  # past int()'s 4300-digit limit
+    (d / "huge-label.pd").write_text(f"X({ones},2,2,{ones})\n")
     (d / "fam.cfg").write_text(
         "kind = fixed-slope\np = 2\nq = 5\nn2 = 6\nrange_start = 4\nrange_end = 6\n"
     )

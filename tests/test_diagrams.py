@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from coilbounds import curves
 from coilbounds.diagrams import (
     DiagramBuilder,
     PlanarDiagram,
@@ -15,6 +16,7 @@ from coilbounds.errors import (
     NonPlanarRotation,
     NonQuadrivalent,
     PDSyntaxError,
+    TooManyCrossings,
 )
 from coilbounds.generators import (
     CoilSpec,
@@ -60,6 +62,25 @@ def test_parse_errors():
         parse_pd("X(1,2,2,1) X(3,4,4,3)")
     with pytest.raises(NonQuadrivalent):
         PlanarDiagram([(1, 2, 3)])
+    # labels are held to 2000 digits, well inside int()'s 4300-digit limit
+    label = "1" * 2000
+    assert parse_pd(f"X({label},2,2,{label})").crossings[0][0] == int(label)
+    with pytest.raises(PDSyntaxError):
+        parse_pd(f"X({label}1,2,2,{label}1)")
+
+
+def test_parse_refuses_too_many_terms_up_front(monkeypatch):
+    count = parse_pd(FIGURE8).n_crossings
+    monkeypatch.setattr(curves, "MAX_CROSSINGS", count)
+    assert emit_pd(parse_pd(FIGURE8)) == FIGURE8
+    with pytest.raises(PDSyntaxError):
+        parse_pd("X(1) " * count)
+    # one term over the cap is refused before any term is read
+    monkeypatch.setattr(curves, "MAX_CROSSINGS", count - 1)
+    with pytest.raises(TooManyCrossings):
+        parse_pd(FIGURE8)
+    with pytest.raises(TooManyCrossings):
+        parse_pd("X(1) " * count)
 
 
 def test_label_pairing_errors():
