@@ -248,8 +248,9 @@ def _pair_labels(crossings):
 # PD-code text
 # ---------------------------------------------------------------------------
 
-# a label of up to MAX_DIGITS digits, like the CLI's slope integers
-_LABEL = rf"(\d{{1,{MAX_DIGITS}}})"
+# a label of up to MAX_DIGITS ASCII digits, like the CLI's slope integers
+_LABEL = rf"([0-9]{{1,{MAX_DIGITS}}})"
+_QUOTED_TERM = 40  # characters of a bad term that an error message quotes
 _TERM = re.compile(rf"X\({_LABEL},{_LABEL},{_LABEL},{_LABEL}\)\Z")
 
 
@@ -257,8 +258,8 @@ def parse_pd(text: str) -> PlanarDiagram:
     """Parse whitespace-separated ``X(a,b,c,d)`` terms into a diagram.
 
     A text of more than ``curves.MAX_CROSSINGS`` terms is refused before any
-    term is read, and a label of more than ``MAX_DIGITS`` digits is a
-    ``PDSyntaxError``.
+    term is read.  A label is 1 to ``MAX_DIGITS`` ASCII digits; anything
+    else is a ``PDSyntaxError``, which quotes the start of the bad term.
     """
     tokens = text.split()
     check_crossing_count(len(tokens), "PD code")
@@ -266,12 +267,19 @@ def parse_pd(text: str) -> PlanarDiagram:
     for token in tokens:
         m = _TERM.match(token)
         if not m:
-            raise PDSyntaxError(f"bad PD term {token!r}")
+            raise PDSyntaxError(f"bad PD term {_quote(token)}")
         labels = tuple(int(g) for g in m.groups())
         if any(label < 1 for label in labels):
-            raise PDSyntaxError(f"edge labels must be positive in {token!r}")
+            raise PDSyntaxError(f"edge labels must be positive in {_quote(token)}")
         crossings.append(labels)
     return PlanarDiagram(crossings)
+
+
+def _quote(token: str) -> str:
+    """repr of a PD term, cut to its first _QUOTED_TERM characters."""
+    if len(token) > _QUOTED_TERM:
+        return repr(token[:_QUOTED_TERM]) + "..."
+    return repr(token)
 
 
 def emit_pd(d: PlanarDiagram) -> str:

@@ -3,9 +3,11 @@ framed sphere.
 
 Diagram drawing never uses generator geometry: the crossing tuples alone
 fix a combinatorial sphere embedding, each edge is subdivided twice, and
-networkx's planar straight-line drawing lays the subdivision out honoring
-that embedding.  Under-strands are drawn with a gap at each crossing and
-the over-strand is re-stroked on top (one ``xing`` glyph per crossing).
+Chrobak and Payne's straight-line grid drawing lays the subdivision out
+honoring that embedding (``_planar``, ported from networkx's
+``combinatorial_embedding_to_pos``).  Under-strands are drawn with a gap
+at each crossing and the over-strand is re-stroked on top (one ``xing``
+glyph per crossing).
 
 Curves are drawn in the annulus picture of the projection sphere: the
 fundamental strip wraps into an annulus, the folded bottom and top edges
@@ -95,12 +97,15 @@ def _layout(d: PlanarDiagram):
 
     Crossing c is node c, and the subdivision node next to dart e is node
     V + e, so the edge with darts e < mate[e] becomes the path
-    c(e), V + e, V + mate[e], c(mate[e]).  Integer nodes keep networkx's
-    set iteration, and with it the drawing, independent of the hash seed.
-    networkx is imported here, not at module level, so that only commands
-    that draw a diagram pay for loading it.
+    c(e), V + e, V + mate[e], c(mate[e]).  The positions come from
+    Chrobak and Payne's grid drawing, in ``_planar``, a port of networkx's
+    ``combinatorial_embedding_to_pos`` that gives the same positions.
+    Its sets hold integer nodes, so their iteration order, and with it the
+    drawing, does not depend on the hash seed.  ``_planar`` is imported
+    here, not at module level, so that only commands that draw a diagram
+    load it.
     """
-    import networkx as nx
+    from . import _planar
 
     v = d.n_crossings
     neighbors = {c: [v + 4 * c + s for s in range(4)] for c in range(v)}
@@ -109,17 +114,14 @@ def _layout(d: PlanarDiagram):
             neighbors[v + e] = [e // 4, v + f]
             neighbors[v + f] = [v + e, f // 4]
 
-    emb = nx.PlanarEmbedding()
+    succ = {}
     for node, nbrs in neighbors.items():
         prev = None
         for w in nbrs:
-            if prev is None:
-                emb.add_half_edge(node, w)
-            else:
-                emb.add_half_edge(node, w, ccw=prev)
+            _planar.add_half_edge(succ, node, w, ccw=prev)
             prev = w
-    emb.check_structure()
-    return nx.combinatorial_embedding_to_pos(emb)
+    _planar.check_structure(succ)
+    return _planar.combinatorial_embedding_to_pos(succ)
 
 
 def _normalize(pos, seed_layout):
@@ -130,11 +132,12 @@ def _normalize(pos, seed_layout):
     }
     xs = [p[0] for p in rotated.values()]
     ys = [p[1] for p in rotated.values()]
-    span = max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
+    x0, y0 = min(xs), min(ys)
+    span = max(max(xs) - x0, max(ys) - y0) or 1.0
     margin = 0.06 * _DIAGRAM_SIZE
     scale = (_DIAGRAM_SIZE - 2 * margin) / span
     return {
-        k: (margin + (x - min(xs)) * scale, margin + (y - min(ys)) * scale)
+        k: (margin + (x - x0) * scale, margin + (y - y0) * scale)
         for k, (x, y) in rotated.items()
     }
 

@@ -210,12 +210,12 @@ def check_09_generator_consistency():
                 spec = CoilSpec(p, q, n1, n2)
                 direct = generators.gen_double_coil(spec)
                 want = q * (q - 1) * (abs(n1) + abs(n2))
+                # the same diagram crossing for crossing, and the right one
                 if not (
-                    filled.n_crossings == direct.n_crossings == want
-                    and filled.n_components == direct.n_components == 1
-                    and filled.twist_regions().count
-                    == direct.twist_regions().count
-                    == spec.twist_region_count
+                    filled.mate == direct.mate
+                    and direct.n_crossings == want
+                    and direct.n_components == 1
+                    and direct.twist_regions().count == spec.twist_region_count
                 ):
                     return False, f"mismatch at ({p},{q},{n1},{n2})"
                 checked += 1

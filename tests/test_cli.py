@@ -296,6 +296,22 @@ def test_huge_pd_label_is_named(tmp_path, capsys, cmd):
     assert code == 1 and out == "" and err.startswith("PDSyntaxError: bad PD term")
 
 
+BAD_PD_TERMS = {
+    "non-ascii-digits.pd": "X(\u0661,\u0662,\u0662,\u0661)",  # Arabic-Indic digits
+    "long-bad-term.pd": f"X({'1' * 1999},2,{'1' * 1999})",  # three labels
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PD_TERMS))
+@pytest.mark.parametrize("cmd", [("verify", "--pd"), ("render",)])
+def test_bad_pd_term_is_named_briefly(tmp_path, capsys, cmd, name):
+    pd_file = tmp_path / name
+    pd_file.write_text(BAD_PD_TERMS[name] + "\n", encoding="utf-8")
+    code, out, err = run(capsys, *cmd, str(pd_file))
+    assert code == 1 and out == "" and err.startswith("PDSyntaxError: bad PD term")
+    assert len(err.encode()) < 200  # the message quotes only the start of the term
+
+
 def _slow_check():
     time.sleep(0.02)
     return True, "slept"
@@ -549,12 +565,12 @@ def test_version(capsys):
     assert exc.value.code == 0
 
 
-# Only drawing a diagram needs networkx; every other command starts without it.
+# No command loads networkx; only drawing a diagram loads the layout module.
 IMPORT_CONTRACT = """
 import sys
 from coilbounds.cli import main
 
-tmp = sys.argv[1]
+tmp, draw = sys.argv[1], sys.argv[2]
 pd, cfg = tmp + "/coil.pd", tmp + "/fam.cfg"
 with open(cfg, "w") as fh:
     fh.write("kind = fixed-slope\\np = 2\\nq = 5\\nn2 = 6\\nrange_start = 4\\nrange_end = 6\\n")
@@ -567,21 +583,27 @@ for argv in (
     ["family", "--config", cfg],
 ):
     assert main(argv) == 0, argv
-    assert "networkx" not in sys.modules, argv
-assert main(["gen", "coil", "--p", "2", "--q", "5", "--n1", "1", "--n2", "1",
-             "--out", pd, "--svg", tmp + "/coil.svg"]) == 0
-assert "networkx" in sys.modules
+    assert "coilbounds._planar" not in sys.modules, argv
+drawing = {
+    "gen": ["gen", "coil", "--p", "2", "--q", "5", "--n1", "1", "--n2", "1",
+            "--out", pd, "--svg", tmp + "/coil.svg"],
+    "render": ["render", pd, "--svg", tmp + "/render.svg"],
+}[draw]
+assert main(drawing) == 0, drawing
+assert "coilbounds._planar" in sys.modules, drawing
+assert "networkx" not in sys.modules
 """
 
 
-def test_only_drawing_imports_networkx(tmp_path):
+def test_no_command_imports_networkx(tmp_path):
     src = str(Path(coilbounds.__file__).parents[1])
-    r = subprocess.run(
-        [sys.executable, "-c", IMPORT_CONTRACT, str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True,
-    )
-    assert r.returncode == 0, r.stderr
+    for draw in ("gen", "render"):  # a fresh interpreter for each drawing command
+        r = subprocess.run(
+            [sys.executable, "-c", IMPORT_CONTRACT, str(tmp_path), draw],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True,
+        )
+        assert r.returncode == 0, (draw, r.stderr)
 
 
 @pytest.mark.parametrize(
@@ -622,7 +644,9 @@ _CFRAC = st.one_of(
     st.text(max_size=6),
 )
 _OUT = st.sampled_from(["out.txt", "out.svg", ".", "missing/out.txt"])
-_PD_IN = st.sampled_from(["good.pd", "huge-label.pd", "fam.cfg", "missing.pd", "."])
+_PD_IN = st.sampled_from(
+    ["good.pd", "huge-label.pd", *sorted(BAD_PD_TERMS), "fam.cfg", "missing.pd", "."]
+)
 _CONFIG = st.sampled_from(
     ["fam.cfg", "vary.cfg", "bad.cfg", "good.pd", "missing.cfg", ".", *sorted(FAMILY_FILES)]
 )
@@ -647,6 +671,15 @@ _COMMANDS = {
     "render": ([_PD_IN], {"--svg": _OUT, "--seed-layout": _INT_TEXT}),
 }
 _ALL_FLAGS = sorted({flag for _, flags in _COMMANDS.values() for flag in flags})
+
+
+def _pd_input(argv):
+    """The PD file a verify or render argv reads: argparse keeps the last --pd."""
+    if argv[0] == "render":
+        return argv[1]
+    if argv[0] == "verify":
+        return [b for a, b in zip(argv, argv[1:]) if a == "--pd"][-1]
+    return None
 
 
 @st.composite
@@ -676,6 +709,8 @@ def fuzz_dir(tmp_path_factory):
     (d / "good.pd").write_text("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)\n")  # trefoil
     ones = "1" * 5000  # past int()'s 4300-digit limit
     (d / "huge-label.pd").write_text(f"X({ones},2,2,{ones})\n")
+    for name, text in BAD_PD_TERMS.items():
+        (d / name).write_text(text + "\n", encoding="utf-8")
     (d / "fam.cfg").write_text(
         "kind = fixed-slope\np = 2\nq = 5\nn2 = 6\nrange_start = 4\nrange_end = 6\n"
     )
@@ -692,6 +727,8 @@ def fuzz_dir(tmp_path_factory):
 @example(argv=["bounds", "--p", "2", "--q", "5", "--n1", str(10**155), "--n2", str(10**155)])
 @example(argv=["family", "--config", "overflow.cfg", "--format", "json"])
 @example(argv=["family", "--config", "overflow.cfg"])
+@example(argv=["verify", "--pd", "non-ascii-digits.pd"])
+@example(argv=["render", "non-ascii-digits.pd"])
 def test_cli_fuzz_exits_cleanly(fuzz_dir, argv):
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
@@ -706,6 +743,8 @@ def test_cli_fuzz_exits_cleanly(fuzz_dir, argv):
         os.chdir(cwd)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    if code != 2 and _pd_input(argv) in BAD_PD_TERMS:
+        assert code == 1 and err.getvalue().startswith("PDSyntaxError: "), (argv, err.getvalue())
     # a printed report holds no Infinity or NaN
     text = out.getvalue()
     if code == 0 and text.startswith("{"):

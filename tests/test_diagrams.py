@@ -67,6 +67,10 @@ def test_parse_errors():
     assert parse_pd(f"X({label},2,2,{label})").crossings[0][0] == int(label)
     with pytest.raises(PDSyntaxError):
         parse_pd(f"X({label}1,2,2,{label}1)")
+    # labels are ASCII digits: int() would read these as 1, 2, 2, 1
+    for digits in ("\u0661\u0662\u0662\u0661", "\uff11\uff12\uff12\uff11"):
+        with pytest.raises(PDSyntaxError):
+            parse_pd("X({},{},{},{})".format(*digits))
 
 
 def test_parse_refuses_too_many_terms_up_front(monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -7,9 +8,18 @@ from pathlib import Path
 import pytest
 
 import coilbounds
+from coilbounds import _planar, svg
 from coilbounds.diagrams import parse_pd
-from coilbounds.generators import CoilSpec, gen_augmented, gen_double_coil, gen_two_bridge
-from coilbounds.slopes import ContinuedFraction, Slope
+from coilbounds.errors import NonPlanarRotation
+from coilbounds.generators import (
+    CoilSpec,
+    fill_crossing_circle,
+    gen_augmented,
+    gen_clasped_two_bridge,
+    gen_double_coil,
+    gen_two_bridge,
+)
+from coilbounds.slopes import ContinuedFraction, Slope, cfrac_expand
 from coilbounds.svg import curve_svg, render_svg
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
@@ -78,8 +88,9 @@ def test_curve_svg_golden(slope, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# The layout comes from networkx's planar straight-line drawing; this digest
-# was taken with networkx 3.6.
+# The layout is Chrobak and Payne's grid drawing as networkx 3.6 computes it
+# (coilbounds._planar is a port); this digest was taken with networkx 3.6,
+# before the port, and the port reproduces it.
 AUGMENTED_2_5_DIGEST = "b68f826c506b195fe672c6379f03efc8e11a19fb39d38ef58630111f8a51f95c"
 
 
@@ -103,3 +114,81 @@ def test_render_svg_independent_of_hash_seed():
         for seed in ("0", "1", "2")
     }
     assert len(digests) == 1
+
+
+def _networkx_layout(nx, d):
+    """The positions networkx draws for the graph that svg._layout lays out."""
+    v = d.n_crossings
+    neighbors = {c: [v + 4 * c + s for s in range(4)] for c in range(v)}
+    for e, f in enumerate(d.mate):
+        if e < f:
+            neighbors[v + e] = [e // 4, v + f]
+            neighbors[v + f] = [v + e, f // 4]
+    emb = nx.PlanarEmbedding()
+    for node, nbrs in neighbors.items():
+        emb.add_half_edge(node, nbrs[0])
+        for prev, w in zip(nbrs, nbrs[1:]):
+            emb.add_half_edge(node, w, ccw=prev)
+    emb.check_structure()
+    return nx.combinatorial_embedding_to_pos(emb)
+
+
+def _coprime(q_max):
+    return [(p, q) for q in range(2, q_max + 1) for p in range(1, q) if math.gcd(p, q) == 1]
+
+
+def _layout_corpus():
+    yield "figure-8", parse_pd("X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)")
+    for p, q in _coprime(7):
+        for n1, n2 in ((1, 1), (-1, 2), (2, -1)):
+            yield f"coil {p}/{q} {n1} {n2}", gen_double_coil(CoilSpec(p, q, n1, n2))
+    for p, q in _coprime(39):
+        yield f"two-bridge {p}/{q}", gen_two_bridge(cfrac_expand(Slope(p, q)))
+    for p, q in _coprime(19):
+        yield f"clasped {p}/{q}", gen_clasped_two_bridge(Slope(p, q))
+    for p, q in _coprime(6):
+        aug = gen_augmented(Slope(p, q))
+        yield f"augmented {p}/{q}", aug
+        for n in (-1, 1):
+            yield f"augmented {p}/{q} C1 {n}", fill_crossing_circle(aug, "C1", n)
+
+
+def test_layout_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    count = 0
+    for name, d in _layout_corpus():
+        ours, theirs = svg._layout(d), _networkx_layout(nx, d)
+        assert ours == theirs and list(ours) == list(theirs), name  # values and key order
+        count += 1
+    assert count > 600
+
+
+def _k4():
+    """K4 drawn as a triangle 0, 1, 2 around the centre node 3."""
+    succ = {}
+    for v, nbrs in {0: [1, 2, 3], 1: [0, 3, 2], 2: [0, 1, 3], 3: [0, 2, 1]}.items():
+        prev = None
+        for w in nbrs:
+            _planar.add_half_edge(succ, v, w, ccw=prev)
+            prev = w
+    return succ
+
+
+def _reverse_rotation(succ, v):
+    succ[v] = {w: [ccw, cw] for w, (cw, ccw) in succ[v].items()}
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda succ: succ[0][2].__setitem__(_planar.CW, 2), "rotation at node 0"),
+        (lambda succ: succ[3].pop(0), "half-edge 0->3 has no twin"),
+        (lambda succ: _reverse_rotation(succ, 3), "Euler"),
+    ],
+)
+def test_layout_refuses_a_bad_rotation_system(corrupt, message):
+    succ = _k4()
+    _planar.check_structure(succ)
+    corrupt(succ)
+    with pytest.raises(NonPlanarRotation, match=message):
+        _planar.check_structure(succ)
