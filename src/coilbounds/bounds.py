@@ -23,7 +23,11 @@ remains valid.  Method tags record the provenance of every number.
 
 Thresholds on integers (|n| >= 4, k|n| >= 80, the >12 disk obstruction)
 are decided in exact integer arithmetic; only the bound values themselves
-are floating point.
+are floating point.  ``_format_float`` is the one rule that turns them into
+printed digits, for the CLI's JSON and the family CSV alike.
+
+The module reads ``CoilSpec`` from ``slopes`` and imports nothing of the
+diagram layer, so a report costs no diagram code.
 """
 
 from __future__ import annotations
@@ -37,8 +41,7 @@ from .errors import (
     SlopeTooShort,
     VolumeBelowFloor,
 )
-from .generators import CoilSpec
-from .slopes import Slope, canonical_coil_slope, cfrac_expand
+from .slopes import CoilSpec, Slope, canonical_coil_slope, cfrac_expand
 
 __all__ = [
     "Constants",
@@ -309,3 +312,9 @@ def bound_report(spec: CoilSpec) -> dict:
             "volume-endpoint-substitution",
         ],
     }
+
+
+def _format_float(x: float, precision: int) -> str:
+    """The one rounding rule of printed reports: ``precision`` significant
+    digits, to nearest.  The CSV cells and the CLI's JSON numbers use it."""
+    return f"{x:.{precision}g}"

@@ -3,6 +3,10 @@
 One executable, subcommand style; all invocations are deterministic
 (identical inputs give byte-identical outputs).  Exit codes: 0 success,
 1 domain error (the error class name goes to stderr), 2 usage error.
+
+Only argument parsing and slope arithmetic load up front; each command
+imports the layers it runs, so ``cfrac`` or ``bounds`` starts without the
+curve, diagram and drawing code.
 """
 
 from __future__ import annotations
@@ -11,24 +15,11 @@ import argparse
 import json
 import sys
 
-from . import __version__, bounds, family as family_mod, svg, verify as verify_mod
-from .curves import (
-    DEFAULT_ORACLE_CAP,
-    arc_curve_intersection,
-    brute_force_intersection,
-    curve_curve_intersection,
-)
-from .diagrams import emit_pd, parse_pd
+from . import __version__
 from .errors import CoilboundsError
-from .generators import (
-    CoilSpec,
-    gen_augmented,
-    gen_clasped_two_bridge,
-    gen_double_coil,
-    gen_two_bridge,
-)
 from .slopes import (
     MAX_DIGITS,
+    CoilSpec,
     ContinuedFraction,
     Slope,
     canonical_coil_slope,
@@ -38,8 +29,10 @@ from .slopes import (
 
 
 def _round_floats(obj, precision):
+    from .bounds import _format_float
+
     if isinstance(obj, float):
-        return float(family_mod._format_float(obj, precision))
+        return float(_format_float(obj, precision))
     if isinstance(obj, dict):
         return {k: _round_floats(v, precision) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -134,16 +127,26 @@ def _cmd_slope(args):
 
 
 def _cmd_curve(args):
+    from .curves import (
+        DEFAULT_ORACLE_CAP,
+        arc_curve_intersection,
+        brute_force_intersection,
+        curve_curve_intersection,
+    )
+
     s1 = _parse_arg(Slope.parse, args.slope1, "slope")
     s2 = _parse_arg(Slope.parse, args.slope2, "slope")
     if args.oracle:
-        cc = brute_force_intersection(s1, s2, "curve-curve", cap=args.oracle_cap)
-        ac = brute_force_intersection(s1, s2, "arc-curve", cap=args.oracle_cap)
+        cap = DEFAULT_ORACLE_CAP if args.oracle_cap is None else args.oracle_cap
+        cc = brute_force_intersection(s1, s2, "curve-curve", cap=cap)
+        ac = brute_force_intersection(s1, s2, "arc-curve", cap=cap)
     else:
         cc = curve_curve_intersection(s1, s2)
         ac = arc_curve_intersection(s1, s2)
     if args.svg:
-        picture = svg.curve_svg(s1, s2)  # may refuse; then no file is created
+        from .svg import curve_svg
+
+        picture = curve_svg(s1, s2)  # may refuse; then no file is created
         with open(args.svg, "w") as fh:
             fh.write(picture)
     print(f"curve-curve={cc} arc-curve={ac}")
@@ -151,6 +154,14 @@ def _cmd_curve(args):
 
 
 def _cmd_gen(args):
+    from .diagrams import emit_pd
+    from .generators import (
+        gen_augmented,
+        gen_clasped_two_bridge,
+        gen_double_coil,
+        gen_two_bridge,
+    )
+
     if args.what == "twobridge":
         if args.cfrac:
             c = _parse_arg(ContinuedFraction.parse, args.cfrac, "continued fraction")
@@ -178,40 +189,48 @@ def _cmd_gen(args):
             raise _UsageError("gen augmented needs --slope or --p --q")
         d = gen_augmented(_unit_slope(s))
     if args.svg:
+        from .svg import render_svg
+
         with open(args.svg, "w") as fh:
-            fh.write(svg.render_svg(d, seed_layout=args.seed_layout))
+            fh.write(render_svg(d, seed_layout=args.seed_layout))
     _emit(emit_pd(d) + "\n", args.out)
     return 0
 
 
 def _cmd_bounds(args):
-    report = bounds.bound_report(_coil_spec(args))
+    from .bounds import bound_report
+
+    report = bound_report(_coil_spec(args))
     text = json.dumps(_round_floats(report, args.precision), indent=2) + "\n"
     _emit(text, args.out)
     return 0
 
 
 def _cmd_family(args):
+    from .family import analyze_family, load_family_config, report_to_csv, report_to_json
+
     with open(args.config) as fh:
-        fam = family_mod.load_family_config(fh.read())
-    report = family_mod.analyze_family(fam)
+        fam = load_family_config(fh.read())
+    report = analyze_family(fam)
     if args.format == "json":
-        data = _round_floats(family_mod.report_to_json(report), args.precision)
+        data = _round_floats(report_to_json(report), args.precision)
         _emit(json.dumps(data, indent=2) + "\n", args.out)
     else:
-        _emit(family_mod.report_to_csv(report, args.precision), args.out)
+        _emit(report_to_csv(report, args.precision), args.out)
     return 0
 
 
 def _cmd_verify(args):
+    from .verify import run_checks, verify_pd_text
+
     if args.pd is not None:
         if args.jobs is not None or args.timings:
             raise _UsageError("--jobs and --timings belong to the suite; verify --pd reads neither")
         with open(args.pd) as fh:
-            print(verify_mod.verify_pd_text(fh.read()))
+            print(verify_pd_text(fh.read()))
         return 0
     failed = 0
-    for result in verify_mod.run_checks():
+    for result in run_checks():
         print(result.line)
         if args.timings:
             over = "  OVER BUDGET" if result.elapsed > result.limit else ""
@@ -226,9 +245,12 @@ def _cmd_verify(args):
 
 
 def _cmd_render(args):
+    from .diagrams import parse_pd
+    from .svg import render_svg
+
     with open(args.pdfile) as fh:
         d = parse_pd(fh.read())
-    _emit(svg.render_svg(d, seed_layout=args.seed_layout), args.svg)
+    _emit(render_svg(d, seed_layout=args.seed_layout), args.svg)
     return 0
 
 
@@ -272,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("slope1")
     p.add_argument("slope2")
     p.add_argument("--oracle", action="store_true", help="force the brute-force oracle")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
+    p.add_argument("--oracle-cap", type=int)  # None: the oracle's own default
     p.add_argument("--svg", metavar="PATH", help="draw both curves on the framed sphere")
     p.set_defaults(fn=_cmd_curve)
 

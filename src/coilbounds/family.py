@@ -18,7 +18,9 @@ spectra.  Each row is one ``bound_report`` of its member.  The
 diagram-level columns are exact closed forms of the generated diagram,
 with no diagram built: crossings q(q-1)(|n1|+|n2|) and twist regions
 ``CoilSpec.twist_region_count``, a law checked against generated diagrams
-in the tests and in ``verify`` (criterion-09).
+in the tests and in ``verify`` (criterion-09).  Members are
+``slopes.CoilSpec`` and the CSV rounds with ``bounds._format_float``, so a
+family loads no diagram code.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .bounds import bound_report
+from .bounds import _format_float, bound_report
 from .errors import CoilboundsError, ConfigError, NoCertifiedRows
-from .generators import CoilSpec
-from .slopes import MAX_DIGITS, Slope
+from .slopes import MAX_DIGITS, CoilSpec, Slope
 
 __all__ = [
     "CoilFamily",
@@ -71,7 +72,14 @@ def fixed_slope_vary_twists(p: int, q: int, n2: int, n1_range) -> CoilFamily:
 
 
 def vary_slope_fixed_twists(slopes, n: int) -> CoilFamily:
-    members = _capped(CoilSpec(s.p, s.q, n, n) for s in slopes)
+    return _vary_slope(((s.p, s.q) for s in slopes), n)
+
+
+def _vary_slope(pairs, n: int) -> CoilFamily:
+    """The vary-slope family of the coprime pairs (p, q) with 0 < p < q.
+    Each member's ``CoilSpec`` is its one gcd: on the 2000-digit terms of a
+    long Fibonacci window Euclid's algorithm is most of the load time."""
+    members = _capped(CoilSpec(p, q, n, n) for p, q in pairs)
     return CoilFamily("vary-slope", members, f"n1=n2={n}, slopes as given")
 
 
@@ -290,17 +298,17 @@ def load_family_config(text: str) -> CoilFamily:
             if seq == "custom-list":
                 tokens = kv["slopes"].split(",")
                 _window(0, len(tokens))  # the member cap holds for listed slopes too
-                slopes = [Slope.parse(tok) for tok in tokens]
+                pairs = [(s.p, s.q) for s in map(Slope.parse, tokens)]
             elif seq in _SEQUENCES:
                 start = int(kv.get("range_start", "1"))
                 if start < 1:
                     raise ConfigError(f"range_start must be at least 1, got {start}")
                 terms = len(_window(1, int(kv["range_end"]) + 1))  # built from term 1
-                window = islice(_SEQUENCES[seq](), start - 1, terms)
-                slopes = (Slope(p, q) for p, q in window)  # lazy: ``_capped`` may stop early
+                # coprime pairs, so no ``Slope`` is needed; lazy, so ``_capped`` may stop early
+                pairs = islice(_SEQUENCES[seq](), start - 1, terms)
             else:
                 raise ConfigError(f"unknown slope_sequence {seq!r}")
-            family = vary_slope_fixed_twists(slopes, int(kv["n1"]))
+            family = _vary_slope(pairs, int(kv["n1"]))
         else:
             raise ConfigError("config must set kind to fixed-slope or vary-slope")
     except KeyError as e:
@@ -342,12 +350,6 @@ def report_to_json(report: FamilyReport) -> dict:
         "summary": report.summary,
         "verdict": report.verdict,
     }
-
-
-def _format_float(x: float, precision: int) -> str:
-    """The one rounding rule of printed reports: ``precision`` significant
-    digits, to nearest.  The CSV cells and the CLI's JSON numbers use it."""
-    return f"{x:.{precision}g}"
 
 
 def report_to_csv(report: FamilyReport, precision: int = 6) -> str:

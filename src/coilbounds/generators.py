@@ -27,12 +27,12 @@ model (see ``curves``); the two regions carry opposite local orientations
 in the plane, so a right-handed twist in the second region is laid down
 mirrored.  The convention is normalized so that ``gen_double_coil(1,2,1,1)``
 is the standard alternating figure-8 diagram.
+
+``CoilSpec``, the (p, q, n1, n2) parameters, lives in ``slopes`` so that the
+bounds need no diagram code; it is re-exported here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from math import gcd
 
 from .curves import (
     GATE_C1_EAST,
@@ -43,8 +43,8 @@ from .curves import (
     trace_gate_events,
 )
 from .diagrams import DiagramBuilder, PlanarDiagram
-from .errors import NotACrossingCircle, NotAKnot
-from .slopes import ContinuedFraction, Slope, cfrac_expand
+from .errors import NotACrossingCircle
+from .slopes import CoilSpec, ContinuedFraction, Slope, cfrac_expand
 
 __all__ = [
     "CoilSpec",
@@ -60,53 +60,6 @@ __all__ = [
 # first; laying its twists mirrored keeps "positive n = right-handed"
 # consistent and pins (1,2,1,1) to the figure-8 knot.
 _REGION_ORIENT = (1, -1)
-
-
-@dataclass(frozen=True)
-class CoilSpec:
-    """Parameters (p, q, n1, n2) of a double coil knot diagram."""
-
-    p: int
-    q: int
-    n1: int
-    n2: int
-
-    def __post_init__(self):
-        if self.q < 2 or not 0 < self.p < self.q:
-            raise ValueError(f"need 0 < p < q with q >= 2, got p={self.p} q={self.q}")
-        if gcd(self.p, self.q) != 1:
-            raise NotAKnot(f"gcd({self.p},{self.q}) != 1: two coils on shared strands form a link")
-        if self.n1 == 0 or self.n2 == 0:
-            raise ValueError("full-twist counts n1, n2 must be non-zero")
-
-    @property
-    def slope(self) -> Slope:
-        return Slope(self.p, self.q)
-
-    @property
-    def crossing_count(self) -> int:
-        return self.q * (self.q - 1) * (abs(self.n1) + abs(self.n2))
-
-    @property
-    def twist_region_count(self) -> int:
-        """Twist regions t(D) of ``gen_double_coil(self)``, in closed form:
-        q(q-1)(|n1|+|n2|) - 2*[p = 2] for q >= 3, and 2 for q = 2.
-
-        For q = 2 each region is the bigon chain sigma_1^(2n).  For q >= 3 no
-        generator of (sigma_1 ... sigma_{q-1})^m repeats without a
-        neighbouring generator in between, so no bigon lies inside a region.
-        Each region's braid has exactly two crossings carrying two adjacent
-        ports: the first sigma_1 (west, positions 0 and 1) and the last
-        sigma_{q-1} (east, positions q-2 and q-1).  A bigon must therefore
-        join two such crossings through two parallel band edges, and the
-        band wiring of ``circle_passages`` does that exactly when p = 2:
-        west to west and east to east across the two regions, merging two
-        pairs of crossings.  Diagram generation stays the oracle: the law
-        is checked against ``twist_regions()`` in the tests and in verify.
-        """
-        if self.q == 2:
-            return 2
-        return self.crossing_count - 2 * (self.p == 2)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ positive expansion
 
 with every a_i >= 1 and a_k >= 2 (positive expansions come in pairs
 [..., a] and [..., a-1, 1]; requiring a_k >= 2 picks one of them).
+
+``CoilSpec`` adds the two twist counts to a slope: the parameters of a
+double coil knot.  It lives here, beside ``Slope``, so that the bounds and
+families read it without loading the diagram layer.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import NonHyperbolicSlope, ZeroOverZero
+from .errors import NonHyperbolicSlope, NotAKnot, ZeroOverZero
 
 __all__ = [
     "Slope",
+    "CoilSpec",
     "ContinuedFraction",
     "reduce_slope",
     "canonical_coil_slope",
@@ -74,6 +79,53 @@ class Slope:
             num, _, den = text.partition("/")
             return reduce_slope(int(num), int(den))
         return reduce_slope(int(text), 1)
+
+
+@dataclass(frozen=True)
+class CoilSpec:
+    """Parameters (p, q, n1, n2) of a double coil knot diagram."""
+
+    p: int
+    q: int
+    n1: int
+    n2: int
+
+    def __post_init__(self):
+        if self.q < 2 or not 0 < self.p < self.q:
+            raise ValueError(f"need 0 < p < q with q >= 2, got p={self.p} q={self.q}")
+        if gcd(self.p, self.q) != 1:
+            raise NotAKnot(f"gcd({self.p},{self.q}) != 1: two coils on shared strands form a link")
+        if self.n1 == 0 or self.n2 == 0:
+            raise ValueError("full-twist counts n1, n2 must be non-zero")
+
+    @property
+    def slope(self) -> Slope:
+        return Slope(self.p, self.q)
+
+    @property
+    def crossing_count(self) -> int:
+        return self.q * (self.q - 1) * (abs(self.n1) + abs(self.n2))
+
+    @property
+    def twist_region_count(self) -> int:
+        """Twist regions t(D) of ``gen_double_coil(self)``, in closed form:
+        q(q-1)(|n1|+|n2|) - 2*[p = 2] for q >= 3, and 2 for q = 2.
+
+        For q = 2 each region is the bigon chain sigma_1^(2n).  For q >= 3 no
+        generator of (sigma_1 ... sigma_{q-1})^m repeats without a
+        neighbouring generator in between, so no bigon lies inside a region.
+        Each region's braid has exactly two crossings carrying two adjacent
+        ports: the first sigma_1 (west, positions 0 and 1) and the last
+        sigma_{q-1} (east, positions q-2 and q-1).  A bigon must therefore
+        join two such crossings through two parallel band edges, and the
+        band wiring of ``circle_passages`` does that exactly when p = 2:
+        west to west and east to east across the two regions, merging two
+        pairs of crossings.  Diagram generation stays the oracle: the law
+        is checked against ``twist_regions()`` in the tests and in verify.
+        """
+        if self.q == 2:
+            return 2
+        return self.crossing_count - 2 * (self.p == 2)
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,28 @@ def test_family_refused_at_first_over_cap_member(monkeypatch, range_start):
     assert len(built) == first + 1  # no member past it was built
 
 
+@pytest.mark.parametrize("seq, range_end, members_built", [
+    ("fibonacci", 10000, 4783),  # refused at member 4782, the first over the cap
+    ("fibonacci", 40, 40),
+    ("odd-denominators", 40, 40),
+])
+def test_vary_slope_member_runs_euclid_once(monkeypatch, seq, range_end, members_built):
+    # a built-in sequence yields coprime pairs, so each member's CoilSpec is
+    # its only gcd
+    calls, built = [], []
+    real_gcd, real_spec = coilbounds.slopes.gcd, coilbounds.family.CoilSpec
+    monkeypatch.setattr(coilbounds.slopes, "gcd", lambda a, b: calls.append(a) or real_gcd(a, b))
+    monkeypatch.setattr(
+        coilbounds.family, "CoilSpec", lambda *args: built.append(args) or real_spec(*args)
+    )
+    config = f"kind = vary-slope\nslope_sequence = {seq}\nn1 = 4\nrange_end = {range_end}\n"
+    refused = members_built < range_end
+    with pytest.raises(ConfigError) if refused else contextlib.nullcontext():
+        load_family_config(config)
+    assert len(built) == members_built
+    assert len(calls) == members_built
+
+
 # a float past its range is refused, never printed as Infinity
 FLOAT_OVERFLOW_ARGV = [
     ("bounds", "--p", "2", "--q", "5", "--n1", str(10**155), "--n2", str(10**155)),
@@ -604,6 +626,52 @@ def test_no_command_imports_networkx(tmp_path):
             capture_output=True, text=True,
         )
         assert r.returncode == 0, (draw, r.stderr)
+
+
+# Each command imports only the layers it runs; each case runs in a fresh
+# interpreter, with the modules it must leave unloaded.
+IMPORT_FOOTPRINT = """
+import json, sys
+argv, absent = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+if argv is None:
+    import coilbounds
+else:
+    from coilbounds.cli import main
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    assert code == 0, code
+loaded = [m for m in absent if "coilbounds." + m in sys.modules]
+assert not loaded, loaded
+"""
+_PAST_BOUNDS = ["curves", "diagrams", "generators", "svg", "family", "verify"]
+_SPEC = ["--p", "3", "--q", "5", "--n1", "4", "--n2", "4"]
+FOOTPRINT_CASES = [
+    (["--version"], _PAST_BOUNDS),
+    (["cfrac", "2/5"], _PAST_BOUNDS),
+    (["slope", "3/5", "--format", "json"], _PAST_BOUNDS),
+    (["bounds", *_SPEC], _PAST_BOUNDS),
+    (["lambda", *_SPEC], _PAST_BOUNDS),
+    (["family", "--config", "{cfg}"], ["curves", "diagrams", "generators"]),
+    (["gen", "twobridge", "--slope", "2/5"], ["bounds", "family", "verify", "svg"]),
+    (None, ["errors", "slopes", "bounds", "cli", *_PAST_BOUNDS, "_planar"]),
+]
+
+
+@pytest.mark.parametrize("argv, absent", FOOTPRINT_CASES,
+                         ids=[" ".join(a[:2]) if a else "import" for a, _ in FOOTPRINT_CASES])
+def test_command_import_footprint(tmp_path, argv, absent):
+    cfg = tmp_path / "fam.cfg"
+    cfg.write_text("kind = vary-slope\nslope_sequence = fibonacci\nn1 = 4\nrange_end = 5\n")
+    if argv is not None:
+        argv = [a.format(cfg=cfg) for a in argv]
+    r = subprocess.run(
+        [sys.executable, "-c", IMPORT_FOOTPRINT, json.dumps(argv), json.dumps(absent)],
+        env={**os.environ, "PYTHONPATH": str(Path(coilbounds.__file__).parents[1])},
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert r.returncode == 0, (argv, r.stderr)
 
 
 @pytest.mark.parametrize(
