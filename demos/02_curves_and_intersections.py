@@ -32,7 +32,7 @@ INF, ZERO = Slope(1, 0), Slope(0, 1)
 
 print("Tick counts (D1, D2, A, A')")
 for s in (Slope(2, 5), ZERO, INF):
-    print(f"  {s}: {curve_coordinates(s).tick_counts}")
+    print(f"  {s}: {curve_coordinates(s)}")
 print()
 
 print("Intersections, closed form vs brute force")

@@ -28,10 +28,9 @@ from coilbounds import (
 
 
 def describe(name, d):
-    t = d.twist_regions()
     print(
         f"  {name}: {d.n_crossings} crossings, {d.n_components} component(s), "
-        f"{t.count} twist region(s), alternating={d.is_alternating()}"
+        f"{len(d.twist_regions())} twist region(s), alternating={d.is_alternating()}"
     )
 
 
@@ -60,7 +59,7 @@ describe("fill C2 with 6 twists", step2)
 direct = gen_double_coil(CoilSpec(2, 5, 4, 6))
 describe("direct (2,5,4,6) coil", direct)
 assert step2.n_crossings == direct.n_crossings
-assert step2.twist_regions().count == direct.twist_regions().count
+assert len(step2.twist_regions()) == len(direct.twist_regions())
 print("  both routes agree.")
 print()
 

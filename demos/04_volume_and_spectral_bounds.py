@@ -41,7 +41,7 @@ parent = parent_volume_interval(spec.slope)
 print(f"Parent link volume in [{parent.lower:.5f}, {parent.upper:.5f}]")
 
 cert = coil_hyperbolicity_certificate(k, spec.n1, spec.n2)
-print(f"Certificate: {cert.condition.value}")
+print(f"Certificate: {cert['condition']}")
 print(f"  slope length >= {slope_length_lower(spec.n1):.5f} (needs > 2*pi = {2*math.pi:.5f})")
 
 ell = ell_param(k, spec.n1, spec.n2)

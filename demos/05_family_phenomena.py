@@ -23,13 +23,13 @@ from coilbounds.family import fibonacci_slopes
 print("Sweep A: (2,5) coils, n2 = 6, n1 = 4..40")
 report = analyze_family(fixed_slope_vary_twists(2, 5, 6, range(4, 41)))
 print(f"  verdict: {report.verdict}")
-print(f"  volume upper, every row: {report.rows[0].vol_upper:.5f}")
-print(f"  lambda_1 lower, every row: {report.rows[0].lam_lower:.4g}")
+print(f"  volume upper, every row: {report.rows[0]['vol_upper']:.5f}")
+print(f"  lambda_1 lower, every row: {report.rows[0]['lambda_lower']:.4g}")
 print("  n1  crossings  t(D)   gen-t")
 for row in report.rows[:6]:
     print(
-        f"  {row.spec.n1:>3} {row.crossings:>8} {row.twist_regions:>6}"
-        f" {row.gen_twist_regions:>6}"
+        f"  {row['n1']:>3} {row['crossings']:>8} {row['twist_regions']:>6}"
+        f" {row['generalized_twist_regions']:>6}"
     )
 print("  ...")
 print()
@@ -39,8 +39,8 @@ print("construction honest (1/6 filling has slope length sqrt(144.25) > 12):")
 obstruction = disk_obstruction_check(6)
 for row in report.rows[:4]:
     print(
-        f"  n1={row.spec.n1}: {row.crossings} crossings, t(D)={row.twist_regions},"
-        f" vol < {row.vol_upper:.4f}, obstruction={obstruction}"
+        f"  n1={row['n1']}: {row['crossings']} crossings, t(D)={row['twist_regions']},"
+        f" vol < {row['vol_upper']:.4f}, obstruction={obstruction}"
     )
 print()
 
@@ -49,10 +49,10 @@ report = analyze_family(vary_slope_fixed_twists(fibonacci_slopes(14), 4))
 print(f"  verdict: {report.verdict}")
 print("  slope        k  vol in [lo, hi)            lambda_1 <=")
 for row in report.rows:
-    s = f"{row.spec.p}/{row.spec.q}"
+    s = f"{row['p']}/{row['q']}"
     print(
-        f"  {s:>10} {row.k:>3}  [{row.vol_lower:8.4f}, {row.vol_upper:9.4f})"
-        f"  {row.lam_upper:10.2f}"
+        f"  {s:>10} {row['k']:>3}  [{row['vol_lower']:8.4f}, {row['vol_upper']:9.4f})"
+        f"  {row['lambda_upper']:10.2f}"
     )
 print()
 print("Same generalized twist number 2 everywhere; volumes unbounded, so")

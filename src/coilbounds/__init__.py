@@ -49,7 +49,6 @@ _EXPORTS = {
         "mirror_slope",
     ),
     "curves": (
-        "FramedCurve",
         "LatticeTrace",
         "curve_coordinates",
         "curve_curve_intersection",
@@ -58,7 +57,7 @@ _EXPORTS = {
         "lattice_trace",
         "dehn_twist",
     ),
-    "diagrams": ("PlanarDiagram", "TwistRegionPartition", "parse_pd", "emit_pd"),
+    "diagrams": ("PlanarDiagram", "parse_pd", "emit_pd"),
     "generators": (
         "gen_two_bridge",
         "gen_clasped_two_bridge",
@@ -72,8 +71,6 @@ _EXPORTS = {
         "CONSTANTS",
         "Constants",
         "VolumeInterval",
-        "HyperbolicityCertificate",
-        "Condition",
         "parent_volume_interval",
         "ell_param",
         "dehn_filling_factor",
@@ -90,7 +87,6 @@ _EXPORTS = {
     "family": (
         "CoilFamily",
         "FamilyReport",
-        "FamilyRow",
         "fixed_slope_vary_twists",
         "vary_slope_fixed_twists",
         "analyze_family",

@@ -24,7 +24,8 @@ remains valid.  Method tags record the provenance of every number.
 Thresholds on integers (|n| >= 4, k|n| >= 80, the >12 disk obstruction)
 are decided in exact integer arithmetic; only the bound values themselves
 are floating point.  ``_format_float`` is the one rule that turns them into
-printed digits, for the CLI's JSON and the family CSV alike.
+printed digits, for the CLI's JSON, the family CSV and the method trail
+alike.
 
 The module reads ``CoilSpec`` from ``slopes`` and imports nothing of the
 diagram layer, so a report costs no diagram code.
@@ -32,9 +33,8 @@ diagram layer, so a report costs no diagram code.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     NoHyperbolicityCertificate,
@@ -47,8 +47,6 @@ __all__ = [
     "Constants",
     "CONSTANTS",
     "VolumeInterval",
-    "Condition",
-    "HyperbolicityCertificate",
     "parent_volume_interval",
     "ell_param",
     "dehn_filling_factor",
@@ -105,23 +103,6 @@ class VolumeInterval:
 
     def intersects(self, other: "VolumeInterval") -> bool:
         return max(self.lower, other.lower) <= min(self.upper, other.upper)
-
-
-class Condition(enum.Enum):
-    TWISTS_AT_LEAST_4 = "TwistsAtLeast4"
-    K_TIMES_N_AT_LEAST_80 = "KTimesNAtLeast80"
-    BOTH = "Both"
-    NONE = "None"
-
-
-@dataclass(frozen=True)
-class HyperbolicityCertificate:
-    condition: Condition
-    witnesses: dict = field(default_factory=dict)
-
-    @property
-    def satisfied(self) -> bool:
-        return self.condition is not Condition.NONE
 
 
 def _parent_volume(k: int) -> VolumeInterval:
@@ -188,27 +169,37 @@ def cusp_slope_length_lower(k: int, n: int) -> float:
     return _finite(CONSTANTS.cusp_arc_coefficient * k * abs(n), "cusp_slope_length_lower")
 
 
-def coil_hyperbolicity_certificate(k: int, n1: int, n2: int) -> HyperbolicityCertificate:
+# (|n_i| >= 4 for both, k|n_i| >= 80 for both) -> the certificate's condition
+_CONDITIONS = {
+    (True, True): "Both",
+    (True, False): "TwistsAtLeast4",
+    (False, True): "KTimesNAtLeast80",
+    (False, False): "None",
+}
+
+
+def coil_hyperbolicity_certificate(k: int, n1: int, n2: int) -> dict:
     """Check the two integer conditions guaranteeing filling slopes longer
-    than 2*pi: |n_i| >= 4 for both i, or k*|n_i| >= 80 for both i."""
+    than 2*pi: |n_i| >= 4 for both i, or k*|n_i| >= 80 for both i.
+
+    Returns the report's ``certificate`` record: ``condition`` is one of
+    "TwistsAtLeast4", "KTimesNAtLeast80", "Both" and "None" (neither holds),
+    and ``witnesses`` maps each length estimate to its values at n1 and n2.
+    """
     if n1 == 0 or n2 == 0:
         raise ValueError("full-twist counts must be non-zero")
     cond1 = abs(n1) >= 4 and abs(n2) >= 4
     cond2 = k * abs(n1) >= 80 and k * abs(n2) >= 80
-    condition = {
-        (True, True): Condition.BOTH,
-        (True, False): Condition.TWISTS_AT_LEAST_4,
-        (False, True): Condition.K_TIMES_N_AT_LEAST_80,
-        (False, False): Condition.NONE,
-    }[(cond1, cond2)]
-    witnesses = {
-        "slope_length_lower": (slope_length_lower(n1), slope_length_lower(n2)),
-        "cusp_slope_length_lower": (
-            cusp_slope_length_lower(k, n1),
-            cusp_slope_length_lower(k, n2),
-        ),
+    return {
+        "condition": _CONDITIONS[(cond1, cond2)],
+        "witnesses": {
+            "slope_length_lower": [slope_length_lower(n1), slope_length_lower(n2)],
+            "cusp_slope_length_lower": [
+                cusp_slope_length_lower(k, n1),
+                cusp_slope_length_lower(k, n2),
+            ],
+        },
     }
-    return HyperbolicityCertificate(condition, witnesses)
 
 
 def lambda_lower(vol: float) -> float:
@@ -269,7 +260,7 @@ def bound_report(spec: CoilSpec) -> dict:
     """
     k = cfrac_expand(spec.slope).length
     cert = coil_hyperbolicity_certificate(k, spec.n1, spec.n2)
-    if not cert.satisfied:
+    if cert["condition"] == "None":
         raise NoHyperbolicityCertificate(
             f"(p,q,n1,n2)=({spec.p},{spec.q},{spec.n1},{spec.n2}) with k={k}: "
             "neither |n_i|>=4 nor k|n_i|>=80 holds for both regions"
@@ -281,7 +272,8 @@ def bound_report(spec: CoilSpec) -> dict:
         upper=parent.upper,
         strict_upper=True,
         methods=parent.methods
-        + (f"dehn-filling-decay(ell={ell:.6g})", f"certificate:{cert.condition.value}"),
+        + (f"dehn-filling-decay(ell={_format_float(ell, 6)})",
+           f"certificate:{cert['condition']}"),
     )
     # The lambda_1 sandwich A1/vol^2 <= lambda_1 <= A2/vol over the volume
     # interval: the lower end is taken at the volume upper bound and vice
@@ -294,10 +286,7 @@ def bound_report(spec: CoilSpec) -> dict:
         "spec": {"p": spec.p, "q": spec.q, "n1": spec.n1, "n2": spec.n2},
         "k": k,
         "ell": ell,
-        "certificate": {
-            "condition": cert.condition.value,
-            "witnesses": {name: list(pair) for name, pair in cert.witnesses.items()},
-        },
+        "certificate": cert,
         "volume": {
             "lower": vol.lower,
             "upper": vol.upper,
@@ -316,5 +305,6 @@ def bound_report(spec: CoilSpec) -> dict:
 
 def _format_float(x: float, precision: int) -> str:
     """The one rounding rule of printed reports: ``precision`` significant
-    digits, to nearest.  The CSV cells and the CLI's JSON numbers use it."""
+    digits, to nearest.  The CSV cells, the CLI's JSON numbers and the
+    ``ell=`` of the method trail use it."""
     return f"{x:.{precision}g}"

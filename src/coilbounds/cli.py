@@ -192,7 +192,7 @@ def _cmd_gen(args):
         from .svg import render_svg
 
         with open(args.svg, "w") as fh:
-            fh.write(render_svg(d, seed_layout=args.seed_layout))
+            fh.write(render_svg(d))
     _emit(emit_pd(d) + "\n", args.out)
     return 0
 
@@ -250,7 +250,7 @@ def _cmd_render(args):
 
     with open(args.pdfile) as fh:
         d = parse_pd(fh.read())
-    _emit(render_svg(d, seed_layout=args.seed_layout), args.svg)
+    _emit(render_svg(d), args.svg)
     return 0
 
 
@@ -258,9 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="coilbounds",
         description="Double coil knot diagrams and certified volume / lambda_1 bounds.",
+        allow_abbrev=False,  # here and on each subcommand: an option is spelled in full
     )
     top.add_argument("--version", action="version", version=f"coilbounds {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
+
+    def command(name, **kw):
+        return sub.add_parser(name, allow_abbrev=False, **kw)
 
     def precision(p):
         p.add_argument("--precision", type=int, default=6, choices=range(1, 16),
@@ -281,16 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n2", type=int)
         p.add_argument("--slope", metavar="P/Q")
 
-    p = sub.add_parser("cfrac", help="continued fraction of a slope")
+    p = command("cfrac", help="continued fraction of a slope")
     p.add_argument("slope")
     p.set_defaults(fn=_cmd_cfrac)
 
-    p = sub.add_parser("slope", help="canonical and mirror forms of a slope")
+    p = command("slope", help="canonical and mirror forms of a slope")
     p.add_argument("slope")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_slope)
 
-    p = sub.add_parser("curve", help="intersection numbers of two slopes")
+    p = command("curve", help="intersection numbers of two slopes")
     p.add_argument("slope1")
     p.add_argument("slope2")
     p.add_argument("--oracle", action="store_true", help="force the brute-force oracle")
@@ -298,23 +302,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", metavar="PATH", help="draw both curves on the framed sphere")
     p.set_defaults(fn=_cmd_curve)
 
-    p = sub.add_parser("gen", help="generate a diagram as a PD code")
+    p = command("gen", help="generate a diagram as a PD code")
     p.add_argument("what", choices=("twobridge", "clasped", "coil", "augmented"))
     p.add_argument("--cfrac", metavar="[a1,...,ak]")
     p.add_argument("--svg", metavar="PATH", help="also render the diagram")
-    p.add_argument("--seed-layout", type=int, default=0)
     out(p)
     spec_flags(p)
     p.set_defaults(fn=_cmd_gen)
 
-    p = sub.add_parser("bounds", aliases=["lambda"],
-                       help="certified volume and spectral report (JSON)")
+    p = command("bounds", aliases=["lambda"],
+                help="certified volume and spectral report (JSON)")
     precision(p)
     out(p)
     spec_flags(p)
     p.set_defaults(fn=_cmd_bounds)
 
-    p = sub.add_parser("family", help="analyze a family from a config file")
+    p = command("family", help="analyze a family from a config file")
     p.add_argument("--config", required=True, metavar="PATH")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     jobs(p)
@@ -322,17 +325,16 @@ def build_parser() -> argparse.ArgumentParser:
     out(p)
     p.set_defaults(fn=_cmd_family)
 
-    p = sub.add_parser("verify", help="run the acceptance/oracle suite")
+    p = command("verify", help="run the acceptance/oracle suite")
     p.add_argument("--pd", metavar="PATH", help="validate a PD-code file instead")
     jobs(p)
     p.add_argument("--timings", action="store_true",
                    help="print each check's elapsed time against its budget to stderr")
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("render", help="render a PD-code file to SVG")
+    p = command("render", help="render a PD-code file to SVG")
     p.add_argument("pdfile")
     p.add_argument("--svg", metavar="PATH", help="output path (default stdout)")
-    p.add_argument("--seed-layout", type=int, default=0)
     p.set_defaults(fn=_cmd_render)
     return top
 

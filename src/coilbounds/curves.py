@@ -36,7 +36,6 @@ from .errors import OracleCapExceeded, TooManyCrossings
 from .slopes import Slope, reduce_slope
 
 __all__ = [
-    "FramedCurve",
     "GateEvent",
     "LatticeTrace",
     "curve_coordinates",
@@ -74,18 +73,6 @@ GATE_C1_EAST, GATE_C1_WEST, GATE_C2_WEST, GATE_C2_EAST = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
-class FramedCurve:
-    """A slope together with its intersection counts with the framing arcs.
-
-    ``tick_counts`` lists crossings with the arcs D1, D2, A, A': the curve
-    p/q meets each D-arc q times and each A-arc |p| times.
-    """
-
-    slope: Slope
-    tick_counts: tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
 class GateEvent:
     """One crossing of the traced curve with a gate line, in curve order.
 
@@ -98,10 +85,12 @@ class GateEvent:
     eastbound: bool
 
 
-def curve_coordinates(s: Slope) -> FramedCurve:
-    """Tick counts of the connect-the-dots realization of the curve s."""
+def curve_coordinates(s: Slope) -> tuple[int, int, int, int]:
+    """Tick counts of the connect-the-dots realization of the curve s: its
+    crossings with the framing arcs D1, D2, A, A'.  The curve p/q meets each
+    D-arc q times and each A-arc |p| times."""
     d_ticks, a_ticks = s.q, abs(s.p)
-    return FramedCurve(s, (d_ticks, d_ticks, a_ticks, a_ticks))
+    return (d_ticks, d_ticks, a_ticks, a_ticks)
 
 
 def curve_curve_intersection(s1: Slope, s2: Slope) -> int:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 
 from .curves import check_crossing_count
@@ -37,22 +36,10 @@ from .slopes import MAX_DIGITS
 
 __all__ = [
     "PlanarDiagram",
-    "TwistRegionPartition",
     "DiagramBuilder",
     "parse_pd",
     "emit_pd",
 ]
-
-
-@dataclass(frozen=True)
-class TwistRegionPartition:
-    """Partition of the crossings into maximal bigon chains."""
-
-    regions: tuple[tuple[int, ...], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.regions)
 
 
 class PlanarDiagram:
@@ -186,8 +173,9 @@ class PlanarDiagram:
                 prev = under
         return True
 
-    def twist_regions(self) -> TwistRegionPartition:
-        """Maximal chains of crossings joined by bigon faces.
+    def twist_regions(self) -> tuple[tuple[int, ...], ...]:
+        """Maximal chains of crossings joined by bigon faces, as a partition
+        of the crossings sorted by smallest crossing.
 
         Two crossings belong to the same twist region when some sequence of
         bigon faces connects them; a crossing adjacent to no bigon (or only
@@ -199,7 +187,7 @@ class PlanarDiagram:
         for c, root in enumerate(_roots(v, bigons)):
             groups.setdefault(root, []).append(c)
         # each region opens at its smallest crossing, so they come out sorted
-        return TwistRegionPartition(tuple(tuple(g) for g in groups.values()))
+        return tuple(tuple(g) for g in groups.values())
 
     def __repr__(self):
         return f"<PlanarDiagram {self.n_crossings} crossings, {self.n_components} components>"

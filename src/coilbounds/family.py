@@ -14,7 +14,8 @@ Two family kinds reproduce the headline phenomena:
 Verdicts are decided by the family *kind* (an infinite family's volumes
 are bounded or not by construction), never by eyeballing finitely many
 numbers; and they concern the certified bound intervals, not the true
-spectra.  Each row is one ``bound_report`` of its member.  The
+spectra.  Each row is one ``bound_report`` of its member, built once as
+the dict that the CSV and JSON print, keyed in ``CSV_COLUMNS`` order.  The
 diagram-level columns are exact closed forms of the generated diagram,
 with no diagram built: crossings q(q-1)(|n1|+|n2|) and twist regions
 ``CoilSpec.twist_region_count``, a law checked against generated diagrams
@@ -34,7 +35,6 @@ from .slopes import MAX_DIGITS, CoilSpec, Slope
 
 __all__ = [
     "CoilFamily",
-    "FamilyRow",
     "FamilyReport",
     "fixed_slope_vary_twists",
     "vary_slope_fixed_twists",
@@ -129,46 +129,55 @@ def odd_denominator_slopes(count: int):
 _SEQUENCES = {"fibonacci": _fibonacci_pairs, "odd-denominators": _odd_denominator_pairs}
 
 
-@dataclass(frozen=True)
-class FamilyRow:
-    index: int
-    spec: CoilSpec
-    k: int
-    ell: float
-    certificate: str
-    crossings: int
-    vol_lower: float
-    vol_upper: float
-    lam_lower: float
-    lam_upper: float
-    twist_regions: int
-    gen_twist_regions: int = 2
-
-
 @dataclass
 class FamilyReport:
     family: CoilFamily
-    rows: list[FamilyRow] = field(default_factory=list)
+    rows: list[dict] = field(default_factory=list)
     uncertified: list[tuple[int, CoilSpec, str]] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     verdict: str = "Inconclusive"
 
 
-def _row(index: int, spec: CoilSpec) -> FamilyRow:
+CSV_COLUMNS = (
+    "index",
+    "p",
+    "q",
+    "n1",
+    "n2",
+    "k",
+    "crossings",
+    "twist_regions",
+    "generalized_twist_regions",
+    "ell",
+    "certificate",
+    "vol_lower",
+    "vol_upper",
+    "lambda_lower",
+    "lambda_upper",
+)
+
+
+def _row(index: int, spec: CoilSpec) -> dict:
+    """The member's report row, keyed in ``CSV_COLUMNS`` order."""
     rep = bound_report(spec)
-    return FamilyRow(
-        index=index,
-        spec=spec,
-        k=rep["k"],
-        ell=rep["ell"],
-        certificate=rep["certificate"]["condition"],
-        crossings=spec.crossing_count,
-        vol_lower=rep["volume"]["lower"],
-        vol_upper=rep["volume"]["upper"],
-        lam_lower=rep["lambda"]["lower"],
-        lam_upper=rep["lambda"]["upper"],
-        twist_regions=spec.twist_region_count,
-    )
+    return {
+        "index": index,
+        "p": spec.p,
+        "q": spec.q,
+        "n1": spec.n1,
+        "n2": spec.n2,
+        "k": rep["k"],
+        "crossings": spec.crossing_count,
+        "twist_regions": spec.twist_region_count,
+        # a double coil's crossings fill two generalized twist regions by construction
+        "generalized_twist_regions": 2,
+        "ell": rep["ell"],
+        "certificate": rep["certificate"]["condition"],
+        "vol_lower": rep["volume"]["lower"],
+        "vol_upper": rep["volume"]["upper"],
+        "lambda_lower": rep["lambda"]["lower"],
+        "lambda_upper": rep["lambda"]["upper"],
+    }
 
 
 def analyze_family(f: CoilFamily) -> FamilyReport:
@@ -195,12 +204,12 @@ def _summarize(report: FamilyReport) -> None:
     report.summary = {
         "certified_rows": len(rows),
         "uncertified_rows": len(report.uncertified),
-        "sup_vol_upper": max(r.vol_upper for r in rows),
-        "inf_vol_lower": min(r.vol_lower for r in rows),
-        "max_vol_lower": max(r.vol_lower for r in rows),
-        "inf_lambda_lower": min(r.lam_lower for r in rows),
-        "sup_lambda_upper": max(r.lam_upper for r in rows),
-        "min_lambda_upper": min(r.lam_upper for r in rows),
+        "sup_vol_upper": max(r["vol_upper"] for r in rows),
+        "inf_vol_lower": min(r["vol_lower"] for r in rows),
+        "max_vol_lower": max(r["vol_lower"] for r in rows),
+        "inf_lambda_lower": min(r["lambda_lower"] for r in rows),
+        "sup_lambda_upper": max(r["lambda_upper"] for r in rows),
+        "min_lambda_upper": min(r["lambda_upper"] for r in rows),
     }
 
 
@@ -217,7 +226,7 @@ def expanding_verdict(r: FamilyReport) -> str:
     """
     if not r.rows:
         raise NoCertifiedRows("verdict needs at least one certified member")
-    ks = [row.k for row in r.rows]
+    ks = [row["k"] for row in r.rows]
     if r.family.kind == "fixed-slope" or len(set(ks)) == 1:
         return "ExpandingCertified"
     if all(b > a for a, b in zip(ks, ks[1:])):
@@ -252,24 +261,6 @@ def _window(start: int, stop: int, step: int = 1) -> range:
     if r and (r[-1] - r[0]) // step >= _MAX_MEMBERS:
         raise ConfigError(f"family window has more than {_MAX_MEMBERS} members")
     return r
-
-CSV_COLUMNS = (
-    "index",
-    "p",
-    "q",
-    "n1",
-    "n2",
-    "k",
-    "crossings",
-    "twist_regions",
-    "generalized_twist_regions",
-    "ell",
-    "certificate",
-    "vol_lower",
-    "vol_upper",
-    "lambda_lower",
-    "lambda_upper",
-)
 
 
 def load_family_config(text: str) -> CoilFamily:
@@ -318,31 +309,11 @@ def load_family_config(text: str) -> CoilFamily:
     return family
 
 
-def _row_record(r: FamilyRow) -> dict:
-    return {
-        "index": r.index,
-        "p": r.spec.p,
-        "q": r.spec.q,
-        "n1": r.spec.n1,
-        "n2": r.spec.n2,
-        "k": r.k,
-        "crossings": r.crossings,
-        "twist_regions": r.twist_regions,
-        "generalized_twist_regions": r.gen_twist_regions,
-        "ell": r.ell,
-        "certificate": r.certificate,
-        "vol_lower": r.vol_lower,
-        "vol_upper": r.vol_upper,
-        "lambda_lower": r.lam_lower,
-        "lambda_upper": r.lam_upper,
-    }
-
-
 def report_to_json(report: FamilyReport) -> dict:
     return {
         "kind": report.family.kind,
         "description": report.family.description,
-        "rows": [_row_record(r) for r in report.rows],
+        "rows": report.rows,
         "uncertified": [
             {"index": i, "spec": {"p": s.p, "q": s.q, "n1": s.n1, "n2": s.n2}, "error": err}
             for i, s, err in report.uncertified
@@ -355,9 +326,8 @@ def report_to_json(report: FamilyReport) -> dict:
 def report_to_csv(report: FamilyReport, precision: int = 6) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for r in report.rows:
-        rec = _row_record(r)
         lines.append(",".join(
             _format_float(v, precision) if isinstance(v, float) else str(v)
-            for v in (rec[col] for col in CSV_COLUMNS)
+            for v in r.values()
         ))
     return "\n".join(lines) + "\n"

@@ -448,4 +448,4 @@ def generalized_twist_regions(d: PlanarDiagram) -> int:
         return 2
     if gen == "two_bridge":
         return len(prov["cfrac"])
-    return d.twist_regions().count
+    return len(d.twist_regions())

@@ -57,12 +57,12 @@ def _polyline(points, stroke, width, cls=None) -> str:
     )
 
 
-def render_svg(d: PlanarDiagram, seed_layout: int = 0) -> str:
+def render_svg(d: PlanarDiagram) -> str:
     """Deterministic planar drawing of a diagram; strand breaks show depth."""
     if d.n_crossings == 0:
         return _SVG_OPEN.format(w=_DIAGRAM_SIZE, h=_DIAGRAM_SIZE) + "</svg>"
 
-    pos = _normalize(_layout(d), seed_layout)
+    pos = _normalize(_layout(d))
     v = d.n_crossings
 
     mate = d.mate
@@ -124,21 +124,16 @@ def _layout(d: PlanarDiagram):
     return _planar.combinatorial_embedding_to_pos(succ)
 
 
-def _normalize(pos, seed_layout):
-    angle = (seed_layout % 360) * math.pi / 180.0
-    ca, sa = math.cos(angle), math.sin(angle)
-    rotated = {
-        k: (x * ca - y * sa, x * sa + y * ca) for k, (x, y) in pos.items()
-    }
-    xs = [p[0] for p in rotated.values()]
-    ys = [p[1] for p in rotated.values()]
+def _normalize(pos):
+    xs = [p[0] for p in pos.values()]
+    ys = [p[1] for p in pos.values()]
     x0, y0 = min(xs), min(ys)
     span = max(max(xs) - x0, max(ys) - y0) or 1.0
     margin = 0.06 * _DIAGRAM_SIZE
     scale = (_DIAGRAM_SIZE - 2 * margin) / span
     return {
         k: (margin + (x - x0) * scale, margin + (y - y0) * scale)
-        for k, (x, y) in rotated.items()
+        for k, (x, y) in pos.items()
     }
 
 
@@ -218,7 +213,7 @@ def curve_svg(*slopes: Slope) -> str:
     """Framed-sphere picture of one or more curves, as SVG polylines."""
     for s in slopes:
         check_crossing_count(
-            sum(curve_coordinates(s).tick_counts), f"picture of the curve {s} on its framing"
+            sum(curve_coordinates(s)), f"picture of the curve {s} on its framing"
         )
     parts = [_SVG_OPEN.format(w=_CURVE_SIZE, h=_CURVE_SIZE)]
     # framing: boundary circles (arcs A, A'), the two vertical arcs, punctures

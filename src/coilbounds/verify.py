@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from . import bounds, curves, family, generators
@@ -80,24 +81,18 @@ def check_02_cfrac_roundtrip():
     return True, f"{count} coprime pairs, exact"
 
 
-# Criteria 03 and 03* read one generation of the q <= 100 two-bridge
-# diagrams; ``run_checks`` keeps it for the length of one run.
-_shared: dict | None = None
-
-
+# Criteria 03 and 03* read the same survey of the q <= 100 two-bridge
+# diagrams, generated once per process.
+@cache
 def _two_bridge_survey():
     """(p, q, terms, twist regions, crossings, alternating) per slope q <= 100."""
-    rows = _shared.get("two_bridge") if _shared is not None else None
-    if rows is None:
-        rows = []
-        for p, q in _coprime_pairs(100):
-            c = cfrac_expand(Slope(p, q))
-            d = generators.gen_two_bridge(c)
-            rows.append((p, q, c.terms, d.twist_regions().count, d.n_crossings,
-                         d.is_alternating()))
-        if _shared is not None:
-            _shared["two_bridge"] = rows
-    return rows
+    rows = []
+    for p, q in _coprime_pairs(100):
+        c = cfrac_expand(Slope(p, q))
+        d = generators.gen_two_bridge(c)
+        rows.append((p, q, c.terms, len(d.twist_regions()), d.n_crossings,
+                     d.is_alternating()))
+    return tuple(rows)
 
 
 def check_03_two_bridge_cross_check():
@@ -215,7 +210,7 @@ def check_09_generator_consistency():
                     filled.mate == direct.mate
                     and direct.n_crossings == want
                     and direct.n_components == 1
-                    and direct.twist_regions().count == spec.twist_region_count
+                    and len(direct.twist_regions()) == spec.twist_region_count
                 ):
                     return False, f"mismatch at ({p},{q},{n1},{n2})"
                 checked += 1
@@ -227,9 +222,9 @@ def check_10_family_phenomena():
         family.fixed_slope_vary_twists(2, 5, 6, range(4, 101))
     )
     v8 = bounds.CONSTANTS.v8
-    if not all(abs(r.vol_upper - 8 * v8) < 1e-9 for r in rep.rows):
+    if not all(abs(r["vol_upper"] - 8 * v8) < 1e-9 for r in rep.rows):
         return False, "volume-upper column not constant 8*v8"
-    crossings = [r.crossings for r in rep.rows]
+    crossings = [r["crossings"] for r in rep.rows]
     diffs = {b - a for a, b in zip(crossings, crossings[1:])}
     if diffs != {20}:
         return False, "crossing column not linear"
@@ -239,13 +234,13 @@ def check_10_family_phenomena():
     rep2 = family.analyze_family(
         family.vary_slope_fixed_twists(family.fibonacci_slopes(20), 4)
     )
-    lows = [r.vol_lower for r in rep2.rows]
+    lows = [r["vol_lower"] for r in rep2.rows]
     if not all(b > a for a, b in zip(lows, lows[1:])):
         return False, "volume lowers not strictly increasing"
     for r in rep2.rows:
-        if abs(r.vol_lower - (0.9718 * r.k - 0.3241)) > 2e-4 * r.k:
-            return False, f"volume lower off the linear law at k={r.k}"
-    ups = [r.lam_upper for r in rep2.rows]
+        if abs(r["vol_lower"] - (0.9718 * r["k"] - 0.3241)) > 2e-4 * r["k"]:
+            return False, f"volume lower off the linear law at k={r['k']}"
+    ups = [r["lambda_upper"] for r in rep2.rows]
     if not all(b < a for a, b in zip(ups, ups[1:])):
         return False, "lambda uppers not strictly decreasing"
     if rep2.verdict != "NotExpandingCertified":
@@ -303,12 +298,7 @@ def _run_one(entry) -> CheckResult:
 
 def run_checks() -> list[CheckResult]:
     """Run every acceptance check in this process, in declaration order."""
-    global _shared
-    _shared = {}
-    try:
-        return [_run_one(entry) for entry in ACCEPTANCE_CHECKS]
-    finally:
-        _shared = None
+    return [_run_one(entry) for entry in ACCEPTANCE_CHECKS]
 
 
 def verify_pd_text(text: str) -> str:
@@ -320,6 +310,6 @@ def verify_pd_text(text: str) -> str:
     d = parse_pd(text)
     return (
         f"ok: {d.n_crossings} crossings, {d.n_edges} edges, {len(d.faces())} faces, "
-        f"{d.n_components} components, {d.twist_regions().count} twist regions, "
+        f"{d.n_components} components, {len(d.twist_regions())} twist regions, "
         f"alternating={d.is_alternating()}"
     )

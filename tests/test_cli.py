@@ -418,6 +418,10 @@ def test_verify_pd_non_planar(tmp_path, capsys):
         # --pd validates one file; --jobs and --timings belong to the suite
         ("verify", "--pd", "x.pd", "--jobs", "1"),
         ("verify", "--pd", "x.pd", "--timings"),
+        # options are spelled in full: a prefix of one is not read as it
+        ("verify", "--p", "good.pd"),
+        ("bounds", "--p", "3", "--q", "5", "--n1", "4", "--n2", "4", "--prec", "3"),
+        ("--vers",),
     ],
 )
 def test_unread_flags_rejected(capsys, argv):
@@ -728,7 +732,7 @@ _COMMANDS = {
     "curve": ([_SLOPE, _SLOPE], {"--oracle": None, "--oracle-cap": _INT_TEXT, "--svg": _OUT}),
     "gen": (
         [st.sampled_from(["twobridge", "clasped", "coil", "augmented", "knot"])],
-        {"--cfrac": _CFRAC, "--svg": _OUT, "--seed-layout": _INT_TEXT, "--out": _OUT, **_SPEC},
+        {"--cfrac": _CFRAC, "--svg": _OUT, "--out": _OUT, **_SPEC},
     ),
     "bounds": ([], {**_PRECISION, "--out": _OUT, **_SPEC}),
     "lambda": ([], {**_PRECISION, "--out": _OUT, **_SPEC}),
@@ -736,7 +740,7 @@ _COMMANDS = {
                     "--jobs": _INT_TEXT, **_PRECISION, "--out": _OUT}),
     # the bare suite is covered by test_acceptance; here verify always reads a file
     "verify": ([], {"--pd": _PD_IN, "--jobs": _INT_TEXT}),
-    "render": ([_PD_IN], {"--svg": _OUT, "--seed-layout": _INT_TEXT}),
+    "render": ([_PD_IN], {"--svg": _OUT}),
 }
 _ALL_FLAGS = sorted({flag for _, flags in _COMMANDS.values() for flag in flags})
 

@@ -38,9 +38,9 @@ def reduced_slopes(cap, include_inf=True, negatives=False):
 
 
 def test_tick_counts():
-    assert curve_coordinates(Slope(2, 5)).tick_counts == (5, 5, 2, 2)
-    assert curve_coordinates(ZERO).tick_counts == (1, 1, 0, 0)
-    assert curve_coordinates(INF).tick_counts == (0, 0, 1, 1)
+    assert curve_coordinates(Slope(2, 5)) == (5, 5, 2, 2)
+    assert curve_coordinates(ZERO) == (1, 1, 0, 0)
+    assert curve_coordinates(INF) == (0, 0, 1, 1)
 
 
 def test_curve_curve_examples():

@@ -44,7 +44,7 @@ def test_parse_empty():
     assert d.n_crossings == 0
     assert emit_pd(d) == ""
     assert len(d.faces()) == 1
-    assert d.twist_regions().count == 0
+    assert len(d.twist_regions()) == 0
     assert d.is_alternating()
 
 
@@ -123,10 +123,10 @@ def test_face_counts():
 
 def test_twist_regions_examples():
     t = parse_pd(TREFOIL).twist_regions()
-    assert t.count == 1 and len(t.regions[0]) == 3
+    assert len(t) == 1 and len(t[0]) == 3
     t = parse_pd(FIGURE8).twist_regions()
-    assert t.count == 2 and sorted(len(r) for r in t.regions) == [2, 2]
-    assert parse_pd("X(1,2,2,1)").twist_regions().count == 1
+    assert len(t) == 2 and sorted(len(r) for r in t) == [2, 2]
+    assert len(parse_pd("X(1,2,2,1)").twist_regions()) == 1
 
 
 def test_is_alternating():
@@ -154,7 +154,7 @@ def test_roundtrip_generated():
         again = parse_pd(text)
         assert emit_pd(again) == text
         assert again.n_components == d.n_components
-        assert again.twist_regions().count == d.twist_regions().count
+        assert len(again.twist_regions()) == len(d.twist_regions())
 
 
 def test_twist_regions_relabel_invariant():
@@ -168,7 +168,7 @@ def test_twist_regions_relabel_invariant():
         moved = PlanarDiagram(
             [tuple(relabel[x] for x in cr) for cr in d.crossings]
         )
-        assert moved.twist_regions().count == d.twist_regions().count
+        assert len(moved.twist_regions()) == len(d.twist_regions())
         assert moved.is_alternating() == d.is_alternating()
 
 
@@ -263,7 +263,7 @@ def test_components_are_dart_strands(d):
 @settings(max_examples=30, deadline=None)
 @given(_built_diagram())
 def test_twist_regions_sorted_partition(d):
-    regions = d.twist_regions().regions
+    regions = d.twist_regions()
     assert regions == tuple(sorted(regions))
     assert sorted(c for r in regions for c in r) == list(range(d.n_crossings))
     for face in d.faces():

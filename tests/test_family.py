@@ -46,19 +46,20 @@ def test_fixed_slope_family():
     rep = analyze_family(fixed_slope_vary_twists(2, 5, 6, range(4, 21)))
     assert rep.verdict == "ExpandingCertified"
     assert len(rep.rows) == 17 and not rep.uncertified
-    assert len({r.vol_upper for r in rep.rows}) == 1
-    assert len({r.lam_lower for r in rep.rows}) == 1
-    assert all(r.gen_twist_regions == 2 for r in rep.rows)
+    assert all(tuple(r) == CSV_COLUMNS for r in rep.rows)
+    assert len({r["vol_upper"] for r in rep.rows}) == 1
+    assert len({r["lambda_lower"] for r in rep.rows}) == 1
+    assert all(r["generalized_twist_regions"] == 2 for r in rep.rows)
     # lambda lower = A1 / (8 v8)^2 for the whole family
     expected = CONSTANTS.lambda_floor_numerator / (8 * CONSTANTS.v8) ** 2
-    assert abs(rep.rows[0].lam_lower - expected) < 1e-25
+    assert abs(rep.rows[0]["lambda_lower"] - expected) < 1e-25
     assert abs(expected - 1.020e-17) < 1e-19
 
 
 def test_vary_slope_family():
     rep = analyze_family(vary_slope_fixed_twists(fibonacci_slopes(8), 4))
     assert rep.verdict == "NotExpandingCertified"
-    ups = [r.lam_upper for r in rep.rows]
+    ups = [r["lambda_upper"] for r in rep.rows]
     assert all(b < a for a, b in zip(ups, ups[1:]))
 
 
@@ -99,10 +100,10 @@ def test_twist_growth_experiment():
     """Bounded volume, growing twist number, and the fixed 1/6 filling past
     the punctured-disk obstruction, read from the family rows."""
     rows = analyze_family(fixed_slope_vary_twists(2, 5, 6, range(4, 11))).rows
-    assert [r.crossings for r in rows] == [20 * (n + 6) for n in range(4, 11)]
-    assert disk_obstruction_check(rows[0].spec.n2)
-    assert all(r.vol_upper == rows[0].vol_upper for r in rows)
-    growth = [r.twist_regions for r in rows]
+    assert [r["crossings"] for r in rows] == [20 * (n + 6) for n in range(4, 11)]
+    assert disk_obstruction_check(rows[0]["n2"])
+    assert all(r["vol_upper"] == rows[0]["vol_upper"] for r in rows)
+    growth = [r["twist_regions"] for r in rows]
     assert all(b > a for a, b in zip(growth, growth[1:]))
     assert len(analyze_family(fixed_slope_vary_twists(2, 5, 6, [4])).rows) == 1
 
@@ -172,10 +173,10 @@ def certified_specs(draw):
 def test_row_reads_bound_report(spec):
     (row,) = analyze_family(CoilFamily("fixed-slope", (spec,))).rows
     rep = bound_report(spec)
-    assert (row.k, row.ell, row.certificate) == (
+    assert (row["k"], row["ell"], row["certificate"]) == (
         rep["k"], rep["ell"], rep["certificate"]["condition"]
     )
-    assert (row.vol_lower, row.vol_upper, row.lam_lower, row.lam_upper) == (
+    assert (row["vol_lower"], row["vol_upper"], row["lambda_lower"], row["lambda_upper"]) == (
         rep["volume"]["lower"], rep["volume"]["upper"],
         rep["lambda"]["lower"], rep["lambda"]["upper"],
     )
@@ -219,4 +220,4 @@ def test_json_report_schema():
     # far members have millions of crossings; both columns are closed forms
     last = data["rows"][-1]
     assert last["crossings"] > 10**6
-    assert last["twist_regions"] == rep.rows[-1].spec.twist_region_count
+    assert last["twist_regions"] == rep.family.members[-1].twist_region_count

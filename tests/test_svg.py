@@ -61,7 +61,6 @@ def test_render_glyph_count_matches_crossings():
 def test_render_deterministic_and_seeded():
     d = gen_two_bridge(ContinuedFraction((2, 2)))
     assert render_svg(d) == render_svg(d)
-    assert render_svg(d, seed_layout=5) != render_svg(d, seed_layout=0)
 
 
 def test_curve_svg_wellformed():
