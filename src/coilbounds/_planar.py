@@ -19,14 +19,14 @@ An embedding is a dict ``succ``: node -> {neighbour: [cw, ccw]}, where cw
 and ccw are the neighbours next to that neighbour clockwise and
 counterclockwise around the node.  As in networkx, the last key of
 ``succ[v]`` is v's leftmost neighbour, where the clockwise order starts.
-The drawing needs a connected graph with at least four nodes.
+The drawing needs a connected sphere embedding with at least four nodes;
+nothing here checks it, since ``svg._layout`` builds it from a validated
+``PlanarDiagram``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-
-from .errors import NonPlanarRotation
 
 CW, CCW = 0, 1
 
@@ -74,40 +74,6 @@ def neighbors_cw_order(succ, v):
 def next_face_half_edge(succ, v, w):
     """The half-edge after v -> w along the face on its left."""
     return w, succ[w][v][CCW]
-
-
-def check_structure(succ):
-    """Raise NonPlanarRotation unless ``succ`` embeds a connected graph in the sphere.
-
-    Each rotation must list exactly the node's neighbours, every half-edge
-    must have its twin, and nodes - edges + faces must be 2.
-    """
-    half_edges = 0
-    for v, nbrs in succ.items():
-        rotation = []
-        for w in neighbors_cw_order(succ, v):
-            rotation.append(w)
-            if w not in nbrs or len(rotation) > len(nbrs):
-                break
-        if len(rotation) != len(nbrs) or rotation[-1] not in nbrs:
-            raise NonPlanarRotation(f"layout: the rotation at node {v} is not its neighbours")
-        for w in nbrs:
-            if v not in succ[w]:
-                raise NonPlanarRotation(f"layout: half-edge {v}->{w} has no twin")
-        half_edges += len(nbrs)
-    faces = 0
-    seen = set()
-    for v in succ:
-        for w in neighbors_cw_order(succ, v):
-            if (v, w) in seen:
-                continue
-            faces += 1
-            a, b = v, w
-            while (a, b) not in seen:
-                seen.add((a, b))
-                a, b = next_face_half_edge(succ, a, b)
-    if len(succ) - half_edges // 2 + faces != 2:
-        raise NonPlanarRotation("layout: the rotation system fails Euler's formula")
 
 
 def combinatorial_embedding_to_pos(succ):

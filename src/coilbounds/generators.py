@@ -190,6 +190,8 @@ def gen_clasped_two_bridge(s: Slope) -> PlanarDiagram:
 def _coil_braid(b, q: int, n_signed: int):
     """Lay n_signed full twists on q strands; return (west, east) port darts."""
     rows = q * abs(n_signed)
+    if not rows:  # the empty braid has no ports
+        return [], []
     first = b.crossings(rows * (q - 1), under=0 if n_signed > 0 else 1).start
     join = b.join
     # row 0 reaches every position for the first time: those are the west ports
@@ -340,9 +342,10 @@ def fill_crossing_circle(d: PlanarDiagram, circle, n: int) -> PlanarDiagram:
     """Replace a crossing circle by n full twists of its encircled strands.
 
     ``circle`` is a component id (or provenance role name).  The circle's
-    2q crossings disappear; for n != 0 a coil braid with n*q*(q-1)
-    crossings is spliced into the q strands, and n = 0 simply deletes the
-    circle.  Everything outside the circle's thin region is untouched.
+    2q crossings give way to a coil braid with n*q*(q-1) crossings, which
+    is empty for n = 0.  One walk splices it in for every n: each wired
+    dart joins the next wired dart along its strand, stepping straight
+    through the circle's crossings where no braid port sits.
     """
     if not isinstance(n, int):
         raise TypeError("full-twist count must be an integer")
@@ -355,51 +358,33 @@ def fill_crossing_circle(d: PlanarDiagram, circle, n: int) -> PlanarDiagram:
     check_crossing_count(
         d.n_crossings - 2 * q + q * (q - 1) * abs(n), f"{role} filled with {n} full twists"
     )
-    mate = d.mate
     deleted = {x >> 2 for rec in recs for x in rec}
     kept = [c for c in range(d.n_crossings) if c not in deleted]
+    if not kept and not n:
+        return PlanarDiagram((), {"generator": "trivial", "note": "all crossings removed"})
+    mate = d.mate
     b = DiagramBuilder()
     b.crossings(len(kept))
-    # old dart -> new dart; a kept crossing keeps its slots, the circle's get -1
+    west, east = _coil_braid(b, q, n * info["orient"])
+    # old dart -> new dart: a kept crossing keeps its slots, a passage's
+    # outer darts take the braid's ports, and every other dart gets -1
     new = [-1] * len(mate)
     for i, c in enumerate(kept):
         new[4 * c:4 * c + 4] = range(4 * i, 4 * i + 4)
+    for (w, e), port_w, port_e in zip(recs, west, east):
+        new[w], new[e] = port_w, port_e
+    through = {x >> 2: x & 1 for rec in recs for x in rec}  # encircled diagonal
     join = b.join
-
-    if n == 0:
-        through = {x >> 2: x & 1 for rec in recs for x in rec}
-
-        def resolve(dart):
-            # follow the encircled strand through the circle's crossings
-            while new[dart] < 0:
-                if dart & 1 != through[dart >> 2]:
-                    raise AssertionError("resolution strayed onto the circle strand")
-                dart = mate[dart ^ 2]
-            return dart
-
-        done = bytearray(len(mate))
-        for c in kept:
-            for here in range(4 * c, 4 * c + 4):
-                if done[here]:
-                    continue
-                other = resolve(mate[here])
-                done[here] = done[other] = 1
-                join(new[here], new[other])
-        if not kept:
-            return PlanarDiagram((), {"generator": "trivial", "note": "all crossings removed"})
-    else:
-        west, east = _coil_braid(b, q, n * info["orient"])
-        for pos, (w, e) in enumerate(recs):
-            new[w] = west[pos]
-            new[e] = east[pos]
-        for x, y in enumerate(mate):
-            if x < y:
-                nx, ny = new[x], new[y]
-                if nx >= 0 and ny >= 0:
-                    join(nx, ny)
-                elif nx >= 0 or ny >= 0:
-                    raise AssertionError("edge half-deleted by circle surgery")
-                # else: the circle strand, or an edge inside its region
+    for x, y in enumerate(mate):
+        nx = new[x]
+        if nx < 0:
+            continue
+        while new[y] < 0:  # follow the encircled strand through the circle
+            if y & 1 != through[y >> 2]:
+                raise AssertionError("surgery strayed onto the circle strand")
+            y = mate[y ^ 2]
+        if x < y:  # each joined pair once
+            join(nx, new[y])
 
     for other in circles.values():
         other["passages"] = [(new[w], new[e]) for w, e in other["passages"]]

@@ -5,9 +5,11 @@ Diagram drawing never uses generator geometry: the crossing tuples alone
 fix a combinatorial sphere embedding, each edge is subdivided twice, and
 Chrobak and Payne's straight-line grid drawing lays the subdivision out
 honoring that embedding (``_planar``, ported from networkx's
-``combinatorial_embedding_to_pos``).  Under-strands are drawn with a gap
-at each crossing and the over-strand is re-stroked on top (one ``xing``
-glyph per crossing).
+``combinatorial_embedding_to_pos``).  The embedding is the one that
+``PlanarDiagram`` validated when the diagram was built, so drawing does
+not prove it again.  Under-strands are drawn with a gap at each crossing
+and the over-strand is re-stroked on top (one ``xing`` glyph per
+crossing).
 
 Curves are drawn in the annulus picture of the projection sphere: the
 fundamental strip wraps into an annulus, the folded bottom and top edges
@@ -104,6 +106,11 @@ def _layout(d: PlanarDiagram):
     drawing, does not depend on the hash seed.  ``_planar`` is imported
     here, not at module level, so that only commands that draw a diagram
     load it.
+
+    The embedding is not checked again: ``PlanarDiagram`` proved ``d.mate``
+    connected with V + 2 faces, subdividing keeps both (5V nodes, 6V edges),
+    and the lists below give each half-edge its twin and each node the
+    rotation of its darts.
     """
     from . import _planar
 
@@ -120,7 +127,6 @@ def _layout(d: PlanarDiagram):
         for w in nbrs:
             _planar.add_half_edge(succ, node, w, ccw=prev)
             prev = w
-    _planar.check_structure(succ)
     return _planar.combinatorial_embedding_to_pos(succ)
 
 

@@ -325,6 +325,7 @@ GOLDEN_PD_SHA256 = {
     "two_bridge": "e091259e393f105c965aaecbdd70d55dcd07ac5fed323b5c49f0cf13cf83ce37",
     "coil": "003e8618f9ce1ebf29f208f323a18ae6f55da9e83535f25575fc13e74d1f00b0",
     "fill": "4bfb665202762acb980638ebba4bac87771b69aa8c9436d446921c4c111dcd66",
+    "delete": "a81afe40a6b4d97300d07422c22f3114688e8e60a2cff1ae5434afc879351e20",
 }
 
 
@@ -339,6 +340,17 @@ def test_generator_pd_golden():
         d = fill_crossing_circle(gen_augmented(Slope(p, q)), "C1", 2)
         return fill_crossing_circle(d, "C2", -1)
 
+    def delete():
+        # n = 0 fills: each circle alone, the second circle after the first,
+        # and the clasp
+        for p, q in GOLDEN_COIL_SLOPES:
+            aug = gen_augmented(Slope(p, q))
+            yield fill_crossing_circle(aug, "C1", 0)
+            yield fill_crossing_circle(aug, "C2", 0)
+            yield fill_crossing_circle(fill_crossing_circle(aug, "C1", 2), "C2", 0)
+        for p, q in GOLDEN_SLOPES:
+            yield fill_crossing_circle(gen_clasped_two_bridge(Slope(p, q)), "clasp", 0)
+
     got = {
         "augmented": digest(gen_augmented(Slope(p, q)) for p, q in GOLDEN_SLOPES),
         "clasped": digest(gen_clasped_two_bridge(Slope(p, q)) for p, q in GOLDEN_SLOPES),
@@ -347,5 +359,6 @@ def test_generator_pd_golden():
         ),
         "coil": digest(gen_double_coil(CoilSpec(p, q, 1, -2)) for p, q in GOLDEN_COIL_SLOPES),
         "fill": digest(fill(p, q) for p, q in GOLDEN_COIL_SLOPES),
+        "delete": digest(delete()),
     }
     assert got == GOLDEN_PD_SHA256
