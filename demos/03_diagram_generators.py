@@ -22,7 +22,6 @@ from coilbounds import (
     gen_clasped_two_bridge,
     gen_double_coil,
     gen_two_bridge,
-    generalized_twist_regions,
     render_svg,
 )
 
@@ -68,14 +67,6 @@ fig8 = gen_double_coil(CoilSpec(1, 2, 1, 1))
 describe("(1,2,1,1)", fig8)
 print("  PD:", emit_pd(fig8))
 print()
-
-print("Generalized twist regions (coils always have exactly two)")
-for d, label in [
-    (gen_double_coil(CoilSpec(3, 5, 2, 2)), "(3,5,2,2) coil"),
-    (gen_two_bridge(cfrac_expand(Slope(2, 5))), "2/5 plat"),
-    (gen_two_bridge(cfrac_expand(Slope(1, 5))), "1/5 plat"),
-]:
-    print(f"  {label}: {generalized_twist_regions(d)}")
 
 for name, d in [("augmented_2_5.svg", aug), ("coil_1_2_1_1.svg", fig8)]:
     with open(name, "w") as fh:

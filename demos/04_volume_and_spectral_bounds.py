@@ -37,8 +37,8 @@ k = cfrac_expand(spec.slope).length
 print(f"Knot: ({spec.p},{spec.q}) double coil, n1={spec.n1}, n2={spec.n2}, k={k}")
 print()
 
-parent = parent_volume_interval(spec.slope)
-print(f"Parent link volume in [{parent.lower:.5f}, {parent.upper:.5f}]")
+parent_lower, parent_upper = parent_volume_interval(spec.slope)
+print(f"Parent link volume in [{parent_lower:.5f}, {parent_upper:.5f}]")
 
 cert = coil_hyperbolicity_certificate(k, spec.n1, spec.n2)
 print(f"Certificate: {cert['condition']}")

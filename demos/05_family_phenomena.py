@@ -22,11 +22,11 @@ from coilbounds.family import fibonacci_slopes
 
 print("Sweep A: (2,5) coils, n2 = 6, n1 = 4..40")
 report = analyze_family(fixed_slope_vary_twists(2, 5, 6, range(4, 41)))
-print(f"  verdict: {report.verdict}")
-print(f"  volume upper, every row: {report.rows[0]['vol_upper']:.5f}")
-print(f"  lambda_1 lower, every row: {report.rows[0]['lambda_lower']:.4g}")
+print(f"  verdict: {report['verdict']}")
+print(f"  volume upper, every row: {report['rows'][0]['vol_upper']:.5f}")
+print(f"  lambda_1 lower, every row: {report['rows'][0]['lambda_lower']:.4g}")
 print("  n1  crossings  t(D)   gen-t")
-for row in report.rows[:6]:
+for row in report['rows'][:6]:
     print(
         f"  {row['n1']:>3} {row['crossings']:>8} {row['twist_regions']:>6}"
         f" {row['generalized_twist_regions']:>6}"
@@ -37,7 +37,7 @@ print()
 print("The experiment table records the disk obstruction that keeps the")
 print("construction honest (1/6 filling has slope length sqrt(144.25) > 12):")
 obstruction = disk_obstruction_check(6)
-for row in report.rows[:4]:
+for row in report['rows'][:4]:
     print(
         f"  n1={row['n1']}: {row['crossings']} crossings, t(D)={row['twist_regions']},"
         f" vol < {row['vol_upper']:.4f}, obstruction={obstruction}"
@@ -46,9 +46,9 @@ print()
 
 print("Sweep B: Fibonacci slopes, n1 = n2 = 4, k = 1..14")
 report = analyze_family(vary_slope_fixed_twists(fibonacci_slopes(14), 4))
-print(f"  verdict: {report.verdict}")
+print(f"  verdict: {report['verdict']}")
 print("  slope        k  vol in [lo, hi)            lambda_1 <=")
-for row in report.rows:
+for row in report['rows']:
     s = f"{row['p']}/{row['q']}"
     print(
         f"  {s:>10} {row['k']:>3}  [{row['vol_lower']:8.4f}, {row['vol_upper']:9.4f})"

@@ -35,7 +35,6 @@ _EXPORTS = {
         "NoHyperbolicityCertificate",
         "SlopeTooShort",
         "VolumeBelowFloor",
-        "NoCertifiedRows",
         "ConfigError",
     ),
     "slopes": (
@@ -64,13 +63,11 @@ _EXPORTS = {
         "gen_double_coil",
         "gen_augmented",
         "fill_crossing_circle",
-        "generalized_twist_regions",
     ),
     "svg": ("render_svg", "curve_svg"),
     "bounds": (
         "CONSTANTS",
         "Constants",
-        "VolumeInterval",
         "parent_volume_interval",
         "ell_param",
         "dehn_filling_factor",
@@ -86,11 +83,9 @@ _EXPORTS = {
     ),
     "family": (
         "CoilFamily",
-        "FamilyReport",
         "fixed_slope_vary_twists",
         "vary_slope_fixed_twists",
         "analyze_family",
-        "expanding_verdict",
         "load_family_config",
     ),
 }

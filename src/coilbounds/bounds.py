@@ -46,7 +46,6 @@ from .slopes import CoilSpec, Slope, canonical_coil_slope, cfrac_expand
 __all__ = [
     "Constants",
     "CONSTANTS",
-    "VolumeInterval",
     "parent_volume_interval",
     "ell_param",
     "dehn_filling_factor",
@@ -90,34 +89,19 @@ CONSTANTS = Constants()
 _FOUR_PI_SQ = 4.0 * math.pi**2
 
 
-@dataclass(frozen=True)
-class VolumeInterval:
-    lower: float
-    upper: float
-    strict_upper: bool = False
-    methods: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper):
-            raise ValueError(f"bad volume interval [{self.lower}, {self.upper}]")
-
-    def intersects(self, other: "VolumeInterval") -> bool:
-        return max(self.lower, other.lower) <= min(self.upper, other.upper)
-
-
-def _parent_volume(k: int) -> VolumeInterval:
-    """4*k*v3 - 1.3536 <= vol <= 4*k*v8 for the parent link of a slope whose
-    continued fraction has length k."""
+def _parent_volume(k: int) -> tuple[float, float]:
+    """(lower, upper) = (4*k*v3 - 1.3536, 4*k*v8), the volume bounds of the
+    parent link of a slope whose continued fraction has length k."""
     c = CONSTANTS
-    return VolumeInterval(
-        lower=4.0 * k * c.v3 - c.parent_deficit,
-        upper=4.0 * k * c.v8,
-        methods=(f"parent-volume(k={k})",),
-    )
+    lower, upper = 4.0 * k * c.v3 - c.parent_deficit, 4.0 * k * c.v8
+    if not 0.0 <= lower <= upper:
+        raise ValueError(f"bad volume interval [{lower}, {upper}]")
+    return lower, upper
 
 
-def parent_volume_interval(s: Slope) -> VolumeInterval:
-    """Two-sided volume bounds for the 3-component parent link of slope s.
+def parent_volume_interval(s: Slope) -> tuple[float, float]:
+    """Two-sided volume bounds (lower, upper) for the 3-component parent
+    link of slope s.
 
     The slope is brought to its canonical class 0 < p < q first; classes 0
     and infinity raise ``NonHyperbolicSlope``.
@@ -266,20 +250,14 @@ def bound_report(spec: CoilSpec) -> dict:
             "neither |n_i|>=4 nor k|n_i|>=80 holds for both regions"
         )
     ell = ell_param(k, spec.n1, spec.n2)
-    parent = _parent_volume(k)
-    vol = VolumeInterval(
-        lower=dehn_filling_factor(ell) * parent.lower,
-        upper=parent.upper,
-        strict_upper=True,
-        methods=parent.methods
-        + (f"dehn-filling-decay(ell={_format_float(ell, 6)})",
-           f"certificate:{cert['condition']}"),
-    )
+    parent_lower, upper = _parent_volume(k)
+    # a factor in (0, 1) keeps 0 <= lower <= upper
+    lower = dehn_filling_factor(ell) * parent_lower
     # The lambda_1 sandwich A1/vol^2 <= lambda_1 <= A2/vol over the volume
     # interval: the lower end is taken at the volume upper bound and vice
     # versa, both sound because both functions decrease in vol.
-    lam_lower = lambda_lower(vol.upper)
-    lam_upper = CONSTANTS.lambda_ceiling_coefficient / vol.lower
+    lam_lower = lambda_lower(upper)
+    lam_upper = CONSTANTS.lambda_ceiling_coefficient / lower
     if not 0.0 < lam_lower <= lam_upper:
         raise ValueError(f"bad spectral interval [{lam_lower}, {lam_upper}]")
     return {
@@ -287,14 +265,12 @@ def bound_report(spec: CoilSpec) -> dict:
         "k": k,
         "ell": ell,
         "certificate": cert,
-        "volume": {
-            "lower": vol.lower,
-            "upper": vol.upper,
-            "strictUpper": vol.strict_upper,
-        },
+        "volume": {"lower": lower, "upper": upper, "strictUpper": True},
         "lambda": {"lower": lam_lower, "upper": lam_upper},
         "methods": [
-            *vol.methods,
+            f"parent-volume(k={k})",
+            f"dehn-filling-decay(ell={_format_float(ell, 6)})",
+            f"certificate:{cert['condition']}",
             "heegaard-genus<=3",
             "A1=pi^2/2^50",
             "A2=12650",

@@ -86,14 +86,30 @@ def _unit_slope(s: Slope) -> Slope:
     return s
 
 
+def _spec_pq(args, canonical: bool) -> tuple[int, int]:
+    """(p, q) from exactly one of ``--slope`` and ``--p --q``.
+
+    ``--slope`` is parsed, and brought to its class 0 < p < q when
+    ``canonical``; ``--p --q`` are returned as given, for the caller to check.
+    """
+    if args.slope is not None:
+        if args.p is not None or args.q is not None:
+            raise _UsageError("--slope and --p --q exclude each other")
+        s = _parse_arg(Slope.parse, args.slope, "slope")
+        if canonical:
+            s = canonical_coil_slope(s)
+        return s.p, s.q
+    if args.p is None or args.q is None:
+        raise _UsageError("need --slope or --p --q")
+    return args.p, args.q
+
+
 def _coil_spec(args) -> CoilSpec:
-    if args.slope and args.p is None:
-        s = canonical_coil_slope(_parse_arg(Slope.parse, args.slope, "slope"))
-        args.p, args.q = s.p, s.q
-    if None in (args.p, args.q, args.n1, args.n2):
+    p, q = _spec_pq(args, canonical=True)
+    if args.n1 is None or args.n2 is None:
         raise _UsageError("need --p --q --n1 --n2 (or --slope with --n1 --n2)")
     try:
-        return CoilSpec(args.p, args.q, args.n1, args.n2)
+        return CoilSpec(p, q, args.n1, args.n2)
     except ValueError as e:
         raise _UsageError(str(e)) from None
 
@@ -163,6 +179,8 @@ def _cmd_gen(args):
     )
 
     if args.what == "twobridge":
+        if args.cfrac is not None and args.slope is not None:
+            raise _UsageError("--cfrac and --slope exclude each other")
         if args.cfrac:
             c = _parse_arg(ContinuedFraction.parse, args.cfrac, "continued fraction")
             d = gen_two_bridge(c)
@@ -178,15 +196,10 @@ def _cmd_gen(args):
     elif args.what == "coil":
         d = gen_double_coil(_coil_spec(args))
     else:  # augmented
-        if args.slope and args.p is None:
-            s = _parse_arg(Slope.parse, args.slope, "slope")
-        elif args.p is not None and args.q is not None:
-            try:
-                s = Slope(args.p, args.q)
-            except ValueError as e:
-                raise _UsageError(str(e)) from None
-        else:
-            raise _UsageError("gen augmented needs --slope or --p --q")
+        try:
+            s = Slope(*_spec_pq(args, canonical=False))
+        except ValueError as e:
+            raise _UsageError(str(e)) from None
         d = gen_augmented(_unit_slope(s))
     if args.svg:
         from .svg import render_svg
@@ -207,13 +220,13 @@ def _cmd_bounds(args):
 
 
 def _cmd_family(args):
-    from .family import analyze_family, load_family_config, report_to_csv, report_to_json
+    from .family import analyze_family, load_family_config, report_to_csv
 
     with open(args.config) as fh:
         fam = load_family_config(fh.read())
     report = analyze_family(fam)
     if args.format == "json":
-        data = _round_floats(report_to_json(report), args.precision)
+        data = _round_floats(report, args.precision)
         _emit(json.dumps(data, indent=2) + "\n", args.out)
     else:
         _emit(report_to_csv(report, args.precision), args.out)

@@ -77,9 +77,5 @@ class VolumeBelowFloor(CoilboundsError):
 
 # --- family ---------------------------------------------------------------
 
-class NoCertifiedRows(CoilboundsError):
-    """A family verdict needs at least one certified member."""
-
-
 class ConfigError(CoilboundsError):
     """Malformed family configuration file."""

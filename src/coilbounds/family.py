@@ -14,8 +14,9 @@ Two family kinds reproduce the headline phenomena:
 Verdicts are decided by the family *kind* (an infinite family's volumes
 are bounded or not by construction), never by eyeballing finitely many
 numbers; and they concern the certified bound intervals, not the true
-spectra.  Each row is one ``bound_report`` of its member, built once as
-the dict that the CSV and JSON print, keyed in ``CSV_COLUMNS`` order.  The
+spectra.  ``analyze_family`` returns the dict that ``family --format json``
+prints; each row is one ``bound_report`` of its member, built once and keyed
+in ``CSV_COLUMNS`` order, and the CSV prints the rows.  The
 diagram-level columns are exact closed forms of the generated diagram,
 with no diagram built: crossings q(q-1)(|n1|+|n2|) and twist regions
 ``CoilSpec.twist_region_count``, a law checked against generated diagrams
@@ -26,25 +27,22 @@ family loads no diagram code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 from .bounds import _format_float, bound_report
-from .errors import CoilboundsError, ConfigError, NoCertifiedRows
+from .errors import CoilboundsError, ConfigError
 from .slopes import MAX_DIGITS, CoilSpec, Slope
 
 __all__ = [
     "CoilFamily",
-    "FamilyReport",
     "fixed_slope_vary_twists",
     "vary_slope_fixed_twists",
     "fibonacci_slopes",
     "odd_denominator_slopes",
     "analyze_family",
-    "expanding_verdict",
     "load_family_config",
     "report_to_csv",
-    "report_to_json",
     "CSV_COLUMNS",
 ]
 
@@ -129,15 +127,6 @@ def odd_denominator_slopes(count: int):
 _SEQUENCES = {"fibonacci": _fibonacci_pairs, "odd-denominators": _odd_denominator_pairs}
 
 
-@dataclass
-class FamilyReport:
-    family: CoilFamily
-    rows: list[dict] = field(default_factory=list)
-    uncertified: list[tuple[int, CoilSpec, str]] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-    verdict: str = "Inconclusive"
-
-
 CSV_COLUMNS = (
     "index",
     "p",
@@ -180,30 +169,49 @@ def _row(index: int, spec: CoilSpec) -> dict:
     }
 
 
-def analyze_family(f: CoilFamily) -> FamilyReport:
-    """Evaluate every member; uncertified members are listed, never fatal."""
-    report = FamilyReport(family=f)
+class _Report(dict):
+    """The printed report, a plain dict but for ``rows`` read as an
+    attribute: the benchmark tracer (``perfbench/tracing.py``) sizes its
+    ``family.analyze_family`` span by ``len(result.rows)``."""
+
+    @property
+    def rows(self) -> list[dict]:
+        return self["rows"]
+
+
+def analyze_family(f: CoilFamily) -> dict:
+    """The report that ``family --format json`` prints, floats unrounded.
+
+    Keys: ``kind``, ``description``, ``rows``, ``uncertified`` (one
+    ``{index, spec, error}`` record per member without a certificate; such
+    members are listed, never fatal), ``summary`` and ``verdict``.
+    """
+    rows, uncertified = [], []
     for i, spec in enumerate(f.members):
         try:
-            report.rows.append(_row(i, spec))
+            rows.append(_row(i, spec))
         except CoilboundsError as e:
-            report.uncertified.append((i, spec, type(e).__name__))
-    _summarize(report)
-    try:
-        report.verdict = expanding_verdict(report)
-    except NoCertifiedRows:
-        report.verdict = "Inconclusive"
-    return report
+            uncertified.append({
+                "index": i,
+                "spec": {"p": spec.p, "q": spec.q, "n1": spec.n1, "n2": spec.n2},
+                "error": type(e).__name__,
+            })
+    return _Report(
+        kind=f.kind,
+        description=f.description,
+        rows=rows,
+        uncertified=uncertified,
+        summary=_summary(rows, len(uncertified)),
+        verdict=_verdict(f.kind, rows),
+    )
 
 
-def _summarize(report: FamilyReport) -> None:
-    rows = report.rows
+def _summary(rows: list[dict], n_uncertified: int) -> dict:
     if not rows:
-        report.summary = {"certified_rows": 0}
-        return
-    report.summary = {
+        return {"certified_rows": 0}
+    return {
         "certified_rows": len(rows),
-        "uncertified_rows": len(report.uncertified),
+        "uncertified_rows": n_uncertified,
         "sup_vol_upper": max(r["vol_upper"] for r in rows),
         "inf_vol_lower": min(r["vol_lower"] for r in rows),
         "max_vol_lower": max(r["vol_lower"] for r in rows),
@@ -213,7 +221,7 @@ def _summarize(report: FamilyReport) -> None:
     }
 
 
-def expanding_verdict(r: FamilyReport) -> str:
+def _verdict(kind: str, rows: list[dict]) -> str:
     """Expanding-family verdict for the infinite family the window samples.
 
     The volumes of a fixed-slope family are bounded by the constant
@@ -221,13 +229,13 @@ def expanding_verdict(r: FamilyReport) -> str:
     vary-slope family with strictly increasing k has volume lower bounds
     growing linearly, so sup-type reasoning gives lambda_1 upper bounds
     tending to 0: not expanding.  Constant-k vary-slope windows are
-    bounded for the same reason as fixed-slope; anything else is
-    inconclusive from the window alone.
+    bounded for the same reason as fixed-slope; anything else, a window
+    without certified rows included, is inconclusive from the window alone.
     """
-    if not r.rows:
-        raise NoCertifiedRows("verdict needs at least one certified member")
-    ks = [row["k"] for row in r.rows]
-    if r.family.kind == "fixed-slope" or len(set(ks)) == 1:
+    ks = [row["k"] for row in rows]
+    if not ks:
+        return "Inconclusive"
+    if kind == "fixed-slope" or len(set(ks)) == 1:
         return "ExpandingCertified"
     if all(b > a for a, b in zip(ks, ks[1:])):
         return "NotExpandingCertified"
@@ -309,23 +317,10 @@ def load_family_config(text: str) -> CoilFamily:
     return family
 
 
-def report_to_json(report: FamilyReport) -> dict:
-    return {
-        "kind": report.family.kind,
-        "description": report.family.description,
-        "rows": report.rows,
-        "uncertified": [
-            {"index": i, "spec": {"p": s.p, "q": s.q, "n1": s.n1, "n2": s.n2}, "error": err}
-            for i, s, err in report.uncertified
-        ],
-        "summary": report.summary,
-        "verdict": report.verdict,
-    }
-
-
-def report_to_csv(report: FamilyReport, precision: int = 6) -> str:
+def report_to_csv(report: dict, precision: int = 6) -> str:
+    """The CSV of ``analyze_family``'s report: the rows, one line each."""
     lines = [",".join(CSV_COLUMNS)]
-    for r in report.rows:
+    for r in report["rows"]:
         lines.append(",".join(
             _format_float(v, precision) if isinstance(v, float) else str(v)
             for v in r.values()

@@ -53,7 +53,6 @@ __all__ = [
     "gen_double_coil",
     "gen_augmented",
     "fill_crossing_circle",
-    "generalized_twist_regions",
 ]
 
 # The second coil region is rotated by pi in the plane relative to the
@@ -409,28 +408,3 @@ def fill_crossing_circle(d: PlanarDiagram, circle, n: int) -> PlanarDiagram:
         diagram, _ = b.finish(prov)
         return diagram
     return _finish_circles(b, prov)
-
-
-# ---------------------------------------------------------------------------
-# Generalized twist regions
-# ---------------------------------------------------------------------------
-
-
-def generalized_twist_regions(d: PlanarDiagram) -> int:
-    """Smallest known partition of the crossings into generalized twist regions.
-
-    Exact for generator-provenance diagrams: a double coil is 2 by
-    construction; the standard alternating 2-bridge plat is k, its number
-    of ordinary twist regions, because every coil on 3 or more strands has
-    uniformly handed crossings while adjacent plat syllables alternate
-    handedness, so no two syllables can merge.  Diagrams without provenance
-    get the greedy bigon-chain upper bound (each ordinary twist region is a
-    generalized twist region on two strands).
-    """
-    prov = d.provenance or {}
-    gen = prov.get("generator")
-    if gen == "double_coil":
-        return 2
-    if gen == "two_bridge":
-        return len(prov["cfrac"])
-    return len(d.twist_regions())

@@ -147,9 +147,9 @@ def check_05_mirror_intervals():
     count = 0
     for p, q in _coprime_pairs(300):
         s = Slope(p, q)
-        a = bounds.parent_volume_interval(s)
-        b = bounds.parent_volume_interval(mirror_slope(s))
-        if not a.intersects(b):
+        a_lower, a_upper = bounds.parent_volume_interval(s)
+        b_lower, b_upper = bounds.parent_volume_interval(mirror_slope(s))
+        if max(a_lower, b_lower) > min(a_upper, b_upper):
             return False, f"disjoint intervals at {s}"
         count += 1
     return True, f"{count} mirror pairs intersect"
@@ -222,29 +222,29 @@ def check_10_family_phenomena():
         family.fixed_slope_vary_twists(2, 5, 6, range(4, 101))
     )
     v8 = bounds.CONSTANTS.v8
-    if not all(abs(r["vol_upper"] - 8 * v8) < 1e-9 for r in rep.rows):
+    if not all(abs(r["vol_upper"] - 8 * v8) < 1e-9 for r in rep["rows"]):
         return False, "volume-upper column not constant 8*v8"
-    crossings = [r["crossings"] for r in rep.rows]
+    crossings = [r["crossings"] for r in rep["rows"]]
     diffs = {b - a for a, b in zip(crossings, crossings[1:])}
     if diffs != {20}:
         return False, "crossing column not linear"
-    if rep.verdict != "ExpandingCertified":
-        return False, f"fixed-slope verdict {rep.verdict}"
+    if rep["verdict"] != "ExpandingCertified":
+        return False, f"fixed-slope verdict {rep['verdict']}"
 
     rep2 = family.analyze_family(
         family.vary_slope_fixed_twists(family.fibonacci_slopes(20), 4)
     )
-    lows = [r["vol_lower"] for r in rep2.rows]
+    lows = [r["vol_lower"] for r in rep2["rows"]]
     if not all(b > a for a, b in zip(lows, lows[1:])):
         return False, "volume lowers not strictly increasing"
-    for r in rep2.rows:
+    for r in rep2["rows"]:
         if abs(r["vol_lower"] - (0.9718 * r["k"] - 0.3241)) > 2e-4 * r["k"]:
             return False, f"volume lower off the linear law at k={r['k']}"
-    ups = [r["lambda_upper"] for r in rep2.rows]
+    ups = [r["lambda_upper"] for r in rep2["rows"]]
     if not all(b < a for a, b in zip(ups, ups[1:])):
         return False, "lambda uppers not strictly decreasing"
-    if rep2.verdict != "NotExpandingCertified":
-        return False, f"vary-slope verdict {rep2.verdict}"
+    if rep2["verdict"] != "NotExpandingCertified":
+        return False, f"vary-slope verdict {rep2['verdict']}"
     return True, (
         f"fixed-slope: 97 rows, vol upper 8*v8, ExpandingCertified; "
         f"fibonacci k=1..20: NotExpandingCertified, last lambda upper {ups[-1]:.4g}"

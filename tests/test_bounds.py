@@ -58,12 +58,12 @@ def test_constants_display_truncations():
 
 
 def test_parent_volume_examples():
-    v = parent_volume_interval(Slope(1, 2))
-    assert abs(v.lower - 2.70617) < 1e-5
-    assert abs(v.upper - 14.65545) < 1e-5
-    v = parent_volume_interval(Slope(2, 5))
-    assert abs(v.lower - 6.76593) < 1e-5
-    assert abs(v.upper - 29.31090) < 1e-5
+    lower, upper = parent_volume_interval(Slope(1, 2))
+    assert abs(lower - 2.70617) < 1e-5
+    assert abs(upper - 14.65545) < 1e-5
+    lower, upper = parent_volume_interval(Slope(2, 5))
+    assert abs(lower - 6.76593) < 1e-5
+    assert abs(upper - 29.31090) < 1e-5
     for k in range(1, 50):
         assert 4 * k * CONSTANTS.v3 - CONSTANTS.parent_deficit > 0
 
@@ -169,9 +169,9 @@ def test_volume_interval_containment():
         for n1, n2 in [(4, 4), (5, -4), (-6, 6)]:
             spec = CoilSpec(p, q, n1, n2)
             coil = bound_report(spec)["volume"]
-            parent = parent_volume_interval(spec.slope)
-            assert coil["upper"] == parent.upper
-            assert coil["lower"] <= parent.lower
+            parent_lower, parent_upper = parent_volume_interval(spec.slope)
+            assert coil["upper"] == parent_upper
+            assert coil["lower"] <= parent_lower
 
 
 @st.composite
@@ -212,8 +212,8 @@ def test_bound_report_composes_public_pieces(spec):
             bound_report(spec)
         return
     rep = bound_report(spec)
-    parent = parent_volume_interval(spec.slope)
-    lower = dehn_filling_factor(ell) * parent.lower
+    parent_lower, upper = parent_volume_interval(spec.slope)
+    lower = dehn_filling_factor(ell) * parent_lower
     assert (rep["k"], rep["ell"]) == (k, ell)
     assert rep["certificate"] == coil_hyperbolicity_certificate(k, spec.n1, spec.n2)
     assert rep["certificate"] == {
@@ -225,13 +225,13 @@ def test_bound_report_composes_public_pieces(spec):
             ],
         },
     }
-    assert rep["volume"] == {"lower": lower, "upper": parent.upper, "strictUpper": True}
+    assert rep["volume"] == {"lower": lower, "upper": upper, "strictUpper": True}
     assert rep["lambda"] == {
-        "lower": lambda_lower(parent.upper),
+        "lower": lambda_lower(upper),
         "upper": CONSTANTS.lambda_ceiling_coefficient / lower,
     }
     assert rep["methods"][:3] == [
-        *parent.methods,
+        f"parent-volume(k={k})",
         f"dehn-filling-decay(ell={ell:.6g})",
         f"certificate:{cert['condition']}",
     ]

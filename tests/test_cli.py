@@ -403,6 +403,15 @@ def test_verify_pd_non_planar(tmp_path, capsys):
     assert code == 1 and out == "" and err.startswith("NonPlanarRotation")
 
 
+# the slope comes from exactly one of --slope and --p --q (or --cfrac)
+CONFLICTING_SLOPE_ARGV = [
+    ("bounds", "--slope", "2/5", "--p", "3", "--q", "7", "--n1", "4", "--n2", "4"),
+    ("gen", "coil", "--slope", "2/5", "--q", "7", "--n1", "1", "--n2", "1"),
+    ("gen", "twobridge", "--cfrac", "[2,3]", "--slope", "1/3"),
+    ("gen", "augmented", "--slope", "2/5", "--p", "1"),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -422,12 +431,20 @@ def test_verify_pd_non_planar(tmp_path, capsys):
         ("verify", "--p", "good.pd"),
         ("bounds", "--p", "3", "--q", "5", "--n1", "4", "--n2", "4", "--prec", "3"),
         ("--vers",),
+        *CONFLICTING_SLOPE_ARGV,
     ],
 )
 def test_unread_flags_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", CONFLICTING_SLOPE_ARGV)
+def test_conflicting_slope_forms_named(capsys, argv):
+    with pytest.raises(SystemExit):
+        main(list(argv))
+    assert "exclude each other" in capsys.readouterr().err
 
 
 def test_gen_and_render_pipeline(tmp_path, capsys):
@@ -548,9 +565,15 @@ def _golden_bounds_argv():
         yield fib[k - 1].p, fib[k - 1].q, n1, n2
 
 
-README_CONFIGS = {
+_CUSTOM = "kind = vary-slope\nslope_sequence = custom-list\n"
+# the two README configs, then custom lists with uncertified members, with no
+# certified row, and with non-monotone k
+REPORT_CONFIGS = {
     "fixed-slope": "kind = fixed-slope\np = 2\nq = 5\nn2 = 6\nrange_start = 4\nrange_end = 100\n",
     "vary-slope": "kind = vary-slope\nslope_sequence = fibonacci\nrange_end = 20\nn1 = 4\n",
+    "custom-uncertified": _CUSTOM + "slopes = 1/3, 165580141/267914296, 2/5\nn1 = 2\n",
+    "custom-no-rows": _CUSTOM + "slopes = 1/3, 2/5\nn1 = 2\n",
+    "custom-non-monotone": _CUSTOM + "slopes = 2/5, 1/3, 3/8\nn1 = 4\n",
 }
 GOLDEN_REPORT_SHA256 = {
     "bounds-6": "dd8e4be6eb72120dc71958dcde0026ca93fcce25a67df1844742250a389f12b6",
@@ -563,6 +586,18 @@ GOLDEN_REPORT_SHA256 = {
     "family-vary-slope-csv-15": "94c8837b6fb116e1d676217161dd0c378a3b1c7a6d239edef2527a7b407a4077",
     "family-vary-slope-json-6": "2d615d29606d62ecf5b7a29f11d5aef9f6fb19f67799ff12dfc71e4d51be6682",
     "family-vary-slope-json-15": "69b839c3461ebf03f0684eb1ba42f7aa178bc294f7b270b76d16d5ffc5ee3165",
+    "family-custom-uncertified-csv-6": "61024a986b9284a30ddb4e2eb0cfeb65eaf6b051c7ce2c130e4db61dea8604cf",
+    "family-custom-uncertified-csv-15": "a98e2b1c93e4cfb82de8280bf29222f95a4c708dcb8f6d66f3feda0d54446cd2",
+    "family-custom-uncertified-json-6": "c6e1ba16a100dd9836ec9b4b94ee04cefb971a4d05a98dbf2a10e8fa4d0298c8",
+    "family-custom-uncertified-json-15": "ae3d6e8567d8e44feb74aa243869fd94cac0e4e75b747f3690da82e413086f02",
+    "family-custom-no-rows-csv-6": "9ca94863bc996128990a94d6b017800392056ccbebb63514d2bdfd9e1f4c9db8",
+    "family-custom-no-rows-csv-15": "9ca94863bc996128990a94d6b017800392056ccbebb63514d2bdfd9e1f4c9db8",
+    "family-custom-no-rows-json-6": "b4781e45ce9273ac03bced6f68e4e98b26803e55dfe38e13d8615c658fa387de",
+    "family-custom-no-rows-json-15": "b4781e45ce9273ac03bced6f68e4e98b26803e55dfe38e13d8615c658fa387de",
+    "family-custom-non-monotone-csv-6": "5961e3e2c10eec95a6387ffaafa1aabae939833fe7940d1088b196dc15409eb0",
+    "family-custom-non-monotone-csv-15": "726b16756e8a77c67911d761162d97c86780aa213eb84fca982a27dab4f583e2",
+    "family-custom-non-monotone-json-6": "6a35ee8d12b68053878433bbc41e68e4841879e1343765d8f722505d8f3b4f0e",
+    "family-custom-non-monotone-json-15": "9661783c5016da6963f2dd51116de2d37d3f2cf7e830ee5153cb6c0a297e2cba",
 }
 
 
@@ -574,7 +609,7 @@ def test_printed_reports_golden(tmp_path):
             h.update(_printed(["bounds", "--p", str(p), "--q", str(q), "--n1", str(n1),
                                "--n2", str(n2), "--precision", precision]))
         got[f"bounds-{precision}"] = h.hexdigest()
-    for name, text in README_CONFIGS.items():
+    for name, text in REPORT_CONFIGS.items():
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(text)
         for fmt in ("csv", "json"):

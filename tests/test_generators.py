@@ -14,7 +14,6 @@ from coilbounds.generators import (
     gen_clasped_two_bridge,
     gen_double_coil,
     gen_two_bridge,
-    generalized_twist_regions,
 )
 from coilbounds.slopes import ContinuedFraction, Slope, cfrac_expand
 
@@ -291,28 +290,6 @@ def test_roundtrip_all_generated_up_to_200_crossings():
         assert d.n_crossings <= 200
         text = emit_pd(d)
         assert emit_pd(parse_pd(text)) == text
-
-
-# --- generalized twist regions ----------------------------------------------
-
-
-def test_generalized_twist_regions():
-    assert generalized_twist_regions(gen_double_coil(CoilSpec(3, 5, 2, 2))) == 2
-    assert generalized_twist_regions(gen_double_coil(CoilSpec(1, 2, 1, 1))) == 2
-    assert generalized_twist_regions(gen_two_bridge(ContinuedFraction((5,)))) == 1
-    assert generalized_twist_regions(gen_two_bridge(ContinuedFraction((2, 2)))) == 2
-    # filled augmented diagrams count as coils
-    filled = fill_crossing_circle(
-        fill_crossing_circle(gen_augmented(Slope(2, 5)), "C1", 2), "C2", 2
-    )
-    assert generalized_twist_regions(filled) == 2
-
-
-def test_generalized_twist_regions_fallback():
-    from coilbounds.diagrams import parse_pd
-
-    d = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")
-    assert generalized_twist_regions(d) == len(d.twist_regions()) == 1
 
 
 # sha256 of each generator's newline-joined PD codes: PD output is a
