@@ -178,17 +178,22 @@ def _cmd_gen(args):
         gen_two_bridge,
     )
 
+    reads = {"twobridge": "cfrac slope", "clasped": "slope", "coil": "slope p q n1 n2",
+             "augmented": "slope p q"}[args.what].split()
+    unread = [f"--{f}" for f in ("cfrac", "slope", "p", "q", "n1", "n2")
+              if getattr(args, f) is not None and f not in reads]
+    if unread:
+        raise _UsageError(f"gen {args.what} does not read {' '.join(unread)}")
     if args.what == "twobridge":
         if args.cfrac is not None and args.slope is not None:
             raise _UsageError("--cfrac and --slope exclude each other")
         if args.cfrac:
             c = _parse_arg(ContinuedFraction.parse, args.cfrac, "continued fraction")
-            d = gen_two_bridge(c)
         elif args.slope:
-            s = _unit_slope(_parse_arg(Slope.parse, args.slope, "slope"))
-            d = gen_two_bridge(cfrac_expand(s))
+            c = cfrac_expand(_unit_slope(_parse_arg(Slope.parse, args.slope, "slope")))
         else:
             raise _UsageError("gen twobridge needs --slope or --cfrac")
+        d = gen_two_bridge(c)
     elif args.what == "clasped":
         if not args.slope:
             raise _UsageError("gen clasped needs --slope")

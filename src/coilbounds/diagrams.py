@@ -49,10 +49,12 @@ class PlanarDiagram:
     edge leaving crossing ``c`` at slot ``s``.  ``strands[k]`` lists the
     darts at which link component k enters its crossings, in walk order;
     ``component_of`` names the component through any dart.  Edge labels are
-    read only to pair and print the PD text.
+    read only to pair and print the PD text.  Validation traces the faces
+    once: it proves their count is V + 2 (``n_faces``) and keeps only each
+    bigon's two crossings, which ``twist_regions`` joins.
     """
 
-    __slots__ = ("crossings", "provenance", "mate", "strands", "_comp", "_faces")
+    __slots__ = ("crossings", "provenance", "mate", "strands", "_comp", "_bigons")
 
     def __init__(self, crossings, provenance=None, *, _mate=None):
         # ``_mate`` is the builder path: ``DiagramBuilder.finish`` hands over
@@ -65,10 +67,10 @@ class PlanarDiagram:
         self.crossings = crossings
         self.provenance = provenance
         self.strands, self._comp = self._walk_strands()
-        self._faces = self._trace_faces()
-        if crossings and len(self._faces) != len(crossings) + 2:
+        faces, self._bigons = self._trace_faces()
+        if crossings and faces != len(crossings) + 2:
             raise NonPlanarRotation(
-                f"rotation system has {len(self._faces)} faces, "
+                f"rotation system has {faces} faces, "
                 f"a sphere embedding needs {len(crossings) + 2}"
             )
 
@@ -116,19 +118,22 @@ class PlanarDiagram:
     def _trace_faces(self):
         mate = self.mate
         seen = bytearray(len(mate))
-        out: list[tuple[int, ...]] = []
+        count = 0
+        bigons = []
         for d0 in range(len(mate)):
             if seen[d0]:
                 continue
-            face = []
+            count += 1
+            size = 0
             d = d0
             while not seen[d]:
                 seen[d] = 1
-                face.append(d)
+                size += 1
                 m = mate[d]
                 d = (m & ~3) + ((m + 1) & 3)
-            out.append(tuple(face))
-        return tuple(out)
+            if size == 2:  # a bigon: keep its crossings, d0's and mate[d0]'s
+                bigons.append((d0 >> 2, mate[d0] >> 2))
+        return count, tuple(bigons)
 
     # -- queries -------------------------------------------------------------
 
@@ -141,26 +146,17 @@ class PlanarDiagram:
         return len(self.mate) // 2
 
     @property
-    def n_components(self) -> int:
-        return len(self.strands)
+    def n_faces(self) -> int:
+        """V + 2, as validation proved; the empty diagram is one face."""
+        return len(self.crossings) + 2 if self.crossings else 1
 
     @property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Edge labels of each link component, in traversal order: the edge
-        leaving each dart of its strand."""
-        crossings = self.crossings
-        return tuple(
-            tuple(crossings[d >> 2][(d & 3) ^ 2] for d in strand) for strand in self.strands
-        )
+    def n_components(self) -> int:
+        return len(self.strands)
 
     def component_of(self, dart: int) -> int:
         """The link component whose strand passes through ``dart``."""
         return self._comp[dart]
-
-    def faces(self) -> tuple[tuple[int, ...], ...]:
-        if not self.crossings:
-            return ((),)
-        return self._faces
 
     def is_alternating(self) -> bool:
         """True iff crossings alternate over/under along every component."""
@@ -181,10 +177,8 @@ class PlanarDiagram:
         bigon faces connects them; a crossing adjacent to no bigon (or only
         to a bigon folding back onto itself) is a region by itself.
         """
-        v = len(self.crossings)
-        bigons = ((f[0] >> 2, f[1] >> 2) for f in self._faces if len(f) == 2)
         groups: dict[int, list[int]] = {}
-        for c, root in enumerate(_roots(v, bigons)):
+        for c, root in enumerate(_roots(len(self.crossings), self._bigons)):
             groups.setdefault(root, []).append(c)
         # each region opens at its smallest crossing, so they come out sorted
         return tuple(tuple(g) for g in groups.values())

@@ -309,7 +309,7 @@ def verify_pd_text(text: str) -> str:
     """
     d = parse_pd(text)
     return (
-        f"ok: {d.n_crossings} crossings, {d.n_edges} edges, {len(d.faces())} faces, "
+        f"ok: {d.n_crossings} crossings, {d.n_edges} edges, {d.n_faces} faces, "
         f"{d.n_components} components, {len(d.twist_regions())} twist regions, "
         f"alternating={d.is_alternating()}"
     )

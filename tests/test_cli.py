@@ -418,6 +418,11 @@ CONFLICTING_SLOPE_ARGV = [
         ("cfrac", "2/5", "--precision", "3"),
         ("slope", "2/5", "--out", "x"),
         ("gen", "twobridge", "--slope", "2/5", "--precision", "3"),
+        # a flag the chosen generator does not read
+        ("gen", "twobridge", "--slope", "2/5", "--n1", "4", "--p", "9"),
+        ("gen", "augmented", "--slope", "2/5", "--n1", "4", "--cfrac", "[3]"),
+        ("gen", "clasped", "--slope", "2/5", "--p", "3"),
+        ("gen", "coil", "--slope", "2/5", "--n1", "1", "--n2", "1", "--cfrac", "[2]"),
         ("verify", "--oracle-cap", "5"),
         ("render", "x.pd", "--out", "y"),
         # a worker count below 1

@@ -27,6 +27,7 @@ from coilbounds.generators import (
     gen_two_bridge,
 )
 from coilbounds.slopes import ContinuedFraction, Slope, cfrac_expand
+from diagram_oracle import strand_labels, trace_faces
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIGURE8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
@@ -36,14 +37,14 @@ def test_parse_trefoil():
     d = parse_pd(TREFOIL)
     assert d.n_crossings == 3
     assert d.n_components == 1
-    assert len(d.faces()) == 5
+    assert len(trace_faces(d)) == d.n_faces == 5
 
 
 def test_parse_empty():
     d = parse_pd("")
     assert d.n_crossings == 0
     assert emit_pd(d) == ""
-    assert len(d.faces()) == 1
+    assert len(trace_faces(d)) == d.n_faces == 1
     assert len(d.twist_regions()) == 0
     assert d.is_alternating()
 
@@ -116,9 +117,9 @@ def test_orientation_consistency_required():
 
 
 def test_face_counts():
-    assert len(parse_pd(TREFOIL).faces()) == 5
-    assert len(parse_pd("X(1,2,2,1)").faces()) == 3
-    assert len(parse_pd(FIGURE8).faces()) == 6
+    for text, faces in ((TREFOIL, 5), ("X(1,2,2,1)", 3), (FIGURE8, 6)):
+        d = parse_pd(text)
+        assert len(trace_faces(d)) == d.n_faces == faces
 
 
 def test_twist_regions_examples():
@@ -139,7 +140,8 @@ def test_is_alternating():
 def test_euler_formula_generated():
     for terms in [(2,), (3,), (2, 2), (1, 1, 2), (4, 3, 2), (2, 1, 1, 3)]:
         d = gen_two_bridge(ContinuedFraction(terms))
-        v, f = d.n_crossings, len(d.faces())
+        v, f = d.n_crossings, len(trace_faces(d))
+        assert f == d.n_faces
         assert d.n_edges == 2 * v
         assert v - 2 * v + f == 2
 
@@ -213,7 +215,8 @@ def test_roundtrip_random_two_bridge(terms):
 def _assert_same_diagram(d, again):
     assert again.mate == d.mate
     assert again.strands == d.strands
-    assert again.faces() == d.faces()
+    assert trace_faces(again) == trace_faces(d)
+    assert again.n_faces == d.n_faces
     assert again.n_edges == d.n_edges
     for dart in range(len(d.mate)):
         assert again.component_of(dart) == d.component_of(dart)
@@ -251,10 +254,11 @@ def test_builder_path_matches_parse_path(d):
 @settings(max_examples=60, deadline=None)
 @given(_built_diagram())
 def test_components_are_dart_strands(d):
+    labels = strand_labels(d)
     for dart in range(len(d.mate)):
         k = d.component_of(dart)
         assert k == d.component_of(dart ^ 2) == d.component_of(d.mate[dart])
-        assert d.crossings[dart >> 2][dart & 3] in d.components[k]
+        assert d.crossings[dart >> 2][dart & 3] in labels[k]
     walked = sorted(y for strand in d.strands for x in strand for y in (x, x ^ 2))
     assert walked == list(range(len(d.mate)))  # each dart on exactly one strand
     assert d.is_alternating() == parse_pd(emit_pd(d)).is_alternating()
@@ -266,9 +270,37 @@ def test_twist_regions_sorted_partition(d):
     regions = d.twist_regions()
     assert regions == tuple(sorted(regions))
     assert sorted(c for r in regions for c in r) == list(range(d.n_crossings))
-    for face in d.faces():
+    for face in trace_faces(d):
         if len(face) == 2:  # a bigon's two crossings share a region
             assert any(face[0] >> 2 in r and face[1] >> 2 in r for r in regions)
+
+
+_PARSED = [
+    parse_pd(text)
+    for text in (TREFOIL, FIGURE8, "X(1,2,2,1)", "X(1,1,2,2)",
+                 "X(1,4,2,5) X(3,6,4,1) X(5,2,6,7) X(7,8,8,3)", "")
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    _built_diagram(),
+    _built_diagram().map(lambda d: parse_pd(emit_pd(d))),
+    st.sampled_from(_PARSED),
+))
+def test_traced_faces_give_face_count_and_twist_regions(d):
+    faces = trace_faces(d)
+    assert len(faces) == d.n_faces
+    # join the two crossings of every traced bigon
+    region = list(range(d.n_crossings))
+    for face in faces:
+        if len(face) == 2:
+            old, new = region[face[0] // 4], region[face[1] // 4]
+            region = [new if r == old else r for r in region]
+    groups = {}
+    for c, r in enumerate(region):
+        groups.setdefault(r, []).append(c)
+    assert tuple(tuple(g) for g in groups.values()) == d.twist_regions()
 
 
 def _labelled(mate):
@@ -346,7 +378,7 @@ def test_builder_copy_round_trips():
     _builder_copy(b, d)
     again, _ = b.finish()
     assert again.n_crossings == 4 and again.n_components == 1
-    assert len(again.faces()) == 6
+    assert len(trace_faces(again)) == again.n_faces == 6
 
 
 def test_flipped_strand_rejected_on_both_paths():

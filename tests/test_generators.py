@@ -16,6 +16,7 @@ from coilbounds.generators import (
     gen_two_bridge,
 )
 from coilbounds.slopes import ContinuedFraction, Slope, cfrac_expand
+from diagram_oracle import strand_labels, trace_faces
 
 
 def coprime_pairs(qmax):
@@ -190,7 +191,7 @@ def test_fill_matches_direct_coil():
         assert filled.n_components == direct.n_components == 1
         assert len(filled.twist_regions()) == len(direct.twist_regions())
         assert filled.is_alternating() == direct.is_alternating()
-        face_sizes = lambda d: sorted(len(f) for f in d.faces())
+        face_sizes = lambda d: sorted(len(f) for f in trace_faces(d))
         assert face_sizes(filled) == face_sizes(direct)
         assert filled.provenance["generator"] == "double_coil"
     assert emit_pd(
@@ -238,7 +239,7 @@ def test_circle_passages_are_dart_pairs():
         for d in diagrams:
             prov = d.provenance
             for role, info in prov["circles"].items():
-                circle = d.components[prov["roles"][role]]
+                circle = strand_labels(d)[prov["roles"][role]]
                 for w, e in info["passages"]:
                     assert d.mate[w ^ 2] == e ^ 2
                     x = w ^ 1
