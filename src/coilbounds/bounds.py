@@ -34,7 +34,6 @@ diagram layer, so a report costs no diagram code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     NoHyperbolicityCertificate,
@@ -61,23 +60,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Constants:
     """Fixed constants of the estimates, stored to full double precision.
 
     ``v3`` and ``v8`` are the volumes of the regular ideal tetrahedron and
     octahedron (v3 = 2*Lob(pi/6), v8 = 8*Lob(pi/4) = 4*Catalan); the usual
-    4-digit renderings 1.0149 and 3.6638 are display truncations.
+    4-digit renderings 1.0149 and 3.6638 are display truncations.  They are
+    class attributes; an instance has no slots, so none can be reassigned.
     """
 
-    v3: float = 1.0149416064096536
-    v8: float = 3.6638623767088760
-    parent_deficit: float = 1.3536
-    cusp_arc_coefficient: float = 4.0 * math.sqrt(6.0 * math.sqrt(2.0)) / 147.0
-    ell_coefficient: float = 32.0 * math.sqrt(2.0) / 7203.0
-    lambda_floor_numerator: float = math.pi**2 / 2**50  # A1
-    lambda_ceiling_coefficient: float = 12650.0  # A2
-    volume_floor: float = math.pi / 2**25
+    __slots__ = ()
+
+    v3 = 1.0149416064096536
+    v8 = 3.6638623767088760
+    parent_deficit = 1.3536
+    cusp_arc_coefficient = 4.0 * math.sqrt(6.0 * math.sqrt(2.0)) / 147.0
+    ell_coefficient = 32.0 * math.sqrt(2.0) / 7203.0
+    lambda_floor_numerator = math.pi**2 / 2**50  # A1
+    lambda_ceiling_coefficient = 12650.0  # A2
+    volume_floor = math.pi / 2**25
 
     @property
     def figure8_volume(self) -> float:
@@ -261,7 +262,7 @@ def bound_report(spec: CoilSpec) -> dict:
     if not 0.0 < lam_lower <= lam_upper:
         raise ValueError(f"bad spectral interval [{lam_lower}, {lam_upper}]")
     return {
-        "spec": {"p": spec.p, "q": spec.q, "n1": spec.n1, "n2": spec.n2},
+        "spec": spec._asdict(),
         "k": k,
         "ell": ell,
         "certificate": cert,

@@ -73,7 +73,7 @@ def _parse_arg(parse, text, what):
         value = parse(text)
     except ValueError as e:
         raise _UsageError(f"bad {what} {text!r}: {e}") from None
-    ints = value.terms if isinstance(value, ContinuedFraction) else (value.p, value.q)
+    ints = value.terms if isinstance(value, ContinuedFraction) else value
     if any(abs(x) >= _DIGIT_LIMIT for x in ints):
         raise _UsageError(f"bad {what}: integers are limited to {MAX_DIGITS} digits")
     return value
@@ -96,9 +96,7 @@ def _spec_pq(args, canonical: bool) -> tuple[int, int]:
         if args.p is not None or args.q is not None:
             raise _UsageError("--slope and --p --q exclude each other")
         s = _parse_arg(Slope.parse, args.slope, "slope")
-        if canonical:
-            s = canonical_coil_slope(s)
-        return s.p, s.q
+        return canonical_coil_slope(s) if canonical else s
     if args.p is None or args.q is None:
         raise _UsageError("need --slope or --p --q")
     return args.p, args.q
@@ -150,6 +148,8 @@ def _cmd_curve(args):
         curve_curve_intersection,
     )
 
+    if args.oracle_cap is not None and not args.oracle:
+        raise _UsageError("--oracle-cap is read only with --oracle")
     s1 = _parse_arg(Slope.parse, args.slope1, "slope")
     s2 = _parse_arg(Slope.parse, args.slope2, "slope")
     if args.oracle:

@@ -29,7 +29,7 @@ independent of this picture and are cross-checked against it by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import OracleCapExceeded, TooManyCrossings
@@ -72,17 +72,14 @@ def check_crossing_count(count: int, what: str) -> None:
 GATE_C1_EAST, GATE_C1_WEST, GATE_C2_WEST, GATE_C2_EAST = 0, 1, 2, 3
 
 
-@dataclass(frozen=True)
-class GateEvent:
+class GateEvent(namedtuple("GateEvent", "gate y eastbound")):
     """One crossing of the traced curve with a gate line, in curve order.
 
     ``y`` is the height in the strip in units of 1/(4dq), d = 8(|p|+1), so
     events of one curve compare exactly as integers.
     """
 
-    gate: int
-    y: int
-    eastbound: bool
+    __slots__ = ()
 
 
 def curve_coordinates(s: Slope) -> tuple[int, int, int, int]:
@@ -203,19 +200,17 @@ def brute_force_intersection(
     return upstairs // 2
 
 
-@dataclass(frozen=True)
-class LatticeTrace:
+class LatticeTrace(namedtuple("LatticeTrace", "families crossings")):
     """Straight-line representatives of two configurations in the plane
     cover, with their transverse crossings inside one fundamental square.
 
     ``families`` holds the integer lines 4*Q*y - 4*P*x = C as (P, Q, C);
     straightness keeps every pair in minimal position, and the involution
     pairs the crossings freely, so the count on the 4-punctured sphere is
-    ``len(crossings) // 2``.
+    ``len(crossings) // 2`` (the property ``count`` shadows ``tuple.count``).
     """
 
-    families: tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int, int], ...]]
-    crossings: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ()
 
     @property
     def count(self) -> int:

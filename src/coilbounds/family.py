@@ -27,7 +27,7 @@ family loads no diagram code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 
 from .bounds import _format_float, bound_report
@@ -47,19 +47,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CoilFamily:
-    """A finite window into an infinite family of coil specs."""
+class CoilFamily(namedtuple("CoilFamily", "kind members description")):
+    """A finite window into an infinite family of coil specs; ``kind`` is
+    "fixed-slope" or "vary-slope", ``members`` a tuple of ``CoilSpec``."""
 
-    kind: str  # "fixed-slope" | "vary-slope"
-    members: tuple[CoilSpec, ...]
-    description: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("fixed-slope", "vary-slope"):
-            raise ConfigError(f"unknown family kind {self.kind!r}")
-        if not self.members:
+    def __new__(cls, kind: str, members: tuple[CoilSpec, ...], description: str = ""):
+        if kind not in ("fixed-slope", "vary-slope"):
+            raise ConfigError(f"unknown family kind {kind!r}")
+        if not members:
             raise ConfigError("family range is empty")
+        return super().__new__(cls, kind, members, description)
 
 
 def fixed_slope_vary_twists(p: int, q: int, n2: int, n1_range) -> CoilFamily:
@@ -69,14 +68,11 @@ def fixed_slope_vary_twists(p: int, q: int, n2: int, n1_range) -> CoilFamily:
     )
 
 
-def vary_slope_fixed_twists(slopes, n: int) -> CoilFamily:
-    return _vary_slope(((s.p, s.q) for s in slopes), n)
-
-
-def _vary_slope(pairs, n: int) -> CoilFamily:
-    """The vary-slope family of the coprime pairs (p, q) with 0 < p < q.
-    Each member's ``CoilSpec`` is its one gcd: on the 2000-digit terms of a
-    long Fibonacci window Euclid's algorithm is most of the load time."""
+def vary_slope_fixed_twists(pairs, n: int) -> CoilFamily:
+    """The vary-slope family of the coprime pairs (p, q) with 0 < p < q;
+    a ``Slope`` is such a pair.  Each member's ``CoilSpec`` is its one gcd:
+    on the 2000-digit terms of a long Fibonacci window Euclid's algorithm
+    is most of the load time."""
     members = _capped(CoilSpec(p, q, n, n) for p, q in pairs)
     return CoilFamily("vary-slope", members, f"n1=n2={n}, slopes as given")
 
@@ -151,10 +147,7 @@ def _row(index: int, spec: CoilSpec) -> dict:
     rep = bound_report(spec)
     return {
         "index": index,
-        "p": spec.p,
-        "q": spec.q,
-        "n1": spec.n1,
-        "n2": spec.n2,
+        **spec._asdict(),
         "k": rep["k"],
         "crossings": spec.crossing_count,
         "twist_regions": spec.twist_region_count,
@@ -193,7 +186,7 @@ def analyze_family(f: CoilFamily) -> dict:
         except CoilboundsError as e:
             uncertified.append({
                 "index": i,
-                "spec": {"p": spec.p, "q": spec.q, "n1": spec.n1, "n2": spec.n2},
+                "spec": spec._asdict(),
                 "error": type(e).__name__,
             })
     return _Report(
@@ -297,7 +290,7 @@ def load_family_config(text: str) -> CoilFamily:
             if seq == "custom-list":
                 tokens = kv["slopes"].split(",")
                 _window(0, len(tokens))  # the member cap holds for listed slopes too
-                pairs = [(s.p, s.q) for s in map(Slope.parse, tokens)]
+                pairs = list(map(Slope.parse, tokens))
             elif seq in _SEQUENCES:
                 start = int(kv.get("range_start", "1"))
                 if start < 1:
@@ -307,7 +300,7 @@ def load_family_config(text: str) -> CoilFamily:
                 pairs = islice(_SEQUENCES[seq](), start - 1, terms)
             else:
                 raise ConfigError(f"unknown slope_sequence {seq!r}")
-            family = _vary_slope(pairs, int(kv["n1"]))
+            family = vary_slope_fixed_twists(pairs, int(kv["n1"]))
         else:
             raise ConfigError("config must set kind to fixed-slope or vary-slope")
     except KeyError as e:

@@ -236,14 +236,7 @@ def gen_double_coil(spec: CoilSpec) -> PlanarDiagram:
         if not is_entering_event(ev):
             j = (i + 1) % len(events)
             b.join(port[i], port[j])
-    prov = {
-        "generator": "double_coil",
-        "p": spec.p,
-        "q": spec.q,
-        "n1": spec.n1,
-        "n2": spec.n2,
-    }
-    diagram, _ = b.finish(prov)
+    diagram, _ = b.finish({"generator": "double_coil", **spec._asdict()})
     if diagram.n_components != 1:
         raise AssertionError("double coil construction must close to a knot")
     return diagram

@@ -17,11 +17,17 @@ with every a_i >= 1 and a_k >= 2 (positive expansions come in pairs
 ``CoilSpec`` adds the two twist counts to a slope: the parameters of a
 double coil knot.  It lives here, beside ``Slope``, so that the bounds and
 families read it without loading the diagram layer.
+
+The value types are named tuples, validated when built: a slope unpacks as
+``p, q = s`` and passes wherever a (p, q) pair is read, ``spec._asdict()``
+is the ``{p, q, n1, n2}`` record that reports and family rows print, and a
+continued fraction's length k is ``c.length``, not ``len(c)`` (a one-field
+tuple).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .errors import NonHyperbolicSlope, NotAKnot, ZeroOverZero
@@ -45,22 +51,21 @@ INFINITY_NUMERATOR = 1
 MAX_DIGITS = 2000
 
 
-@dataclass(frozen=True, order=False)
-class Slope:
+class Slope(namedtuple("Slope", "p q")):
     """A reduced rational p/q with q >= 0; q == 0 encodes the slope 1/0."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.p, self.q) == (0, 0):
+    def __new__(cls, p: int, q: int):
+        if (p, q) == (0, 0):
             raise ZeroOverZero("0/0 is not a slope")
-        if self.q < 0:
+        if q < 0:
             raise ValueError("denominator must be normalized non-negative")
-        if self.q == 0 and self.p != INFINITY_NUMERATOR:
+        if q == 0 and p != INFINITY_NUMERATOR:
             raise ValueError("the infinite slope must be written 1/0")
-        if gcd(abs(self.p), self.q) != 1:
-            raise ValueError(f"{self.p}/{self.q} is not reduced")
+        if gcd(abs(p), q) != 1:
+            raise ValueError(f"{p}/{q} is not reduced")
+        return super().__new__(cls, p, q)
 
     @property
     def is_infinite(self) -> bool:
@@ -81,22 +86,19 @@ class Slope:
         return reduce_slope(int(text), 1)
 
 
-@dataclass(frozen=True)
-class CoilSpec:
+class CoilSpec(namedtuple("CoilSpec", "p q n1 n2")):
     """Parameters (p, q, n1, n2) of a double coil knot diagram."""
 
-    p: int
-    q: int
-    n1: int
-    n2: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q < 2 or not 0 < self.p < self.q:
-            raise ValueError(f"need 0 < p < q with q >= 2, got p={self.p} q={self.q}")
-        if gcd(self.p, self.q) != 1:
-            raise NotAKnot(f"gcd({self.p},{self.q}) != 1: two coils on shared strands form a link")
-        if self.n1 == 0 or self.n2 == 0:
+    def __new__(cls, p: int, q: int, n1: int, n2: int):
+        if q < 2 or not 0 < p < q:
+            raise ValueError(f"need 0 < p < q with q >= 2, got p={p} q={q}")
+        if gcd(p, q) != 1:
+            raise NotAKnot(f"gcd({p},{q}) != 1: two coils on shared strands form a link")
+        if n1 == 0 or n2 == 0:
             raise ValueError("full-twist counts n1, n2 must be non-zero")
+        return super().__new__(cls, p, q, n1, n2)
 
     @property
     def slope(self) -> Slope:
@@ -128,19 +130,19 @@ class CoilSpec:
         return self.crossing_count - 2 * (self.p == 2)
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(namedtuple("ContinuedFraction", "terms")):
     """Canonical positive expansion; ``len(terms)`` is the length k."""
 
-    terms: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.terms:
+    def __new__(cls, terms: tuple[int, ...]):
+        if not terms:
             raise ValueError("continued fraction needs at least one term")
-        if any(a < 1 for a in self.terms):
+        if any(a < 1 for a in terms):
             raise ValueError("terms must be positive")
-        if len(self.terms) > 1 and self.terms[-1] < 2:
+        if len(terms) > 1 and terms[-1] < 2:
             raise ValueError("canonical form requires final term >= 2")
+        return super().__new__(cls, terms)
 
     @property
     def length(self) -> int:

@@ -1,6 +1,6 @@
 """Self-verification suite: acceptance checks and oracle properties.
 
-Each check returns ``CheckResult(name, ok, elapsed, detail)``; the CLI
+Each check returns ``CheckResult(name, ok, elapsed, limit, detail)``; the CLI
 ``verify`` subcommand prints one line per check, and the pytest acceptance
 module asserts them individually with their runtime budgets.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from math import gcd
 
@@ -36,13 +36,8 @@ from .slopes import Slope, cfrac_eval, cfrac_expand, mirror_slope
 __all__ = ["CheckResult", "run_checks", "verify_pd_text", "ACCEPTANCE_CHECKS"]
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    elapsed: float
-    limit: float
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name ok elapsed limit detail")):
+    __slots__ = ()
 
     @property
     def line(self) -> str:

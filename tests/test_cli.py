@@ -424,6 +424,7 @@ CONFLICTING_SLOPE_ARGV = [
         ("gen", "clasped", "--slope", "2/5", "--p", "3"),
         ("gen", "coil", "--slope", "2/5", "--n1", "1", "--n2", "1", "--cfrac", "[2]"),
         ("verify", "--oracle-cap", "5"),
+        ("curve", "2/5", "1/3", "--oracle-cap", "5"),  # read only with --oracle
         ("render", "x.pd", "--out", "y"),
         # a worker count below 1
         ("family", "--config", "fam.cfg", "--jobs", "-1"),
@@ -688,6 +689,7 @@ else:
     assert code == 0, code
 loaded = [m for m in absent if "coilbounds." + m in sys.modules]
 assert not loaded, loaded
+assert "dataclasses" not in sys.modules
 """
 _PAST_BOUNDS = ["curves", "diagrams", "generators", "svg", "family", "verify"]
 _SPEC = ["--p", "3", "--q", "5", "--n1", "4", "--n2", "4"]

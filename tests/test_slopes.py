@@ -3,8 +3,10 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from coilbounds.bounds import CONSTANTS
 from coilbounds.errors import NonHyperbolicSlope, ZeroOverZero
 from coilbounds.slopes import (
+    CoilSpec,
     ContinuedFraction,
     Slope,
     canonical_coil_slope,
@@ -66,6 +68,22 @@ def test_cfrac_text():
     c = ContinuedFraction((1, 1, 2))
     assert str(c) == "[1,1,2]"
     assert ContinuedFraction.parse("[1,1,2]") == c
+
+
+def test_value_records():
+    """Named tuples behave as the frozen records they replaced: the same
+    repr, equal values hash equal, and no field can be assigned."""
+    s, spec, c = Slope(2, 5), CoilSpec(2, 5, 4, 4), ContinuedFraction((2, 2))
+    assert repr(s) == "Slope(p=2, q=5)"
+    assert repr(spec) == "CoilSpec(p=2, q=5, n1=4, n2=4)"
+    assert repr(c) == "ContinuedFraction(terms=(2, 2))"
+    assert hash(s) == hash(reduce_slope(4, 10)) and s == reduce_slope(4, 10)
+    assert hash(spec) == hash(CoilSpec(2, 5, 4, 4))
+    assert hash(c) == hash(cfrac_expand(s)) and c == cfrac_expand(s)
+    for record, field in ((s, "p"), (spec, "n1"), (c, "terms"), (CONSTANTS, "v3")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+    assert tuple(CoilSpec(2, 5, 4, 4)._asdict()) == ("p", "q", "n1", "n2")
 
 
 def test_mirror_examples():
