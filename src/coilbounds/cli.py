@@ -239,14 +239,16 @@ def _cmd_family(args):
 
 
 def _cmd_verify(args):
-    from .verify import run_checks, verify_pd_text
-
     if args.pd is not None:
+        from .diagrams import verify_pd_text
+
         if args.jobs is not None or args.timings:
             raise _UsageError("--jobs and --timings belong to the suite; verify --pd reads neither")
         with open(args.pd) as fh:
             print(verify_pd_text(fh.read()))
         return 0
+    from .verify import run_checks
+
     failed = 0
     for result in run_checks():
         print(result.line)

@@ -24,7 +24,9 @@ Straightness keeps every configuration in minimal position, so transverse
 crossings counted in one fundamental domain of the quotient *are* the
 geometric intersection numbers.  The closed-form operations below are
 independent of this picture and are cross-checked against it by
-``brute_force_intersection``.
+``brute_force_intersection``, whose line pairs are held to the crossing
+cap of ``slopes.check_crossing_count``.  The diagram layer reads that cap
+from ``slopes`` as well, so reading a PD code never loads this module.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import OracleCapExceeded, TooManyCrossings
-from .slopes import Slope, reduce_slope
+from .errors import OracleCapExceeded
+from .slopes import Slope, check_crossing_count, reduce_slope
 
 __all__ = [
     "GateEvent",
@@ -47,23 +49,9 @@ __all__ = [
     "trace_gate_events",
     "fold_parameters",
     "DEFAULT_ORACLE_CAP",
-    "MAX_CROSSINGS",
-    "check_crossing_count",
 ]
 
 DEFAULT_ORACLE_CAP = 12
-
-# No diagram, curve picture or oracle run is started on more crossings than
-# this.  The largest diagrams in everyday use have about 2*10^4; the limit
-# stops inputs such as a 10^8-crossing coil before memory is spent on them.
-MAX_CROSSINGS = 10**6
-
-
-def check_crossing_count(count: int, what: str) -> None:
-    """Raise ``TooManyCrossings`` if ``what`` would have more than
-    ``MAX_CROSSINGS`` crossings."""
-    if count > MAX_CROSSINGS:
-        raise TooManyCrossings(f"{what} would have more than {MAX_CROSSINGS} crossings")
 
 # Gate indices for the four vertical lines bounding thin neighborhoods of
 # the arcs D1 (x ~ 0) and D2 (x = 1/2); generators hang crossing circles

@@ -25,20 +25,20 @@ import re
 from collections import Counter
 from itertools import chain
 
-from .curves import check_crossing_count
+from . import slopes
 from .errors import (
     EdgePairingError,
     NonPlanarRotation,
     NonQuadrivalent,
     PDSyntaxError,
 )
-from .slopes import MAX_DIGITS
 
 __all__ = [
     "PlanarDiagram",
     "DiagramBuilder",
     "parse_pd",
     "emit_pd",
+    "verify_pd_text",
 ]
 
 
@@ -57,11 +57,18 @@ class PlanarDiagram:
     __slots__ = ("crossings", "provenance", "mate", "strands", "_comp", "_bigons")
 
     def __init__(self, crossings, provenance=None, *, _mate=None):
-        # ``_mate`` is the builder path: ``DiagramBuilder.finish`` hands over
-        # the dart array it wired, so the labels, paired by construction,
-        # are not paired again.  Everything else is checked on both paths.
+        # ``_mate`` is the hand-over of a caller that already holds the dart
+        # array: ``DiagramBuilder.finish`` wired it, and ``parse_pd`` paired
+        # the labels it read, so the tuples are neither copied nor checked
+        # again.  Strands, faces and the sphere count are checked on every path.
         if _mate is None:
             crossings = tuple(tuple(x) for x in crossings)
+            for x in crossings:
+                if len(x) != 4:
+                    raise NonQuadrivalent(f"crossing {x} does not have four edge-ends")
+                for label in x:
+                    if type(label) is not int or label < 1:
+                        raise EdgePairingError(f"bad edge label {label!r}")
             _mate = _pair_labels(crossings)
         self.mate = _mate
         self.crossings = crossings
@@ -203,13 +210,7 @@ def _roots(n, pairs):
 
 
 def _pair_labels(crossings):
-    """Check the tuples and pair equal labels into the dart array ``mate``."""
-    for x in crossings:
-        if len(x) != 4:
-            raise NonQuadrivalent(f"crossing {x} does not have four edge-ends")
-        for label in x:
-            if not isinstance(label, int) or label < 1:
-                raise EdgePairingError(f"bad edge label {label!r}")
+    """Pair equal labels of the 4-tuples into the dart array ``mate``."""
     first: dict[int, int] = {}  # label -> its first dart, in order of appearance
     mate = [-1] * (4 * len(crossings))
     for d, label in enumerate(chain.from_iterable(crossings)):
@@ -231,7 +232,7 @@ def _pair_labels(crossings):
 # ---------------------------------------------------------------------------
 
 # a label of up to MAX_DIGITS ASCII digits, like the CLI's slope integers
-_LABEL = rf"([0-9]{{1,{MAX_DIGITS}}})"
+_LABEL = rf"([0-9]{{1,{slopes.MAX_DIGITS}}})"
 _QUOTED_TERM = 40  # characters of a bad term that an error message quotes
 _TERM = re.compile(rf"X\({_LABEL},{_LABEL},{_LABEL},{_LABEL}\)\Z")
 
@@ -239,22 +240,40 @@ _TERM = re.compile(rf"X\({_LABEL},{_LABEL},{_LABEL},{_LABEL}\)\Z")
 def parse_pd(text: str) -> PlanarDiagram:
     """Parse whitespace-separated ``X(a,b,c,d)`` terms into a diagram.
 
-    A text of more than ``curves.MAX_CROSSINGS`` terms is refused before any
-    term is read.  A label is 1 to ``MAX_DIGITS`` ASCII digits; anything
-    else is a ``PDSyntaxError``, which quotes the start of the bad term.
+    A text of more than ``slopes.MAX_CROSSINGS`` terms is refused before any
+    term is read, split at most cap times.  A label is 1 to ``MAX_DIGITS``
+    ASCII digits, not all zeros; anything else is a ``PDSyntaxError``, which
+    quotes the start of the bad term.  Each term is checked once, here, and
+    the tuples with their label pairing are handed to ``PlanarDiagram`` as
+    ``DiagramBuilder.finish`` hands over its wiring.
     """
-    tokens = text.split()
-    check_crossing_count(len(tokens), "PD code")
+    tokens = text.split(None, slopes.MAX_CROSSINGS)
+    slopes.check_crossing_count(len(tokens), "PD code")
     crossings = []
     for token in tokens:
         m = _TERM.match(token)
         if not m:
             raise PDSyntaxError(f"bad PD term {_quote(token)}")
-        labels = tuple(int(g) for g in m.groups())
-        if any(label < 1 for label in labels):
+        labels = tuple(map(int, m.groups()))
+        if 0 in labels:  # the grammar admits digits only, so 0 is the one bad value
             raise PDSyntaxError(f"edge labels must be positive in {_quote(token)}")
         crossings.append(labels)
-    return PlanarDiagram(crossings)
+    crossings = tuple(crossings)
+    return PlanarDiagram(crossings, _mate=_pair_labels(crossings))
+
+
+def verify_pd_text(text: str) -> str:
+    """Validate a PD code and describe it in one line.
+
+    Parsing is the whole check: label pairing, strand orientation, faces,
+    the Euler count and connectivity (see ``parse_pd``).
+    """
+    d = parse_pd(text)
+    return (
+        f"ok: {d.n_crossings} crossings, {d.n_edges} edges, {d.n_faces} faces, "
+        f"{d.n_components} components, {len(d.twist_regions())} twist regions, "
+        f"alternating={d.is_alternating()}"
+    )
 
 
 def _quote(token: str) -> str:

@@ -37,14 +37,13 @@ from __future__ import annotations
 from .curves import (
     GATE_C1_EAST,
     GATE_C2_EAST,
-    check_crossing_count,
     circle_passages,
     is_entering_event,
     trace_gate_events,
 )
 from .diagrams import DiagramBuilder, PlanarDiagram
 from .errors import NotACrossingCircle
-from .slopes import CoilSpec, ContinuedFraction, Slope, cfrac_expand
+from .slopes import CoilSpec, ContinuedFraction, Slope, cfrac_expand, check_crossing_count
 
 __all__ = [
     "CoilSpec",

@@ -18,6 +18,11 @@ with every a_i >= 1 and a_k >= 2 (positive expansions come in pairs
 double coil knot.  It lives here, beside ``Slope``, so that the bounds and
 families read it without loading the diagram layer.
 
+The two caps on outside input live here too, where every layer can read
+them without loading another: ``MAX_DIGITS`` for integers and
+``MAX_CROSSINGS`` (with ``check_crossing_count``) for anything that would
+build, draw or read crossings, PD text included.
+
 The value types are named tuples, validated when built: a slope unpacks as
 ``p, q = s`` and passes wherever a (p, q) pair is read, ``spec._asdict()``
 is the ``{p, q, n1, n2}`` record that reports and family rows print, and a
@@ -30,7 +35,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from .errors import NonHyperbolicSlope, NotAKnot, ZeroOverZero
+from .errors import NonHyperbolicSlope, NotAKnot, TooManyCrossings, ZeroOverZero
 
 __all__ = [
     "Slope",
@@ -41,6 +46,8 @@ __all__ = [
     "cfrac_expand",
     "cfrac_eval",
     "mirror_slope",
+    "MAX_CROSSINGS",
+    "check_crossing_count",
 ]
 
 INFINITY_NUMERATOR = 1
@@ -49,6 +56,18 @@ INFINITY_NUMERATOR = 1
 # crossing counts) are capped so that no product of two of them reaches
 # Python's 4300-digit int-to-str limit.
 MAX_DIGITS = 2000
+
+# No diagram, curve picture or oracle run is started on more crossings than
+# this.  The largest diagrams in everyday use have about 2*10^4; the limit
+# stops inputs such as a 10^8-crossing coil before memory is spent on them.
+MAX_CROSSINGS = 10**6
+
+
+def check_crossing_count(count: int, what: str) -> None:
+    """Raise ``TooManyCrossings`` if ``what`` would have more than
+    ``MAX_CROSSINGS`` crossings."""
+    if count > MAX_CROSSINGS:
+        raise TooManyCrossings(f"{what} would have more than {MAX_CROSSINGS} crossings")
 
 
 class Slope(namedtuple("Slope", "p q")):

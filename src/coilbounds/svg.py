@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .curves import check_crossing_count, curve_coordinates, fold_parameters
+from .curves import curve_coordinates, fold_parameters
 from .diagrams import PlanarDiagram
-from .slopes import Slope
+from .slopes import Slope, check_crossing_count
 
 __all__ = ["render_svg", "curve_svg"]
 

@@ -24,7 +24,7 @@ from functools import cache
 from math import gcd
 
 from . import bounds, curves, family, generators
-from .diagrams import parse_pd
+from .diagrams import verify_pd_text  # re-exported; it lives with the parser
 from .errors import (
     NoHyperbolicityCertificate,
     NonHyperbolicSlope,
@@ -294,17 +294,3 @@ def _run_one(entry) -> CheckResult:
 def run_checks() -> list[CheckResult]:
     """Run every acceptance check in this process, in declaration order."""
     return [_run_one(entry) for entry in ACCEPTANCE_CHECKS]
-
-
-def verify_pd_text(text: str) -> str:
-    """Validate a PD code and describe it in one line.
-
-    Parsing is the whole check: label pairing, strand orientation, faces,
-    the Euler count and connectivity (see ``parse_pd``).
-    """
-    d = parse_pd(text)
-    return (
-        f"ok: {d.n_crossings} crossings, {d.n_edges} edges, {d.n_faces} faces, "
-        f"{d.n_components} components, {len(d.twist_regions())} twist regions, "
-        f"alternating={d.is_alternating()}"
-    )

@@ -35,6 +35,12 @@ def test_cfrac_canonicalizes(capsys):
     assert code == 0 and out == "[2,2] k=2\n"
 
 
+def test_negative_slope_goes_after_double_dash(capsys):
+    # argparse reads "-3/5" as an option; after "--" it is the slope
+    code, out, _ = run(capsys, "cfrac", "--", "-3/5")
+    assert code == 0 and out == "[2,2] k=2\n"
+
+
 def test_slope(capsys):
     code, out, _ = run(capsys, "slope", "3/5")
     assert code == 0
@@ -380,7 +386,7 @@ def test_verify_jobs_runs_checks_in_calling_process(monkeypatch, capsys):
 
 
 def test_verify_pd_parses_once(tmp_path, monkeypatch, capsys):
-    from coilbounds import verify
+    from coilbounds import diagrams
 
     texts = []
 
@@ -388,7 +394,7 @@ def test_verify_pd_parses_once(tmp_path, monkeypatch, capsys):
         texts.append(text)
         return parse_pd(text)
 
-    monkeypatch.setattr(verify, "parse_pd", counted)
+    monkeypatch.setattr(diagrams, "parse_pd", counted)
     pd_file = tmp_path / "trefoil.pd"
     pd_file.write_text("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)\n")
     code, out, err = run(capsys, "verify", "--pd", str(pd_file))
@@ -701,6 +707,9 @@ FOOTPRINT_CASES = [
     (["lambda", *_SPEC], _PAST_BOUNDS),
     (["family", "--config", "{cfg}"], ["curves", "diagrams", "generators"]),
     (["gen", "twobridge", "--slope", "2/5"], ["bounds", "family", "verify", "svg"]),
+    (["verify", "--pd", "{pd}"],
+     ["bounds", "curves", "family", "generators", "verify", "svg", "_planar"]),
+    (["render", "{pd}", "--svg", "k.svg"], ["bounds", "family", "generators", "verify"]),
     (None, ["errors", "slopes", "bounds", "cli", *_PAST_BOUNDS, "_planar"]),
 ]
 
@@ -710,8 +719,10 @@ FOOTPRINT_CASES = [
 def test_command_import_footprint(tmp_path, argv, absent):
     cfg = tmp_path / "fam.cfg"
     cfg.write_text("kind = vary-slope\nslope_sequence = fibonacci\nn1 = 4\nrange_end = 5\n")
+    pd = tmp_path / "k.pd"
+    pd.write_text("X(1,4,2,5) X(3,6,4,1) X(5,2,6,7) X(7,8,8,3)\n")
     if argv is not None:
-        argv = [a.format(cfg=cfg) for a in argv]
+        argv = [a.format(cfg=cfg, pd=pd) for a in argv]
     r = subprocess.run(
         [sys.executable, "-c", IMPORT_FOOTPRINT, json.dumps(argv), json.dumps(absent)],
         env={**os.environ, "PYTHONPATH": str(Path(coilbounds.__file__).parents[1])},

@@ -1,10 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coilbounds import curves
+from coilbounds import slopes
 from coilbounds.diagrams import (
     DiagramBuilder,
     PlanarDiagram,
@@ -76,16 +77,30 @@ def test_parse_errors():
 
 def test_parse_refuses_too_many_terms_up_front(monkeypatch):
     count = parse_pd(FIGURE8).n_crossings
-    monkeypatch.setattr(curves, "MAX_CROSSINGS", count)
+    monkeypatch.setattr(slopes, "MAX_CROSSINGS", count)
     assert emit_pd(parse_pd(FIGURE8)) == FIGURE8
     with pytest.raises(PDSyntaxError):
         parse_pd("X(1) " * count)
     # one term over the cap is refused before any term is read
-    monkeypatch.setattr(curves, "MAX_CROSSINGS", count - 1)
+    monkeypatch.setattr(slopes, "MAX_CROSSINGS", count - 1)
     with pytest.raises(TooManyCrossings):
         parse_pd(FIGURE8)
     with pytest.raises(TooManyCrossings):
         parse_pd("X(1) " * count)
+
+
+def test_parse_refuses_long_text_in_one_copy(monkeypatch):
+    # counting the terms splits off at most cap of them, not the whole text
+    monkeypatch.setattr(slopes, "MAX_CROSSINGS", 10)
+    text = "X(1,2,2,1) " * 10**5
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyCrossings):
+            parse_pd(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text)
 
 
 def test_label_pairing_errors():
@@ -95,6 +110,9 @@ def test_label_pairing_errors():
         parse_pd("X(1,1,1,2) X(2,3,3,4)")
     with pytest.raises(EdgePairingError, match="bad edge label"):
         PlanarDiagram([(1, 2, 2, "1")])
+    # a bool is an int to isinstance, but emit_pd would print it as "True"
+    with pytest.raises(EdgePairingError, match="bad edge label True"):
+        PlanarDiagram([(True, 2, 2, 1)])
 
 
 def test_mate_pairs_edge_labels():

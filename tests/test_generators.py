@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from coilbounds import curves
+from coilbounds import slopes
 from coilbounds.diagrams import emit_pd
 from coilbounds.errors import NotACrossingCircle, NotAKnot, TooManyCrossings
 from coilbounds.generators import (
@@ -217,9 +217,9 @@ def test_fill_refuses_oversized_twists_up_front(monkeypatch):
     # the guard counts exactly the crossings the fill builds
     built = fill_crossing_circle(d, "C2", -3).n_crossings
     assert built == d.n_crossings - 2 * 5 + 5 * 4 * 3
-    monkeypatch.setattr(curves, "MAX_CROSSINGS", built)
+    monkeypatch.setattr(slopes, "MAX_CROSSINGS", built)
     fill_crossing_circle(d, "C2", -3)
-    monkeypatch.setattr(curves, "MAX_CROSSINGS", built - 1)
+    monkeypatch.setattr(slopes, "MAX_CROSSINGS", built - 1)
     with pytest.raises(TooManyCrossings):
         fill_crossing_circle(d, "C2", -3)
 
