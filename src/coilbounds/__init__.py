@@ -23,7 +23,6 @@ _EXPORTS = {
         "CoilboundsError",
         "ZeroOverZero",
         "NonHyperbolicSlope",
-        "OracleCapExceeded",
         "TooManyCrossings",
         "DiagramError",
         "PDSyntaxError",

@@ -141,21 +141,13 @@ def _cmd_slope(args):
 
 
 def _cmd_curve(args):
-    from .curves import (
-        DEFAULT_ORACLE_CAP,
-        arc_curve_intersection,
-        brute_force_intersection,
-        curve_curve_intersection,
-    )
+    from .curves import arc_curve_intersection, brute_force_intersection, curve_curve_intersection
 
-    if args.oracle_cap is not None and not args.oracle:
-        raise _UsageError("--oracle-cap is read only with --oracle")
     s1 = _parse_arg(Slope.parse, args.slope1, "slope")
     s2 = _parse_arg(Slope.parse, args.slope2, "slope")
     if args.oracle:
-        cap = DEFAULT_ORACLE_CAP if args.oracle_cap is None else args.oracle_cap
-        cc = brute_force_intersection(s1, s2, "curve-curve", cap=cap)
-        ac = brute_force_intersection(s1, s2, "arc-curve", cap=cap)
+        cc = brute_force_intersection(s1, s2, "curve-curve")
+        ac = brute_force_intersection(s1, s2, "arc-curve")
     else:
         cc = curve_curve_intersection(s1, s2)
         ac = arc_curve_intersection(s1, s2)
@@ -318,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("slope1")
     p.add_argument("slope2")
     p.add_argument("--oracle", action="store_true", help="force the brute-force oracle")
-    p.add_argument("--oracle-cap", type=int)  # None: the oracle's own default
     p.add_argument("--svg", metavar="PATH", help="draw both curves on the framed sphere")
     p.set_defaults(fn=_cmd_curve)
 

@@ -24,17 +24,17 @@ Straightness keeps every configuration in minimal position, so transverse
 crossings counted in one fundamental domain of the quotient *are* the
 geometric intersection numbers.  The closed-form operations below are
 independent of this picture and are cross-checked against it by
-``brute_force_intersection``, whose line pairs are held to the crossing
-cap of ``slopes.check_crossing_count``.  The diagram layer reads that cap
-from ``slopes`` as well, so reading a PD code never loads this module.
+``brute_force_intersection``, whose one guard is the crossing cap of
+``slopes.check_crossing_count`` on its candidate line pairs.  The diagram
+layer reads that cap from ``slopes`` as well, so reading a PD code never
+loads this module.  ``fractions`` is imported only by ``lattice_trace`` and
+``fold_parameters``, the two functions that return exact rationals.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
-from .errors import OracleCapExceeded
 from .slopes import Slope, check_crossing_count, reduce_slope
 
 __all__ = [
@@ -48,10 +48,7 @@ __all__ = [
     "dehn_twist",
     "trace_gate_events",
     "fold_parameters",
-    "DEFAULT_ORACLE_CAP",
 ]
-
-DEFAULT_ORACLE_CAP = 12
 
 # Gate indices for the four vertical lines bounding thin neighborhoods of
 # the arcs D1 (x ~ 0) and D2 (x = 1/2); generators hang crossing circles
@@ -148,10 +145,7 @@ def _torus_crossings(f1, f2) -> tuple[list[tuple[int, int]], int]:
     return points, den
 
 
-def _line_families(s1: Slope, s2: Slope, mode: str, cap: int):
-    for s in (s1, s2):
-        if max(abs(s.p), s.q) > cap:
-            raise OracleCapExceeded(f"slope {s} exceeds oracle cap {cap}")
+def _line_families(s1: Slope, s2: Slope, mode: str):
     if mode == "curve-curve":
         residues = (1, 3)
     elif mode == "arc-curve":
@@ -168,20 +162,16 @@ def _line_families(s1: Slope, s2: Slope, mode: str, cap: int):
     return fam1, fam2
 
 
-def brute_force_intersection(
-    s1: Slope,
-    s2: Slope,
-    mode: str = "curve-curve",
-    cap: int = DEFAULT_ORACLE_CAP,
-) -> int:
+def brute_force_intersection(s1: Slope, s2: Slope, mode: str = "curve-curve") -> int:
     """Count minimal-position crossings in the plane-cover picture.
 
     ``mode`` is ``"curve-curve"`` (both slopes closed curves) or
     ``"arc-curve"`` (first slope an arc through a puncture).  This routine
-    is the independent oracle for the closed-form operations; it refuses
-    slopes with |p| or q above ``cap``.
+    is the independent oracle for the closed-form operations; it raises
+    ``TooManyCrossings`` before solving anything if its candidate line
+    pairs would exceed ``slopes.MAX_CROSSINGS``.
     """
-    points, _ = _torus_crossings(*_line_families(s1, s2, mode, cap))
+    points, _ = _torus_crossings(*_line_families(s1, s2, mode))
     upstairs = len(points)
     if upstairs % 2:
         raise AssertionError("torus crossing count must be even")
@@ -205,14 +195,11 @@ class LatticeTrace(namedtuple("LatticeTrace", "families crossings")):
         return len(self.crossings) // 2
 
 
-def lattice_trace(
-    s1: Slope,
-    s2: Slope,
-    mode: str = "curve-curve",
-    cap: int = DEFAULT_ORACLE_CAP,
-) -> LatticeTrace:
+def lattice_trace(s1: Slope, s2: Slope, mode: str = "curve-curve") -> LatticeTrace:
     """The inspectable version of ``brute_force_intersection``."""
-    fam1, fam2 = _line_families(s1, s2, mode, cap)
+    from fractions import Fraction
+
+    fam1, fam2 = _line_families(s1, s2, mode)
     (p1, q1, cs1), (p2, q2, cs2) = fam1, fam2
     points, den = _torus_crossings(fam1, fam2)
     return LatticeTrace(
@@ -229,13 +216,15 @@ def lattice_trace(
 # ---------------------------------------------------------------------------
 
 
-def fold_parameters(p: int, q: int) -> list[Fraction]:
-    """Sorted parameters x in (0, q] where the traced line folds.
+def fold_parameters(p: int, q: int) -> list:
+    """Sorted parameters x in (0, q] where the traced line folds, as Fractions.
 
     The walk of ``trace_gate_events`` folds where q*y - p*x = 1/4 meets
     y in Z/2, at x = (2qm - 1)/(4p); x lies in (0, q] exactly for
     m = 1..2p when p > 0 and m = 2p+1..0 when p < 0, so there are 2|p|.
     """
+    from fractions import Fraction
+
     ms = range(1, 2 * p + 1) if p > 0 else range(0, 2 * p, -1)
     return [Fraction(2 * q * m - 1, 4 * p) for m in ms]
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 
 from . import slopes
 from .errors import (
@@ -235,22 +235,26 @@ def _pair_labels(crossings):
 _LABEL = rf"([0-9]{{1,{slopes.MAX_DIGITS}}})"
 _QUOTED_TERM = 40  # characters of a bad term that an error message quotes
 _TERM = re.compile(rf"X\({_LABEL},{_LABEL},{_LABEL},{_LABEL}\)\Z")
+_WORD = re.compile(r"\S+")  # a term as str.split() finds it
 
 
 def parse_pd(text: str) -> PlanarDiagram:
     """Parse whitespace-separated ``X(a,b,c,d)`` terms into a diagram.
 
     A text of more than ``slopes.MAX_CROSSINGS`` terms is refused before any
-    term is read, split at most cap times.  A label is 1 to ``MAX_DIGITS``
-    ASCII digits, not all zeros; anything else is a ``PDSyntaxError``, which
-    quotes the start of the bad term.  Each term is checked once, here, and
-    the tuples with their label pairing are handed to ``PlanarDiagram`` as
-    ``DiagramBuilder.finish`` hands over its wiring.
+    term is read or split off, so refusing it costs no more than the text.
+    A label is 1 to ``MAX_DIGITS`` ASCII digits, not all zeros; anything
+    else is a ``PDSyntaxError``, which quotes the start of the bad term.
+    Each term is checked once, here, and the tuples with their label
+    pairing are handed to ``PlanarDiagram`` as ``DiagramBuilder.finish``
+    hands over its wiring.
     """
-    tokens = text.split(None, slopes.MAX_CROSSINGS)
-    slopes.check_crossing_count(len(tokens), "PD code")
+    cap = slopes.MAX_CROSSINGS
+    if len(text) > 2 * cap:  # a shorter text holds at most cap terms
+        terms = sum(1 for _ in islice(_WORD.finditer(text), cap + 1))
+        slopes.check_crossing_count(terms, "PD code")
     crossings = []
-    for token in tokens:
+    for token in text.split():
         m = _TERM.match(token)
         if not m:
             raise PDSyntaxError(f"bad PD term {_quote(token)}")

@@ -22,10 +22,6 @@ class NonHyperbolicSlope(CoilboundsError):
 
 # --- curves ---------------------------------------------------------------
 
-class OracleCapExceeded(CoilboundsError):
-    """Brute-force intersection oracle refused an oversized input."""
-
-
 class TooManyCrossings(CoilboundsError):
     """A diagram, drawing or oracle run would exceed the crossing limit;
     refused before anything is built."""

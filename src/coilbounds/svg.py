@@ -14,16 +14,16 @@ crossing).
 Curves are drawn in the annulus picture of the projection sphere: the
 fundamental strip wraps into an annulus, the folded bottom and top edges
 become the inner and outer boundary circles, and fold connectors run as
-chords through the inner disk or nested arcs outside.
+chords through the inner disk or nested arcs outside.  A picture is refused
+by the crossing cap on the number of points its curves would draw, before
+any is sampled.  Only ``curve_svg`` loads ``curves`` and ``fractions``, so
+drawing a diagram reads no curve code.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .curves import curve_coordinates, fold_parameters
-from .diagrams import PlanarDiagram
 from .slopes import Slope, check_crossing_count
 
 __all__ = ["render_svg", "curve_svg"]
@@ -59,8 +59,8 @@ def _polyline(points, stroke, width, cls=None) -> str:
     )
 
 
-def render_svg(d: PlanarDiagram) -> str:
-    """Deterministic planar drawing of a diagram; strand breaks show depth."""
+def render_svg(d) -> str:
+    """Deterministic planar drawing of a ``PlanarDiagram``; strand breaks show depth."""
     if d.n_crossings == 0:
         return _SVG_OPEN.format(w=_DIAGRAM_SIZE, h=_DIAGRAM_SIZE) + "</svg>"
 
@@ -94,7 +94,7 @@ def _lerp(a, b, t):
     return (a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
 
 
-def _layout(d: PlanarDiagram):
+def _layout(d):
     """Straight-line positions of the twice-subdivided diagram graph.
 
     Crossing c is node c, and the subdivision node next to dart e is node
@@ -158,8 +158,28 @@ def _to_xy(strip_x: float, strip_y: float):
     return (_CENTER + r * math.cos(th), _CENTER - r * math.sin(th))
 
 
+def _point_bound(s: Slope) -> int:
+    """The most points ``_curve_paths`` draws for s.
+
+    1/0 draws two 25-point arcs, a chord and a 33-point connector, and 0/1
+    one 97-point circle.  Any other p/q folds 2|p| times, alternately on the
+    bottom and the top edge: 2|p| + 1 pieces of at most 7 + 24 * width
+    points, widths summing to q, then |p| 2-point chords and |p| 33-point
+    connectors.
+    """
+    if s.q == 0:
+        return 85
+    if s.p == 0:
+        return 97
+    return 49 * abs(s.p) + 24 * s.q + 7
+
+
 def _curve_paths(s: Slope):
     """Sampled xy polylines of the curve of slope s, one per smooth piece."""
+    from fractions import Fraction
+
+    from .curves import fold_parameters
+
     p, q = s.p, s.q
     if q == 0:
         left = [_to_xy(0.25, t / 48.0) for t in range(25)]
@@ -216,11 +236,15 @@ def _outer_connector(x0: float):
 
 
 def curve_svg(*slopes: Slope) -> str:
-    """Framed-sphere picture of one or more curves, as SVG polylines."""
-    for s in slopes:
-        check_crossing_count(
-            sum(curve_coordinates(s)), f"picture of the curve {s} on its framing"
-        )
+    """Framed-sphere picture of one or more curves, as SVG polylines.
+
+    Raises ``TooManyCrossings`` if the curves would draw more than
+    ``slopes.MAX_CROSSINGS`` points between them.
+    """
+    check_crossing_count(
+        sum(map(_point_bound, slopes)),
+        f"picture of {', '.join(map(str, slopes))} (counting each point drawn)",
+    )
     parts = [_SVG_OPEN.format(w=_CURVE_SIZE, h=_CURVE_SIZE)]
     # framing: boundary circles (arcs A, A'), the two vertical arcs, punctures
     for r in (_R_INNER, _R_OUTER):

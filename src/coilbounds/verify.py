@@ -117,16 +117,16 @@ def check_03adj_two_bridge_true_law():
     return True, f"{len(rows)} slopes: t(D) = k - [a1=1], crossings=sum(a_i), alternating"
 
 
-def check_04_oracle_equivalence(cap=12):
+def check_04_oracle_equivalence():
     slopes = [Slope(1, 0), Slope(0, 1), Slope(1, 1)]
-    slopes += [Slope(p, q) for p, q in _coprime_pairs(cap)]
+    slopes += [Slope(p, q) for p, q in _coprime_pairs(12)]
     pairs = 0
     for a in slopes:
         for b in slopes:
-            cc = curves.brute_force_intersection(a, b, "curve-curve", cap=cap)
+            cc = curves.brute_force_intersection(a, b, "curve-curve")
             if cc != curves.curve_curve_intersection(a, b):
                 return False, f"curve-curve mismatch at ({a}, {b})"
-            ac = curves.brute_force_intersection(a, b, "arc-curve", cap=cap)
+            ac = curves.brute_force_intersection(a, b, "arc-curve")
             if ac != curves.arc_curve_intersection(a, b):
                 return False, f"arc-curve mismatch at ({a}, {b})"
             pairs += 1

@@ -57,10 +57,12 @@ def test_curve(capsys):
 
 
 def test_curve_oracle_cap(capsys):
-    code, _, err = run(capsys, "curve", "1/40", "2/5", "--oracle")
-    assert code == 1 and err.startswith("OracleCapExceeded")
-    code, out, _ = run(capsys, "curve", "1/40", "2/5", "--oracle", "--oracle-cap", "40")
+    # the crossing cap is the oracle's only guard; --oracle-cap is gone
+    code, out, _ = run(capsys, "curve", "1/40", "2/5", "--oracle")
     assert code == 0 and out == "curve-curve=150 arc-curve=75\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["curve", "1/40", "2/5", "--oracle", "--oracle-cap", "40"])
+    assert exc.value.code == 2
 
 
 def test_bounds_json(capsys):
@@ -430,7 +432,7 @@ CONFLICTING_SLOPE_ARGV = [
         ("gen", "clasped", "--slope", "2/5", "--p", "3"),
         ("gen", "coil", "--slope", "2/5", "--n1", "1", "--n2", "1", "--cfrac", "[2]"),
         ("verify", "--oracle-cap", "5"),
-        ("curve", "2/5", "1/3", "--oracle-cap", "5"),  # read only with --oracle
+        ("curve", "2/5", "1/3", "--oracle-cap", "5"),  # no such flag
         ("render", "x.pd", "--out", "y"),
         # a worker count below 1
         ("family", "--config", "fam.cfg", "--jobs", "-1"),
@@ -696,6 +698,7 @@ else:
 loaded = [m for m in absent if "coilbounds." + m in sys.modules]
 assert not loaded, loaded
 assert "dataclasses" not in sys.modules
+assert "fractions" not in sys.modules and "decimal" not in sys.modules
 """
 _PAST_BOUNDS = ["curves", "diagrams", "generators", "svg", "family", "verify"]
 _SPEC = ["--p", "3", "--q", "5", "--n1", "4", "--n2", "4"]
@@ -709,7 +712,7 @@ FOOTPRINT_CASES = [
     (["gen", "twobridge", "--slope", "2/5"], ["bounds", "family", "verify", "svg"]),
     (["verify", "--pd", "{pd}"],
      ["bounds", "curves", "family", "generators", "verify", "svg", "_planar"]),
-    (["render", "{pd}", "--svg", "k.svg"], ["bounds", "family", "generators", "verify"]),
+    (["render", "{pd}", "--svg", "k.svg"], ["bounds", "curves", "family", "generators", "verify"]),
     (None, ["errors", "slopes", "bounds", "cli", *_PAST_BOUNDS, "_planar"]),
 ]
 
@@ -740,7 +743,8 @@ def test_command_import_footprint(tmp_path, argv, absent):
         ("gen", "clasped", "--slope", "1/999997"),
         ("gen", "augmented", "--p", "1", "--q", "250001"),
         ("curve", "1/1000000000", "2/5", "--svg", "never.svg"),
-        ("curve", "1/100000", "2/5", "--oracle", "--oracle-cap", "1000000000"),
+        ("curve", "1/100000", "2/5", "--oracle"),
+        ("curve", "30000/1", "0/1", "--svg", "never.svg"),
     ],
 )
 def test_oversized_input_refused(tmp_path, monkeypatch, capsys, argv):

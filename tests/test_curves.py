@@ -19,7 +19,7 @@ from coilbounds.curves import (
     lattice_trace,
     trace_gate_events,
 )
-from coilbounds.errors import OracleCapExceeded
+from coilbounds.errors import TooManyCrossings
 from coilbounds.slopes import Slope
 
 INF = Slope(1, 0)
@@ -64,10 +64,12 @@ def test_oracle_examples():
 
 
 def test_oracle_cap():
-    with pytest.raises(OracleCapExceeded):
-        brute_force_intersection(Slope(1, 13), ZERO, cap=12)
-    with pytest.raises(OracleCapExceeded):
-        brute_force_intersection(Slope(14, 5), ZERO, cap=12)
+    # the crossing cap on the candidate line pairs is the oracle's only guard
+    for s in (Slope(1, 13), Slope(14, 5)):
+        assert brute_force_intersection(s, ZERO) == curve_curve_intersection(s, ZERO)
+        assert brute_force_intersection(s, ZERO, "arc-curve") == arc_curve_intersection(s, ZERO)
+    with pytest.raises(TooManyCrossings):
+        brute_force_intersection(Slope(1, 10**6), ZERO)
     with pytest.raises(ValueError):
         brute_force_intersection(INF, ZERO, mode="nope")
 
@@ -76,9 +78,9 @@ def test_oracle_equivalence_with_negatives_and_impropers():
     slopes = reduced_slopes(6, negatives=True)
     for a in slopes:
         for b in slopes:
-            assert brute_force_intersection(a, b, "curve-curve", cap=6) == \
+            assert brute_force_intersection(a, b, "curve-curve") == \
                 curve_curve_intersection(a, b)
-            assert brute_force_intersection(a, b, "arc-curve", cap=6) == \
+            assert brute_force_intersection(a, b, "arc-curve") == \
                 arc_curve_intersection(a, b)
 
 
@@ -135,10 +137,29 @@ def test_oracle_matches_closed_form(p1, q1, p2, q2):
     a, b = mk(p1, q1), mk(p2, q2)
     if a is None or b is None:
         return
-    assert brute_force_intersection(a, b, "curve-curve", cap=8) == \
+    assert brute_force_intersection(a, b, "curve-curve") == \
         curve_curve_intersection(a, b)
-    assert brute_force_intersection(a, b, "arc-curve", cap=8) == \
+    assert brute_force_intersection(a, b, "arc-curve") == \
         arc_curve_intersection(a, b)
+
+
+def _oracle_slopes(qmax):
+    """1/0, 0/1 and the reduced p/q with 1 <= q <= qmax and |p| <= 2q."""
+    return st.one_of(
+        st.sampled_from([INF, ZERO]),
+        st.integers(1, qmax).flatmap(
+            lambda q: st.integers(-2 * q, 2 * q)
+            .filter(lambda p: gcd(abs(p), q) == 1)
+            .map(lambda p: Slope(p, q))
+        ),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(a=_oracle_slopes(30), b=_oracle_slopes(30))
+def test_oracle_matches_closed_form_past_twelve(a, b):
+    assert brute_force_intersection(a, b, "curve-curve") == curve_curve_intersection(a, b)
+    assert brute_force_intersection(a, b, "arc-curve") == arc_curve_intersection(a, b)
 
 
 def test_lattice_trace_matches_count():
@@ -146,9 +167,9 @@ def test_lattice_trace_matches_count():
     for a in slopes:
         for b in slopes:
             for mode in ("curve-curve", "arc-curve"):
-                trace = lattice_trace(a, b, mode, cap=5)
+                trace = lattice_trace(a, b, mode)
                 assert len(trace.crossings) % 2 == 0
-                assert trace.count == brute_force_intersection(a, b, mode, cap=5)
+                assert trace.count == brute_force_intersection(a, b, mode)
     trace = lattice_trace(INF, Slope(2, 5))
     assert len(trace.families[0]) == 2  # two vertical lifts of the 1/0 curve
     assert all(0 <= x < 1 and 0 <= y < 1 for x, y in trace.crossings)

@@ -1,15 +1,20 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import coilbounds
-from coilbounds import svg
+from coilbounds import slopes, svg
 from coilbounds.diagrams import parse_pd
+from coilbounds.errors import TooManyCrossings
 from coilbounds.generators import (
     CoilSpec,
     fill_crossing_circle,
@@ -69,6 +74,31 @@ def test_curve_svg_wellformed():
         assert out.count('class="curve"') >= 1
     both = curve_svg(Slope(1, 0), Slope(2, 5))
     assert both.count('class="curve"') > curve_svg(Slope(1, 0)).count('class="curve"')
+
+
+_PICTURE_SLOPE = (
+    st.tuples(st.integers(-300, 300), st.integers(0, 400))
+    .filter(lambda t: gcd(abs(t[0]), t[1]) == 1 and t != (-1, 0))
+    .map(lambda t: Slope(*t))
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(_PICTURE_SLOPE, min_size=1, max_size=3))
+@example([Slope(1, 0), Slope(0, 1)])
+@example([Slope(250, 1)])  # 502 ticks, over 12 000 points
+def test_curve_svg_refuses_by_points_drawn(picture):
+    """Under a cap of 10^4, every accepted picture draws at most 10^4 points."""
+    cap = 10**4
+    with mock.patch.object(slopes, "MAX_CROSSINGS", cap):
+        try:
+            out = curve_svg(*picture)
+        except TooManyCrossings:
+            assert picture != [Slope(1, 0), Slope(0, 1)]
+            return
+    assert picture != [Slope(250, 1)]
+    drawn = re.findall(r'<polyline class="curve" points="([^"]*)"', out)
+    assert sum(len(points.split()) for points in drawn) <= cap
 
 
 @pytest.mark.parametrize(
