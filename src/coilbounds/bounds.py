@@ -40,7 +40,7 @@ from .errors import (
     SlopeTooShort,
     VolumeBelowFloor,
 )
-from .slopes import CoilSpec, Slope, canonical_coil_slope, cfrac_expand
+from .slopes import CoilSpec, Slope, _cfrac_length, canonical_coil_slope
 
 __all__ = [
     "Constants",
@@ -107,7 +107,7 @@ def parent_volume_interval(s: Slope) -> tuple[float, float]:
     The slope is brought to its canonical class 0 < p < q first; classes 0
     and infinity raise ``NonHyperbolicSlope``.
     """
-    return _parent_volume(cfrac_expand(canonical_coil_slope(s)).length)
+    return _parent_volume(_cfrac_length(canonical_coil_slope(s)))
 
 
 def _finite(x: float, name: str) -> float:
@@ -243,7 +243,7 @@ def bound_report(spec: CoilSpec) -> dict:
     holds; the estimates are conditional and no uncertified interval is
     emitted.
     """
-    k = cfrac_expand(spec.slope).length
+    k = _cfrac_length(spec.slope)
     cert = coil_hyperbolicity_certificate(k, spec.n1, spec.n2)
     if cert["condition"] == "None":
         raise NoHyperbolicityCertificate(

@@ -24,11 +24,12 @@ Straightness keeps every configuration in minimal position, so transverse
 crossings counted in one fundamental domain of the quotient *are* the
 geometric intersection numbers.  The closed-form operations below are
 independent of this picture and are cross-checked against it by
-``brute_force_intersection``, whose one guard is the crossing cap of
-``slopes.check_crossing_count`` on its candidate line pairs.  The diagram
-layer reads that cap from ``slopes`` as well, so reading a PD code never
-loads this module.  ``fractions`` is imported only by ``lattice_trace`` and
-``fold_parameters``, the two functions that return exact rationals.
+``brute_force_intersection``, which tries every candidate pair of lines
+and whose one guard is the crossing cap of ``slopes.check_crossing_count``
+on those pairs.  The diagram layer reads that cap from ``slopes`` as well,
+so reading a PD code never loads this module.  ``fractions`` is imported
+only by ``lattice_trace`` and ``fold_parameters``, the two functions that
+return exact rationals.
 """
 
 from __future__ import annotations
@@ -105,10 +106,11 @@ def dehn_twist(s: Slope, count: int = 1) -> Slope:
 #
 # where C runs over +-1 (mod 4) for the two lifts of a closed curve and over
 # 0 (mod 4) for the lift of an arc.  Every transverse crossing of two
-# families is found by solving the 2x2 integer system; the involution pairs
-# the crossings freely (they never hit half-lattice points because the
-# curve offsets are +-1/4), so the count on the 4-punctured sphere is
-# exactly half the count on the torus.
+# families is found by solving the 2x2 integer system for every pair of
+# lines, one C from each family; the involution pairs the crossings freely
+# (they never hit half-lattice points because the curve offsets are +-1/4),
+# so the count on the 4-punctured sphere is exactly half the count on the
+# torus.
 
 
 def _line_constants(P: int, Q: int, residues: tuple[int, ...]) -> list[int]:
@@ -135,13 +137,15 @@ def _torus_crossings(f1, f2) -> tuple[list[tuple[int, int]], int]:
     # sign of det is folded into the numerators so the window is [0, den)
     sign = 4 if det > 0 else -4
     den = abs(det)
+    # the c2 halves of both numerators are computed once; each c1 row tries
+    # every c2 in one comprehension: 0 <= x1 - x2 < den iff x1 - den < x2 <= x1
+    halves = [(sign * c2 * q1, sign * p1 * c2) for c2 in cs2]
     points = []
     for c1 in cs1:
-        for c2 in cs2:
-            xn = sign * (c1 * q2 - c2 * q1)
-            yn = sign * (p2 * c1 - p1 * c2)
-            if 0 <= xn < den and 0 <= yn < den:
-                points.append((xn, yn))
+        x1, y1 = sign * c1 * q2, sign * p2 * c1
+        xlo, ylo = x1 - den, y1 - den
+        points += [(x1 - x2, y1 - y2) for x2, y2 in halves
+                   if xlo < x2 <= x1 and ylo < y2 <= y1]
     return points, den
 
 

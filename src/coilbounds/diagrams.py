@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from itertools import chain, islice
+from operator import itemgetter
 
 from . import slopes
 from .errors import (
@@ -310,6 +311,11 @@ class DiagramBuilder:
     tuple starts at the incoming under-strand; it returns the map from
     builder darts to finished darts so callers can carry the darts they
     recorded into the finished diagram.
+
+    ``join`` checks each edge it wires.  A generator that owns fresh
+    crossings may write ``_peer`` directly (the coil braid's slices, the
+    fill splice); ``finish`` checks that every dart is wired and that the
+    wiring is an involution, whichever way it was written.
     """
 
     def __init__(self):
@@ -349,7 +355,10 @@ class DiagramBuilder:
             raise EdgePairingError(f"slot {divmod(peer.index(-1), 4)} left dangling")
 
         # Walk every strand once, numbering its edges in walk order; a dart
-        # is walked once its edge has a label.
+        # is walked once its edge has a label.  Each edge is checked from the
+        # end it is walked out of: wiring that is an involution on every
+        # walked edge brings each walk back to its start, so a bad wiring
+        # raises here instead of walking forever.
         labels = [0] * n
         entered = bytearray(n)
         next_label = 1
@@ -360,19 +369,28 @@ class DiagramBuilder:
             while True:
                 entered[d] = 1
                 out = d ^ 2  # slot s + 2 of the same crossing
-                labels[out] = labels[peer[out]] = next_label
-                next_label += 1
                 d = peer[out]
+                if peer[d] != out:
+                    raise EdgePairingError(
+                        f"slot {divmod(out, 4)} is wired to {divmod(d, 4)}, "
+                        f"which is wired to {divmod(peer[d], 4)}"
+                    )
+                labels[out] = labels[d] = next_label
+                next_label += 1
                 if d == start:
                     break
         # rotate each crossing so its tuple starts at the incoming under-strand
         turns = [u if entered[4 * c + u] else u + 2 for c, u in enumerate(under)]
         # finished dart 4c + i is builder dart 4c + (i + turns[c]) mod 4
-        source = [4 * c + i for c, r in enumerate(turns) for i in _ROTATED[r]]
+        source = tuple([4 * c + i for c, r in enumerate(turns) for i in _ROTATED[r]])
         final = [0] * n
         for e, d in enumerate(source):
             final[d] = e
-        mate = tuple([final[peer[d]] for d in source])
-        flat = [labels[d] for d in source]
+        if not n:  # the empty diagram; an itemgetter needs an item
+            return PlanarDiagram((), provenance, _mate=()), final
+        # gather in C: mate[e] = final[peer[source[e]]], flat[e] = labels[source[e]]
+        gather = itemgetter(*source)
+        mate = itemgetter(*gather(peer))(final)
+        flat = gather(labels)
         tuples = tuple(zip(flat[0::4], flat[1::4], flat[2::4], flat[3::4]))
         return PlanarDiagram(tuples, provenance, _mate=mate), final

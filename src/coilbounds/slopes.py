@@ -157,7 +157,7 @@ class ContinuedFraction(namedtuple("ContinuedFraction", "terms")):
     def __new__(cls, terms: tuple[int, ...]):
         if not terms:
             raise ValueError("continued fraction needs at least one term")
-        if any(a < 1 for a in terms):
+        if min(terms) < 1:
             raise ValueError("terms must be positive")
         if len(terms) > 1 and terms[-1] < 2:
             raise ValueError("canonical form requires final term >= 2")
@@ -217,6 +217,17 @@ def cfrac_expand(s: Slope) -> ContinuedFraction:
         terms.append(a)
         num, den = den, r
     return ContinuedFraction(tuple(terms))
+
+
+def _cfrac_length(s: Slope) -> int:
+    """``cfrac_expand(s).length`` for 0 < p < q, which its callers guarantee:
+    the same Euclidean walk, counted without keeping its terms."""
+    k = 0
+    num, den = s.q, s.p
+    while den:
+        num, den = den, num % den
+        k += 1
+    return k
 
 
 def cfrac_eval(c: ContinuedFraction) -> Slope:

@@ -41,3 +41,37 @@ def strand_labels(d):
     return tuple(
         tuple(d.crossings[x // 4][(x + 2) % 4] for x in strand) for strand in d.strands
     )
+
+
+def coil_braid_by_joins(b, q, n_signed):
+    """Reference coil braid: ``generators._coil_braid`` wired one
+    ``DiagramBuilder.join`` at a time, row by row, with ``current[i]`` the
+    dart at which the strand at position i leaves the braid so far.
+
+    Crossings use slots 0=W_upper, 1=W_lower, 2=E_lower, 3=E_upper; crossing
+    i of a row twists positions i and i+1.  Returns the (west, east) port
+    darts, bottom position first.
+    """
+    rows = q * abs(n_signed)
+    if not rows:
+        return [], []
+    first = b.crossings(rows * (q - 1), under=0 if n_signed > 0 else 1).start
+    join = b.join
+    # row 0 reaches every position for the first time: those are the west ports
+    west = [4 * first + 1] + [4 * (first + i) for i in range(q - 1)]
+    current = [None] * q
+    d = 4 * first
+    for i in range(q - 1):
+        if i:
+            join(current[i], d + 1)
+        current[i] = d + 2
+        current[i + 1] = d + 3
+        d += 4
+    for _ in range(rows - 1):
+        for i in range(q - 1):
+            join(current[i], d + 1)
+            join(current[i + 1], d)
+            current[i] = d + 2
+            current[i + 1] = d + 3
+            d += 4
+    return west, current

@@ -19,6 +19,7 @@ from coilbounds.curves import (
     lattice_trace,
     trace_gate_events,
 )
+from coilbounds.curves import _line_families, _torus_crossings
 from coilbounds.errors import TooManyCrossings
 from coilbounds.slopes import Slope
 
@@ -160,6 +161,46 @@ def _oracle_slopes(qmax):
 def test_oracle_matches_closed_form_past_twelve(a, b):
     assert brute_force_intersection(a, b, "curve-curve") == curve_curve_intersection(a, b)
     assert brute_force_intersection(a, b, "arc-curve") == arc_curve_intersection(a, b)
+
+
+def torus_crossings_by_pairs(f1, f2):
+    """Reference for ``curves._torus_crossings``: Cramer's rule on every
+    pair of lines, one pair at a time, in the order c1 then c2."""
+    (p1, q1, cs1), (p2, q2, cs2) = f1, f2
+    det = 16 * (p2 * q1 - p1 * q2)
+    if det == 0:
+        return [], 0
+    sign = 4 if det > 0 else -4
+    den = abs(det)
+    points = []
+    for c1 in cs1:
+        for c2 in cs2:
+            xn = sign * (c1 * q2 - c2 * q1)
+            yn = sign * (p2 * c1 - p1 * c2)
+            if 0 <= xn < den and 0 <= yn < den:
+                points.append((xn, yn))
+    return points, den
+
+
+def _slopes_up_to(cap):
+    """1/0, 0/1 and the reduced p/q with 1 <= q <= cap and |p| <= cap."""
+    return st.one_of(
+        st.sampled_from([INF, ZERO]),
+        st.integers(1, cap).flatmap(
+            lambda q: st.integers(-cap, cap)
+            .filter(lambda p: gcd(abs(p), q) == 1)
+            .map(lambda p: Slope(p, q))
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(a=_slopes_up_to(30), b=_slopes_up_to(30), mode=st.sampled_from(["curve-curve", "arc-curve"]))
+def test_torus_crossings_match_pairwise_reference(a, b, mode):
+    """Every candidate line pair is tried: the points of the pairwise
+    reference, in its order."""
+    families = _line_families(a, b, mode)
+    assert _torus_crossings(*families) == torus_crossings_by_pairs(*families)
 
 
 def test_lattice_trace_matches_count():

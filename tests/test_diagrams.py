@@ -213,6 +213,17 @@ def test_builder_rejects_bad_slots():
     b.join(7, 1)  # the rejected calls left darts 7 and 1 unwired
 
 
+def test_builder_refuses_wiring_that_is_not_an_involution():
+    # written directly, as the coil braid and the fill splice write: dart 3
+    # leads to dart 1, which leads back to 2, so the strand walk from dart 0
+    # would circle 1 -> 3 -> 1 and never return without the check
+    b = DiagramBuilder()
+    b.crossing()
+    b._peer[:] = [3, 2, 1, 1]
+    with pytest.raises(EdgePairingError, match=r"slot \(0, 3\) is wired to \(0, 1\)"):
+        b.finish()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.integers(1, 4), min_size=1, max_size=5).filter(

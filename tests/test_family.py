@@ -184,7 +184,8 @@ def test_row_reads_bound_report(spec):
 
 
 def test_one_cfrac_and_certificate_per_spec(monkeypatch):
-    calls = {"cfrac_expand": 0, "coil_hyperbolicity_certificate": 0}
+    # k comes from the length-only walk, so it is the walk that is counted
+    calls = {"_cfrac_length": 0, "coil_hyperbolicity_certificate": 0}
     for name in calls:
         fn = getattr(bounds, name)
 
@@ -195,9 +196,9 @@ def test_one_cfrac_and_certificate_per_spec(monkeypatch):
         monkeypatch.setattr(bounds, name, counted)
     spec = CoilSpec(3, 7, 5, -6)
     bound_report(spec)
-    assert calls == {"cfrac_expand": 1, "coil_hyperbolicity_certificate": 1}
+    assert calls == {"_cfrac_length": 1, "coil_hyperbolicity_certificate": 1}
     analyze_family(fixed_slope_vary_twists(2, 5, 6, range(4, 9)))
-    assert calls == {"cfrac_expand": 6, "coil_hyperbolicity_certificate": 6}
+    assert calls == {"_cfrac_length": 6, "coil_hyperbolicity_certificate": 6}
 
 
 def test_csv_columns_fixed():

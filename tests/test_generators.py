@@ -3,9 +3,10 @@ import time
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coilbounds import slopes
-from coilbounds.diagrams import emit_pd
+from coilbounds.diagrams import DiagramBuilder, emit_pd
 from coilbounds.errors import NotACrossingCircle, NotAKnot, TooManyCrossings
 from coilbounds.generators import (
     CoilSpec,
@@ -15,8 +16,9 @@ from coilbounds.generators import (
     gen_double_coil,
     gen_two_bridge,
 )
+from coilbounds.generators import _coil_braid
 from coilbounds.slopes import ContinuedFraction, Slope, cfrac_expand
-from diagram_oracle import strand_labels, trace_faces
+from diagram_oracle import coil_braid_by_joins, strand_labels, trace_faces
 
 
 def coprime_pairs(qmax):
@@ -340,3 +342,37 @@ def test_generator_pd_golden():
         "delete": digest(delete()),
     }
     assert got == GOLDEN_PD_SHA256
+
+
+# coils of the size the coil-build benchmark generates: 15 200, 18 720 and
+# 18 960 crossings, hashed as test_generator_pd_golden hashes its codes
+GOLDEN_LARGE_COILS = [(7, 20, 15, -25), (11, 40, 5, -7), (37, 80, 1, 2)]
+GOLDEN_LARGE_COIL_SHA256 = "9265b80780d303f08cdf93df1c8f461da6ef8909741e11c3a1a0fe6ac65bc6aa"
+
+
+def test_large_coil_pd_golden():
+    h = hashlib.sha256()
+    for spec in GOLDEN_LARGE_COILS:
+        h.update(emit_pd(gen_double_coil(CoilSpec(*spec))).encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_LARGE_COIL_SHA256
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    q=st.integers(2, 40),
+    n=st.integers(1, 6),
+    sign=st.sampled_from([1, -1]),
+    held=st.sampled_from([0, 1, 7]),
+)
+@example(q=2, n=1, sign=1, held=0)
+@example(q=40, n=6, sign=-1, held=7)
+def test_slice_braid_matches_join_reference(q, n, sign, held):
+    """The slice-wired braid lays the dart array and ports that wiring it
+    one join at a time does, on a fresh builder and on one that already
+    holds crossings, as fill_crossing_circle's builder does."""
+    fast, ref = DiagramBuilder(), DiagramBuilder()
+    fast.crossings(held)
+    ref.crossings(held)
+    assert _coil_braid(fast, q, sign * n) == coil_braid_by_joins(ref, q, sign * n)
+    assert fast._peer == ref._peer
+    assert fast._under == ref._under

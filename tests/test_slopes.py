@@ -15,6 +15,7 @@ from coilbounds.slopes import (
     mirror_slope,
     reduce_slope,
 )
+from coilbounds.slopes import _cfrac_length
 
 
 def test_reduce_examples():
@@ -167,3 +168,24 @@ def test_reduce_always_valid(n, d):
     s = reduce_slope(n, d)
     assert gcd(abs(s.p), s.q) == 1
     assert s.q >= 0
+
+
+def test_cfrac_length_every_pair_to_300():
+    for q in range(2, 301):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                s = Slope(p, q)
+                assert _cfrac_length(s) == cfrac_expand(s).length, s
+
+
+@st.composite
+def _big_proper_slopes(draw):
+    """Reduced p/q with 0 < p < q and q of up to 1000 digits."""
+    q = draw(st.integers(2, 10**1000))
+    p = draw(st.integers(1, q - 1).filter(lambda p: gcd(p, q) == 1))
+    return Slope(p, q)
+
+
+@given(_big_proper_slopes())
+def test_cfrac_length_matches_expansion(s):
+    assert _cfrac_length(s) == cfrac_expand(s).length
