@@ -28,8 +28,7 @@ independent of this picture and are cross-checked against it by
 and whose one guard is the crossing cap of ``slopes.check_crossing_count``
 on those pairs.  The diagram layer reads that cap from ``slopes`` as well,
 so reading a PD code never loads this module.  ``fractions`` is imported
-only by ``lattice_trace`` and ``fold_parameters``, the two functions that
-return exact rationals.
+only by ``lattice_trace``, the one function that returns exact rationals.
 """
 
 from __future__ import annotations
@@ -220,17 +219,18 @@ def lattice_trace(s1: Slope, s2: Slope, mode: str = "curve-curve") -> LatticeTra
 # ---------------------------------------------------------------------------
 
 
-def fold_parameters(p: int, q: int) -> list:
-    """Sorted parameters x in (0, q] where the traced line folds, as Fractions.
+def fold_parameters(p: int, q: int) -> tuple[int, list[tuple[int, int]]]:
+    """Where the traced line folds: ``(den, [(num, m), ...])``, sorted by x.
 
     The walk of ``trace_gate_events`` folds where q*y - p*x = 1/4 meets
-    y in Z/2, at x = (2qm - 1)/(4p); x lies in (0, q] exactly for
-    m = 1..2p when p > 0 and m = 2p+1..0 when p < 0, so there are 2|p|.
+    y = m/2, at x = (2qm - 1)/(4p) = num/den with den = 4|p| > 0; x lies in
+    (0, q] exactly for m = 1..2p when p > 0 and m = 2p+1..0 when p < 0, so
+    there are 2|p|.  The fold is on the bottom edge of the strip iff m is
+    even.
     """
-    from fractions import Fraction
-
+    sign = 1 if p > 0 else -1
     ms = range(1, 2 * p + 1) if p > 0 else range(0, 2 * p, -1)
-    return [Fraction(2 * q * m - 1, 4 * p) for m in ms]
+    return 4 * abs(p), [(sign * (2 * q * m - 1), m) for m in ms]
 
 
 def trace_gate_events(p: int, q: int) -> list[GateEvent]:

@@ -12,17 +12,19 @@ Two family kinds reproduce the headline phenomena:
   12650/vol tends to 0: not an expanding family.
 
 Verdicts are decided by the family *kind* (an infinite family's volumes
-are bounded or not by construction), never by eyeballing finitely many
-numbers; and they concern the certified bound intervals, not the true
-spectra.  ``analyze_family`` returns the dict that ``family --format json``
-prints; each row is one ``bound_report`` of its member, built once and keyed
-in ``CSV_COLUMNS`` order, and the CSV prints the rows.  The
-diagram-level columns are exact closed forms of the generated diagram,
-with no diagram built: crossings q(q-1)(|n1|+|n2|) and twist regions
-``CoilSpec.twist_region_count``, a law checked against generated diagrams
-in the tests and in ``verify`` (criterion-09).  Members are
-``slopes.CoilSpec`` and the CSV rounds with ``bounds._format_float``, so a
-family loads no diagram code.
+are bounded or not by construction) together with the window's lengths
+k: a window without certified rows is inconclusive, and a ``vary-slope``
+verdict reads whether k stays constant or strictly grows across the
+window.  No bound value is eyeballed, and verdicts concern the certified
+bound intervals, not the true spectra.  ``analyze_family`` returns the
+dict that ``family --format json`` prints; each row is one
+``bound_report`` of its member, built once and keyed in ``CSV_COLUMNS``
+order, and the CSV prints the rows.  The diagram-level columns are exact
+closed forms of the generated diagram, with no diagram built: crossings
+q(q-1)(|n1|+|n2|) and twist regions ``CoilSpec.twist_region_count``, a
+law checked against generated diagrams in the tests and in ``verify``
+(criterion-09).  Members are ``slopes.CoilSpec`` and the CSV rounds with
+``bounds._format_float``, so a family loads no diagram code.
 """
 
 from __future__ import annotations

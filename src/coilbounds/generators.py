@@ -4,9 +4,9 @@ Four constructions share one combinatorial backbone:
 
 * ``gen_two_bridge``       standard alternating 4-plat from a continued
                            fraction, one twist region per term;
-* ``gen_clasped_two_bridge``  the same plat with the final twist region
-                           replaced by a clasp (a crossing circle on two
-                           strands) and the bottom arcs re-attached;
+* ``gen_clasped_two_bridge``  the full plat plus one more syllable, a
+                           clasp (a crossing circle on two strands, four
+                           crossings), with the bottom arcs re-attached;
 * ``gen_augmented``        the 3-component parent link: the embedded curve
                            of slope p/q in the projection sphere plus two
                            crossing circles, each encircling the q strands
@@ -68,78 +68,54 @@ _REGION_ORIENT = (1, -1)
 # strands read top to bottom; clasp crossings use slots 0=N, 1=W, 2=S, 3=E.
 
 
-def _syllable_column(idx: int) -> int:
-    """Left column of the strand pair twisted by syllable ``idx`` (0-based)."""
-    return 1 if idx % 2 == 0 else 0
-
-
-def _close_plat(b, cols, top_caps, bottom_caps):
-    """Wire column chains and the plat caps.
-
-    ``cols[j]`` lists (north, south) darts per crossing on column j, top to
-    bottom.  A cap joins two column ends on one side; from each end of a
-    column with crossings, caps and crossing-free columns lead to exactly
-    one other such end.
-    """
-    for items in cols:
-        for (_, south), (north, _) in zip(items, items[1:]):
-            b.join(south, north)
-    cap = {}
-    for side, caps in enumerate((top_caps, bottom_caps)):
-        for x, y in caps:
-            cap[side, x], cap[side, y] = y, x
-    ends = [(items[0][0], items[-1][1]) if items else None for items in cols]
-    for j, pair in enumerate(ends):
-        for side in (0, 1) if pair else ():
-            s, k = side, cap[side, j]
-            for _ in cols:
-                if ends[k]:
-                    break
-                s = 1 - s  # through the empty column, then its cap
-                k = cap[s, k]
-            else:
-                raise AssertionError("open plat closure chain")
-            if pair[side] < ends[k][s]:  # each joined pair once
-                b.join(pair[side], ends[k][s])
-
-
-def _plat_caps(last_col: int):
-    """Bottom cap pattern avoiding a kink under the final twist position."""
-    if last_col == 1:
-        return ((0, 1), (2, 3))
-    return ((1, 2), (0, 3))
-
-
 def _build_plat(terms, with_clasp: bool):
+    """Lay the plat of ``terms`` (plus the clasp) on three columns and close it.
+
+    Syllable i twists columns (1, 2) when i is even and (0, 1) when i is
+    odd, and the clasp takes syllable k's place, so columns 1 and 2 always
+    hold crossings and column 0 does unless k = 1 with no clasp.  The
+    closing joins depend only on the parity of the last syllable; the
+    bottom ones avoid a kink under the last twist.
+    """
     b = DiagramBuilder()
-    cols = [[] for _ in range(4)]
+    cols = [[], [], []]  # (north, south) darts per crossing, top to bottom
     for idx, a in enumerate(terms):
-        col = _syllable_column(idx)
+        odd = idx % 2
         # alternating diagram: syllables alternate handedness
-        under = 1 if idx % 2 == 0 else 0
-        for c in b.crossings(a, under=under):
-            cols[col].append((4 * c, 4 * c + 1))
-            cols[col + 1].append((4 * c + 3, 4 * c + 2))
+        for c in b.crossings(a, under=1 - odd):
+            cols[1 - odd].append((4 * c, 4 * c + 1))
+            cols[2 - odd].append((4 * c + 3, 4 * c + 2))
 
     clasp_info = None
-    k = len(terms)
+    last = len(terms) - 1  # index of the last syllable
     if with_clasp:
-        col = _syllable_column(k)
+        last += 1
+        col = 1 - last % 2
         nl, nr = (4 * c for c in b.crossings(2, under=0))  # north gate passes over
         sl, sr = (4 * c for c in b.crossings(2, under=1))
-        for top, bot, j in ((nl, sl, col), (nr, sr, col + 1)):
-            cols[j] += [(top, top + 2), (bot, bot + 2)]
+        cols[col] += [(nl, nl + 2), (sl, sl + 2)]
+        cols[col + 1] += [(nr, nr + 2), (sr, sr + 2)]
         b.join(nl + 3, nr + 1)
         b.join(sl + 3, sr + 1)
         b.join(nr + 3, sr + 3)
         b.join(nl + 1, sl + 1)
         # strand passages through the clasp, braid-start side first
         clasp_info = {"orient": 1, "passages": [(nl, sl + 2), (nr, sr + 2)]}
-        last_col = col
-    else:
-        last_col = _syllable_column(k - 1)
 
-    _close_plat(b, cols, ((0, 1), (2, 3)), _plat_caps(last_col))
+    for items in cols:
+        for (_, south), (north, _) in zip(items, items[1:]):
+            b.join(south, north)
+    (top1, bot1), (top2, bot2) = ((items[0][0], items[-1][1]) for items in cols[1:])
+    if not cols[0]:  # k = 1 with no clasp
+        closing = ((top1, bot1), (top2, bot2))
+    else:
+        top0, bot0 = cols[0][0][0], cols[0][-1][1]
+        if last % 2:
+            closing = ((top0, top1), (bot1, bot2), (top2, bot0))
+        else:
+            closing = ((top0, top1), (bot0, bot1), (top2, bot2))
+    for x, y in closing:
+        b.join(x, y)
     return b, clasp_info
 
 

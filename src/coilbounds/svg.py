@@ -16,8 +16,9 @@ fundamental strip wraps into an annulus, the folded bottom and top edges
 become the inner and outer boundary circles, and fold connectors run as
 chords through the inner disk or nested arcs outside.  A picture is refused
 by the crossing cap on the number of points its curves would draw, before
-any is sampled.  Only ``curve_svg`` loads ``curves`` and ``fractions``, so
-drawing a diagram reads no curve code.
+any is sampled.  Only ``curve_svg`` loads ``curves``, so drawing a diagram
+reads no curve code; fold points are exact integers over 4|p|, so no
+picture loads ``fractions``.
 """
 
 from __future__ import annotations
@@ -176,8 +177,6 @@ def _point_bound(s: Slope) -> int:
 
 def _curve_paths(s: Slope):
     """Sampled xy polylines of the curve of slope s, one per smooth piece."""
-    from fractions import Fraction
-
     from .curves import fold_parameters
 
     p, q = s.p, s.q
@@ -188,18 +187,16 @@ def _curve_paths(s: Slope):
     if p == 0:
         return [[_to_xy(t / 96.0, 0.25) for t in range(97)]]
 
-    folds = fold_parameters(p, q)
+    den, folds = fold_parameters(p, q)
     paths = []
-    cuts = [Fraction(0)] + folds + [Fraction(q)]
+    cuts = [0] + [num for num, _ in folds] + [q * den]
     for a, b in zip(cuts, cuts[1:]):
-        n = max(6, int(24 * float(b - a)))
-        paths.append(
-            [_strip_xy(p, q, float(a) + (float(b) - float(a)) * t / n) for t in range(n + 1)]
-        )
-    for x in folds:
-        xm = float(x % 1)
-        is_bottom = ((p * x + Fraction(1, 4)) / q) % 1 == 0
-        if is_bottom:
+        n = max(6, int(24 * ((b - a) / den)))
+        xa, xb = a / den, b / den
+        paths.append([_strip_xy(p, q, xa + (xb - xa) * t / n) for t in range(n + 1)])
+    for num, m in folds:
+        xm = num % den / den
+        if m % 2 == 0:  # the fold sits at y = m/2: on the bottom edge
             paths.append([_to_xy(xm, 0.0), _to_xy(1.0 - xm, 0.0)])
         else:
             paths.append(_outer_connector(min(xm, 1.0 - xm)))

@@ -1,8 +1,9 @@
 """Self-verification suite: acceptance checks and oracle properties.
 
-Each check returns ``CheckResult(name, ok, elapsed, limit, detail)``; the CLI
-``verify`` subcommand prints one line per check, and the pytest acceptance
-module asserts them individually with their runtime budgets.
+Each check returns ``(ok, detail)``; ``_run_one`` times it and builds the
+``CheckResult(name, ok, elapsed, limit, detail)``.  The CLI ``verify``
+subcommand prints one line per result, and the pytest acceptance module
+asserts them individually with their runtime budgets.
 
 Check 3 asserts the classical identity "the standard alternating diagram
 of [a1..ak] has exactly k twist regions" and is expected to FAIL for about
@@ -24,7 +25,6 @@ from functools import cache
 from math import gcd
 
 from . import bounds, curves, family, generators
-from .diagrams import verify_pd_text  # re-exported; it lives with the parser
 from .errors import (
     NoHyperbolicityCertificate,
     NonHyperbolicSlope,
@@ -33,7 +33,7 @@ from .errors import (
 from .generators import CoilSpec
 from .slopes import Slope, cfrac_eval, cfrac_expand, mirror_slope
 
-__all__ = ["CheckResult", "run_checks", "verify_pd_text", "ACCEPTANCE_CHECKS"]
+__all__ = ["CheckResult", "run_checks", "ACCEPTANCE_CHECKS"]
 
 
 class CheckResult(namedtuple("CheckResult", "name ok elapsed limit detail")):

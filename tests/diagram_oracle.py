@@ -75,3 +75,61 @@ def coil_braid_by_joins(b, q, n_signed):
             current[i + 1] = d + 3
             d += 4
     return west, current
+
+
+def plat_by_cap_chase(b, terms, with_clasp):
+    """Reference plat: ``generators._build_plat`` laid on four columns and
+    closed by chasing caps, with no case analysis of which columns hold
+    crossings.
+
+    Syllable i twists columns (1, 2) when i is even and (0, 1) when i is
+    odd, the clasp taking syllable k's place.  The top caps join columns
+    (0, 1) and (2, 3); the bottom caps do too when the last syllable twists
+    columns (1, 2), and join (1, 2) and (0, 3) otherwise.  From each end of
+    a column with crossings, caps and crossing-free columns lead to exactly
+    one other such end.  Braid crossings use slots 0=NW, 1=SW, 2=SE, 3=NE;
+    clasp crossings 0=N, 1=W, 2=S, 3=E.  Returns the clasp's provenance
+    record, or None.
+    """
+    cols = [[] for _ in range(4)]  # (north, south) darts per crossing
+    for idx, a in enumerate(terms):
+        col = 1 if idx % 2 == 0 else 0
+        for c in b.crossings(a, under=1 if idx % 2 == 0 else 0):
+            cols[col].append((4 * c, 4 * c + 1))
+            cols[col + 1].append((4 * c + 3, 4 * c + 2))
+    clasp_info = None
+    last_col = 1 if (len(terms) - 1) % 2 == 0 else 0
+    if with_clasp:
+        last_col = 1 - last_col
+        nl, nr = (4 * c for c in b.crossings(2, under=0))
+        sl, sr = (4 * c for c in b.crossings(2, under=1))
+        for top, bot, j in ((nl, sl, last_col), (nr, sr, last_col + 1)):
+            cols[j] += [(top, top + 2), (bot, bot + 2)]
+        b.join(nl + 3, nr + 1)
+        b.join(sl + 3, sr + 1)
+        b.join(nr + 3, sr + 3)
+        b.join(nl + 1, sl + 1)
+        clasp_info = {"orient": 1, "passages": [(nl, sl + 2), (nr, sr + 2)]}
+
+    for items in cols:
+        for (_, south), (north, _) in zip(items, items[1:]):
+            b.join(south, north)
+    bottom_caps = ((0, 1), (2, 3)) if last_col == 1 else ((1, 2), (0, 3))
+    cap = {}
+    for side, caps in enumerate((((0, 1), (2, 3)), bottom_caps)):
+        for x, y in caps:
+            cap[side, x], cap[side, y] = y, x
+    ends = [(items[0][0], items[-1][1]) if items else None for items in cols]
+    for j, pair in enumerate(ends):
+        for side in (0, 1) if pair else ():
+            s, k = side, cap[side, j]
+            for _ in cols:
+                if ends[k]:
+                    break
+                s = 1 - s  # through the empty column, then its cap
+                k = cap[s, k]
+            else:
+                raise AssertionError("open plat closure chain")
+            if pair[side] < ends[k][s]:  # each joined pair once
+                b.join(pair[side], ends[k][s])
+    return clasp_info

@@ -713,6 +713,8 @@ FOOTPRINT_CASES = [
     (["verify", "--pd", "{pd}"],
      ["bounds", "curves", "family", "generators", "verify", "svg", "_planar"]),
     (["render", "{pd}", "--svg", "k.svg"], ["bounds", "curves", "family", "generators", "verify"]),
+    (["curve", "2/5", "1/3", "--svg", "c.svg"],
+     ["bounds", "diagrams", "family", "generators", "verify", "_planar"]),
     (None, ["errors", "slopes", "bounds", "cli", *_PAST_BOUNDS, "_planar"]),
 ]
 

@@ -230,19 +230,24 @@ def test_trace_event_counts():
 
 def test_fold_parameters_match_scan():
     # brute force: every m whose fold x = (2qm - 1)/(4p) lands in (0, q];
-    # with n = 2qm - 1 and d = 4p that is 0 < n*d <= q*d*d
+    # over the positive denominator 4|p| its numerator is +-(2qm - 1)
     for q in range(1, 31):
         for p in range(-3 * q, 3 * q + 1):
             if p == 0 or gcd(abs(p), q) != 1:
                 continue
             bound = 2 * abs(p) * q + 2
-            d = 4 * p
+            den = 4 * abs(p)
             scan = sorted(
-                Fraction(2 * q * m - 1, d)
+                (num, m)
                 for m in range(-bound, bound + 1)
-                if 0 < (2 * q * m - 1) * d <= q * d * d
+                for num in [(2 * q * m - 1) * den // (4 * p)]
+                if 0 < num <= q * den
             )
-            assert fold_parameters(p, q) == scan, (p, q)
+            assert fold_parameters(p, q) == (den, scan), (p, q)
+            for num, m in scan:
+                assert Fraction(num, den) == Fraction(2 * q * m - 1, 4 * p)
+                # the fold's height (p*x + 1/4)/q is m/2
+                assert (p * Fraction(num, den) + Fraction(1, 4)) / q == Fraction(m, 2)
 
 
 def test_trace_gate_events_match_fraction_walk():

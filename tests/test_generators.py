@@ -16,9 +16,9 @@ from coilbounds.generators import (
     gen_double_coil,
     gen_two_bridge,
 )
-from coilbounds.generators import _coil_braid
+from coilbounds.generators import _build_plat, _coil_braid
 from coilbounds.slopes import ContinuedFraction, Slope, cfrac_expand
-from diagram_oracle import coil_braid_by_joins, strand_labels, trace_faces
+from diagram_oracle import coil_braid_by_joins, plat_by_cap_chase, strand_labels, trace_faces
 
 
 def coprime_pairs(qmax):
@@ -66,6 +66,24 @@ def test_two_bridge_region_sizes_sweep():
         expected = [terms[0] + terms[1]] + terms[2:] if terms[0] == 1 else terms
         got = sorted(len(r) for r in d.twist_regions())
         assert got == sorted(expected), (p, q, terms, got)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(terms=st.lists(st.integers(1, 5), min_size=1, max_size=8), with_clasp=st.booleans())
+@example(terms=[1], with_clasp=False)
+@example(terms=[3], with_clasp=False)
+@example(terms=[2], with_clasp=True)
+@example(terms=[1, 2], with_clasp=False)
+@example(terms=[2, 1, 3], with_clasp=True)
+def test_plat_closure_matches_cap_chase(terms, with_clasp):
+    """The closing joins written by cases wire the plat as chasing caps
+    through four columns does."""
+    ref = DiagramBuilder()
+    ref_info = plat_by_cap_chase(ref, terms, with_clasp)
+    fast, fast_info = _build_plat(terms, with_clasp)
+    assert fast._peer == ref._peer
+    assert fast._under == ref._under
+    assert fast_info == ref_info
 
 
 # --- clasped ----------------------------------------------------------------
