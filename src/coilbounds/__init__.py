@@ -31,6 +31,7 @@ _EXPORTS = {
         "NonPlanarRotation",
         "NotAKnot",
         "NotACrossingCircle",
+        "BuilderSpent",
         "NoHyperbolicityCertificate",
         "SlopeTooShort",
         "VolumeBelowFloor",

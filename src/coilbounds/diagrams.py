@@ -28,6 +28,7 @@ from operator import itemgetter
 
 from . import slopes
 from .errors import (
+    BuilderSpent,
     EdgePairingError,
     NonPlanarRotation,
     NonQuadrivalent,
@@ -52,7 +53,8 @@ class PlanarDiagram:
     ``component_of`` names the component through any dart.  Edge labels are
     read only to pair and print the PD text.  Validation traces the faces
     once: it proves their count is V + 2 (``n_faces``) and keeps only each
-    bigon's two crossings, which ``twist_regions`` joins.
+    bigon's two crossings, which ``twist_regions`` joins and
+    ``n_twist_regions`` counts.
     """
 
     __slots__ = ("crossings", "provenance", "mate", "strands", "_comp", "_bigons")
@@ -118,8 +120,8 @@ class PlanarDiagram:
             strands.append(tuple(strand))
         if len(strands) > 1:
             # darts 4c and 4c + 1 lie on the two strands through crossing c
-            roots = _roots(len(strands), zip(comp[0::4], comp[1::4]))
-            if len(set(roots)) > 1:
+            _, merges = _union_find(len(strands), zip(comp[0::4], comp[1::4]))
+            if merges < len(strands) - 1:
                 raise NonPlanarRotation("diagram is split (underlying graph disconnected)")
         return tuple(strands), comp
 
@@ -185,18 +187,28 @@ class PlanarDiagram:
         bigon faces connects them; a crossing adjacent to no bigon (or only
         to a bigon folding back onto itself) is a region by itself.
         """
+        find, _ = _union_find(len(self.crossings), self._bigons)
         groups: dict[int, list[int]] = {}
-        for c, root in enumerate(_roots(len(self.crossings), self._bigons)):
-            groups.setdefault(root, []).append(c)
+        for c in range(len(self.crossings)):
+            groups.setdefault(find(c), []).append(c)
         # each region opens at its smallest crossing, so they come out sorted
         return tuple(tuple(g) for g in groups.values())
+
+    @property
+    def n_twist_regions(self) -> int:
+        """``len(twist_regions())``, counted without listing the regions."""
+        return len(self.crossings) - _union_find(len(self.crossings), self._bigons)[1]
 
     def __repr__(self):
         return f"<PlanarDiagram {self.n_crossings} crossings, {self.n_components} components>"
 
 
-def _roots(n, pairs):
-    """Union-find over 0..n-1: the root of each element once every pair is joined."""
+def _union_find(n, pairs):
+    """Join every pair in a union-find over 0..n-1; return ``(find, merges)``.
+
+    ``find(a)`` is the root of a's class, and ``merges`` counts the pairs that
+    joined two classes, so n - merges classes remain.
+    """
     parent = list(range(n))
 
     def find(a):
@@ -205,9 +217,13 @@ def _roots(n, pairs):
             a = parent[a]
         return a
 
+    merges = 0
     for a, b in pairs:
-        parent[find(a)] = find(b)
-    return [find(a) for a in range(n)]
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+            merges += 1
+    return find, merges
 
 
 def _pair_labels(crossings):
@@ -276,7 +292,7 @@ def verify_pd_text(text: str) -> str:
     d = parse_pd(text)
     return (
         f"ok: {d.n_crossings} crossings, {d.n_edges} edges, {d.n_faces} faces, "
-        f"{d.n_components} components, {len(d.twist_regions())} twist regions, "
+        f"{d.n_components} components, {d.n_twist_regions} twist regions, "
         f"alternating={d.is_alternating()}"
     )
 
@@ -316,6 +332,12 @@ class DiagramBuilder:
     crossings may write ``_peer`` directly (the coil braid's slices, the
     fill splice); ``finish`` checks that every dart is wired and that the
     wiring is an involution, whichever way it was written.
+
+    A builder is spent after ``finish``: once the checks pass, ``finish``
+    releases ``_peer`` and ``_under`` and frees the wiring as soon as it is
+    read, before the diagram's dart array is built.  A caller that keeps a
+    reference to ``_peer`` across the call keeps it alive.  Finishing a spent
+    builder raises ``BuilderSpent``.
     """
 
     def __init__(self):
@@ -350,6 +372,8 @@ class DiagramBuilder:
     def finish(self, provenance=None):
         """Return ``(diagram, final)``; builder dart d is diagram dart final[d]."""
         peer, under = self._peer, self._under
+        if peer is None:
+            raise BuilderSpent("this builder was finished already")
         n = len(peer)
         if -1 in peer:
             raise EdgePairingError(f"slot {divmod(peer.index(-1), 4)} left dangling")
@@ -379,18 +403,27 @@ class DiagramBuilder:
                 next_label += 1
                 if d == start:
                     break
-        # rotate each crossing so its tuple starts at the incoming under-strand
-        turns = [u if entered[4 * c + u] else u + 2 for c, u in enumerate(under)]
+        self._peer = self._under = None  # spent: the wiring lives on only here
+        # rotate each crossing so its tuple starts at the incoming under-strand:
         # finished dart 4c + i is builder dart 4c + (i + turns[c]) mod 4
-        source = tuple([4 * c + i for c, r in enumerate(turns) for i in _ROTATED[r]])
-        final = [0] * n
-        for e, d in enumerate(source):
-            final[d] = e
+        turns = [u if entered[4 * c + u] else u + 2 for c, u in enumerate(under)]
+        del entered, under
+        # final inverts that: a turn is 0..3, so _ROTATED[-r] turns by -r mod 4
+        blocks = range(0, n, 4)
+        final = [b + i for b, r in zip(blocks, turns) for i in _ROTATED[-r]]
         if not n:  # the empty diagram; an itemgetter needs an item
             return PlanarDiagram((), provenance, _mate=()), final
-        # gather in C: mate[e] = final[peer[source[e]]], flat[e] = labels[source[e]]
-        gather = itemgetter(*source)
-        mate = itemgetter(*gather(peer))(final)
+        # Gather in C, and free the wiring before the next set of darts is
+        # made: far[d] = final[peer[d]], and with source[e] the builder dart
+        # of finished dart e, mate[e] = far[source[e]] and the tuples read
+        # labels[source[e]].
+        far = itemgetter(*peer)(final)
+        del peer
+        gather = itemgetter(*[b + i for b, r in zip(blocks, turns) for i in _ROTATED[r]])
+        mate = gather(far)
+        del far
         flat = gather(labels)
+        del gather, labels
         tuples = tuple(zip(flat[0::4], flat[1::4], flat[2::4], flat[3::4]))
+        del flat
         return PlanarDiagram(tuples, provenance, _mate=mate), final

@@ -57,6 +57,10 @@ class NotACrossingCircle(DiagramError):
     """Component is not a provenance-marked crossing circle."""
 
 
+class BuilderSpent(DiagramError):
+    """A ``DiagramBuilder`` was finished again; ``finish`` released its wiring."""
+
+
 # --- bounds ---------------------------------------------------------------
 
 class NoHyperbolicityCertificate(CoilboundsError):

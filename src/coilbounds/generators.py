@@ -379,6 +379,7 @@ def fill_crossing_circle(d: PlanarDiagram, circle, n: int) -> PlanarDiagram:
                 raise AssertionError("surgery strayed onto the circle strand")
             y = mate[y ^ 2]
         peer[nx] = new[y]
+    del peer  # ``finish`` frees the builder's wiring once it has read it
 
     for other in circles.values():
         other["passages"] = [(new[w], new[e]) for w, e in other["passages"]]

@@ -85,7 +85,7 @@ def _two_bridge_survey():
     for p, q in _coprime_pairs(100):
         c = cfrac_expand(Slope(p, q))
         d = generators.gen_two_bridge(c)
-        rows.append((p, q, c.terms, len(d.twist_regions()), d.n_crossings,
+        rows.append((p, q, c.terms, d.n_twist_regions, d.n_crossings,
                      d.is_alternating()))
     return tuple(rows)
 
@@ -205,7 +205,7 @@ def check_09_generator_consistency():
                     filled.mate == direct.mate
                     and direct.n_crossings == want
                     and direct.n_components == 1
-                    and len(direct.twist_regions()) == spec.twist_region_count
+                    and direct.n_twist_regions == spec.twist_region_count
                 ):
                     return False, f"mismatch at ({p},{q},{n1},{n2})"
                 checked += 1

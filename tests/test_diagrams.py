@@ -11,8 +11,10 @@ from coilbounds.diagrams import (
     PlanarDiagram,
     emit_pd,
     parse_pd,
+    verify_pd_text,
 )
 from coilbounds.errors import (
+    BuilderSpent,
     EdgePairingError,
     NonPlanarRotation,
     NonQuadrivalent,
@@ -101,6 +103,29 @@ def test_parse_refuses_long_text_in_one_copy(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < len(text) // 10
+
+
+def _peak_bytes(run):
+    """The tracemalloc peak of ``run()``, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_big_coil_peak_memory_per_crossing():
+    # 18 960 crossings: large enough that the dart arrays, not fixed costs,
+    # set the peak.  The builder releases its wiring before the finished
+    # dart array is gathered, and the PD line counts twist regions without
+    # listing them.
+    spec = CoilSpec(37, 80, 1, 2)
+    crossings = spec.crossing_count
+    assert _peak_bytes(lambda: gen_double_coil(spec)) <= 600 * crossings
+    text = emit_pd(gen_double_coil(spec))
+    assert _peak_bytes(lambda: verify_pd_text(text)) <= 540 * crossings
 
 
 def test_label_pairing_errors():
@@ -258,20 +283,33 @@ _TWIST = st.sampled_from([-3, -2, -1, 1, 2, 3])
 
 
 @st.composite
-def _built_diagram(draw):
+def _build(draw):
+    """A function that builds one diagram, with any generator."""
     p, q = draw(_PQ)
     kind = draw(st.sampled_from(["coil", "two_bridge", "clasped", "augmented", "fill"]))
     if kind == "coil":
-        return gen_double_coil(CoilSpec(p, q, draw(_TWIST), draw(_TWIST)))
+        spec = CoilSpec(p, q, draw(_TWIST), draw(_TWIST))
+        return lambda: gen_double_coil(spec)
     if kind == "two_bridge":
-        return gen_two_bridge(cfrac_expand(Slope(p, q)))
+        return lambda: gen_two_bridge(cfrac_expand(Slope(p, q)))
     if kind == "clasped":
-        return gen_clasped_two_bridge(Slope(p, q))
-    d = gen_augmented(Slope(p, q))
+        return lambda: gen_clasped_two_bridge(Slope(p, q))
+    fills = []
     if kind == "fill":
         for role in draw(st.sampled_from([["C1"], ["C2"], ["C1", "C2"], ["C2", "C1"]])):
-            d = fill_crossing_circle(d, role, draw(st.sampled_from([0, -2, -1, 1, 2])))
-    return d
+            fills.append((role, draw(st.sampled_from([0, -2, -1, 1, 2]))))
+
+    def build():
+        d = gen_augmented(Slope(p, q))
+        for role, n in fills:
+            d = fill_crossing_circle(d, role, n)
+        return d
+
+    return build
+
+
+def _built_diagram():
+    return _build().map(lambda build: build())
 
 
 @settings(max_examples=60, deadline=None)
@@ -330,6 +368,76 @@ def test_traced_faces_give_face_count_and_twist_regions(d):
     for c, r in enumerate(region):
         groups.setdefault(r, []).append(c)
     assert tuple(tuple(g) for g in groups.values()) == d.twist_regions()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    _built_diagram(),
+    # p = 2: the bands between the coil regions merge two bigon pairs
+    st.builds(lambda q, n1, n2: gen_double_coil(CoilSpec(2, q, n1, n2)),
+              st.sampled_from([3, 5, 7, 9]), _TWIST, _TWIST),
+    _built_diagram().map(lambda d: parse_pd(emit_pd(d))),
+    st.sampled_from(_PARSED),
+))
+def test_twist_region_count_is_number_of_regions(d):
+    assert d.n_twist_regions == len(d.twist_regions())
+
+
+def test_twist_region_count_on_every_plat_to_q_60():
+    for q in range(2, 61):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                d = gen_two_bridge(cfrac_expand(Slope(p, q)))
+                assert d.n_twist_regions == len(d.twist_regions()), (p, q)
+
+
+def _finishes(build):
+    """Run ``build()``; return, for every ``finish`` it calls, the builder's
+    wiring and under diagonals copied before the call, and what it returned."""
+    calls = []
+    real = DiagramBuilder.finish
+
+    def finish(b, provenance=None):
+        peer, under = list(b._peer), list(b._under)
+        result = real(b, provenance)
+        with pytest.raises(BuilderSpent):
+            real(b, provenance)
+        calls.append((peer, under, *result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DiagramBuilder, "finish", finish)
+        build()
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(_build())
+def test_finish_maps_builder_darts_onto_the_diagram(build):
+    for peer, under, d, final in _finishes(build):
+        assert sorted(final) == list(range(len(peer)))
+        for x, y in enumerate(peer):
+            assert d.mate[final[x]] == final[y]
+        # each tuple starts at the incoming under-strand: the builder's under
+        # diagonal lands on slots 0 and 2, and walking on from every slot 0
+        # enters no crossing at slot 2
+        for c, u in enumerate(under):
+            assert final[4 * c + u] & 1 == 0
+        seen = set()
+        for start in range(0, len(d.mate), 4):
+            x = start
+            while x not in seen:
+                assert x & 3 != 2
+                seen.add(x)
+                x = d.mate[x ^ 2]
+
+
+def test_finish_of_the_empty_builder_spends_it():
+    b = DiagramBuilder()
+    d, final = b.finish()
+    assert d.n_crossings == 0 and final == []
+    with pytest.raises(BuilderSpent, match="finished already"):
+        b.finish()
 
 
 def _labelled(mate):
