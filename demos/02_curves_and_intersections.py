@@ -21,34 +21,22 @@ from coilbounds import (
     Slope,
     arc_curve_intersection,
     brute_force_intersection,
-    curve_coordinates,
     curve_curve_intersection,
     curve_svg,
-    dehn_twist,
-    lattice_trace,
+    reduce_slope,
 )
 
 INF, ZERO = Slope(1, 0), Slope(0, 1)
 
-print("Tick counts (D1, D2, A, A')")
-for s in (Slope(2, 5), ZERO, INF):
-    print(f"  {s}: {curve_coordinates(s)}")
-print()
-
 print("Intersections, closed form vs brute force")
-pairs = [(INF, ZERO), (INF, Slope(2, 5)), (Slope(1, 3), Slope(2, 5))]
+pairs = [(INF, ZERO), (INF, Slope(2, 5)), (Slope(1, 3), Slope(2, 5)),
+         (Slope(7, 3), Slope(5, 11)), (Slope(1, 40), Slope(2, 5))]
 for a, b in pairs:
     cc = curve_curve_intersection(a, b)
     assert cc == brute_force_intersection(a, b, "curve-curve")
     ac = arc_curve_intersection(a, b)
     assert ac == brute_force_intersection(a, b, "arc-curve")
     print(f"  ({a}, {b}): curves meet {cc} times, arc-vs-curve {ac}")
-print()
-
-print("The oracle's raw material for (1/0, 2/5):")
-trace = lattice_trace(INF, Slope(2, 5))
-print(f"  {len(trace.families[0])} + {len(trace.families[1])} lines,")
-print(f"  {len(trace.crossings)} torus crossings -> {trace.count} on the sphere")
 print()
 
 print("An arc of slope 1/0 meets the curve p/q exactly q times; this is")
@@ -63,7 +51,7 @@ print("Dehn twisting about 1/0 shifts slopes by integers and never")
 print("changes intersection with the 1/0 curve:")
 s = Slope(2, 5)
 for m in (-2, -1, 0, 1, 2):
-    t = dehn_twist(s, count=m)
+    t = reduce_slope(s.p + m * s.q, s.q)  # m full twists: p/q -> (p + mq)/q
     print(f"  twist^{m:+d}: {t}, i(1/0, .) = {curve_curve_intersection(INF, t)}")
 
 with open("curves_2_5.svg", "w") as fh:

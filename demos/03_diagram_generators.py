@@ -29,7 +29,7 @@ from coilbounds import (
 def describe(name, d):
     print(
         f"  {name}: {d.n_crossings} crossings, {d.n_components} component(s), "
-        f"{len(d.twist_regions())} twist region(s), alternating={d.is_alternating()}"
+        f"{d.n_twist_regions} twist region(s), alternating={d.is_alternating()}"
     )
 
 
@@ -58,7 +58,7 @@ describe("fill C2 with 6 twists", step2)
 direct = gen_double_coil(CoilSpec(2, 5, 4, 6))
 describe("direct (2,5,4,6) coil", direct)
 assert step2.n_crossings == direct.n_crossings
-assert len(step2.twist_regions()) == len(direct.twist_regions())
+assert step2.n_twist_regions == direct.n_twist_regions
 print("  both routes agree.")
 print()
 

@@ -48,13 +48,9 @@ _EXPORTS = {
         "mirror_slope",
     ),
     "curves": (
-        "LatticeTrace",
-        "curve_coordinates",
         "curve_curve_intersection",
         "arc_curve_intersection",
         "brute_force_intersection",
-        "lattice_trace",
-        "dehn_twist",
     ),
     "diagrams": ("PlanarDiagram", "parse_pd", "emit_pd"),
     "generators": (

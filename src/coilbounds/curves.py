@@ -27,25 +27,21 @@ independent of this picture and are cross-checked against it by
 ``brute_force_intersection``, which tries every candidate pair of lines
 and whose one guard is the crossing cap of ``slopes.check_crossing_count``
 on those pairs.  The diagram layer reads that cap from ``slopes`` as well,
-so reading a PD code never loads this module.  ``fractions`` is imported
-only by ``lattice_trace``, the one function that returns exact rationals.
+so reading a PD code never loads this module.  Every quantity here is an
+exact integer, so no function loads ``fractions``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .slopes import Slope, check_crossing_count, reduce_slope
+from .slopes import Slope, check_crossing_count
 
 __all__ = [
     "GateEvent",
-    "LatticeTrace",
-    "curve_coordinates",
     "curve_curve_intersection",
     "arc_curve_intersection",
     "brute_force_intersection",
-    "lattice_trace",
-    "dehn_twist",
     "trace_gate_events",
     "fold_parameters",
 ]
@@ -67,14 +63,6 @@ class GateEvent(namedtuple("GateEvent", "gate y eastbound")):
     __slots__ = ()
 
 
-def curve_coordinates(s: Slope) -> tuple[int, int, int, int]:
-    """Tick counts of the connect-the-dots realization of the curve s: its
-    crossings with the framing arcs D1, D2, A, A'.  The curve p/q meets each
-    D-arc q times and each A-arc |p| times."""
-    d_ticks, a_ticks = s.q, abs(s.p)
-    return (d_ticks, d_ticks, a_ticks, a_ticks)
-
-
 def curve_curve_intersection(s1: Slope, s2: Slope) -> int:
     """Minimal geometric intersection number of two closed curves."""
     return 2 * abs(s1.p * s2.q - s2.p * s1.q)
@@ -87,11 +75,6 @@ def arc_curve_intersection(arc_slope: Slope, curve_slope: Slope) -> int:
     lower bound that forbids a twice-punctured disk inside the coil region.
     """
     return abs(arc_slope.p * curve_slope.q - arc_slope.q * curve_slope.p)
-
-
-def dehn_twist(s: Slope, count: int = 1) -> Slope:
-    """Apply ``count`` full Dehn twists about the slope-1/0 curve."""
-    return reduce_slope(s.p + count * s.q, s.q)
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +105,13 @@ def _line_constants(P: int, Q: int, residues: tuple[int, ...]) -> list[int]:
     return [c for c in range(lo, hi + 1) if c % 4 in residues]
 
 
-def _torus_crossings(f1, f2) -> tuple[list[tuple[int, int]], int]:
-    """Transverse crossings of two line families inside [0,1)^2.
-
-    Returns the numerators (xn, yn) of the crossings and their common
-    positive denominator; parallel families give no crossings.
-    """
+def _torus_crossings(f1, f2) -> int:
+    """The number of transverse crossings of two line families inside
+    [0,1)^2; parallel families give none."""
     (p1, q1, cs1), (p2, q2, cs2) = f1, f2
     det = 16 * (p2 * q1 - p1 * q2)
     if det == 0:
-        return [], 0
+        return 0
     # Cramer: x = 4*(c1*q2 - c2*q1)/det, y = 4*(p2*c1 - p1*c2)/det; the
     # sign of det is folded into the numerators so the window is [0, den)
     sign = 4 if det > 0 else -4
@@ -139,13 +119,13 @@ def _torus_crossings(f1, f2) -> tuple[list[tuple[int, int]], int]:
     # the c2 halves of both numerators are computed once; each c1 row tries
     # every c2 in one comprehension: 0 <= x1 - x2 < den iff x1 - den < x2 <= x1
     halves = [(sign * c2 * q1, sign * p1 * c2) for c2 in cs2]
-    points = []
+    count = 0
     for c1 in cs1:
         x1, y1 = sign * c1 * q2, sign * p2 * c1
         xlo, ylo = x1 - den, y1 - den
-        points += [(x1 - x2, y1 - y2) for x2, y2 in halves
-                   if xlo < x2 <= x1 and ylo < y2 <= y1]
-    return points, den
+        count += len([x2 for x2, y2 in halves
+                      if xlo < x2 <= x1 and ylo < y2 <= y1])
+    return count
 
 
 def _line_families(s1: Slope, s2: Slope, mode: str):
@@ -174,44 +154,10 @@ def brute_force_intersection(s1: Slope, s2: Slope, mode: str = "curve-curve") ->
     ``TooManyCrossings`` before solving anything if its candidate line
     pairs would exceed ``slopes.MAX_CROSSINGS``.
     """
-    points, _ = _torus_crossings(*_line_families(s1, s2, mode))
-    upstairs = len(points)
+    upstairs = _torus_crossings(*_line_families(s1, s2, mode))
     if upstairs % 2:
         raise AssertionError("torus crossing count must be even")
     return upstairs // 2
-
-
-class LatticeTrace(namedtuple("LatticeTrace", "families crossings")):
-    """Straight-line representatives of two configurations in the plane
-    cover, with their transverse crossings inside one fundamental square.
-
-    ``families`` holds the integer lines 4*Q*y - 4*P*x = C as (P, Q, C);
-    straightness keeps every pair in minimal position, and the involution
-    pairs the crossings freely, so the count on the 4-punctured sphere is
-    ``len(crossings) // 2`` (the property ``count`` shadows ``tuple.count``).
-    """
-
-    __slots__ = ()
-
-    @property
-    def count(self) -> int:
-        return len(self.crossings) // 2
-
-
-def lattice_trace(s1: Slope, s2: Slope, mode: str = "curve-curve") -> LatticeTrace:
-    """The inspectable version of ``brute_force_intersection``."""
-    from fractions import Fraction
-
-    fam1, fam2 = _line_families(s1, s2, mode)
-    (p1, q1, cs1), (p2, q2, cs2) = fam1, fam2
-    points, den = _torus_crossings(fam1, fam2)
-    return LatticeTrace(
-        families=(
-            tuple((p1, q1, c) for c in cs1),
-            tuple((p2, q2, c) for c in cs2),
-        ),
-        crossings=tuple((Fraction(x, den), Fraction(y, den)) for x, y in sorted(points)),
-    )
 
 
 # ---------------------------------------------------------------------------

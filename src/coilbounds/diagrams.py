@@ -53,8 +53,8 @@ class PlanarDiagram:
     ``component_of`` names the component through any dart.  Edge labels are
     read only to pair and print the PD text.  Validation traces the faces
     once: it proves their count is V + 2 (``n_faces``) and keeps only each
-    bigon's two crossings, which ``twist_regions`` joins and
-    ``n_twist_regions`` counts.
+    bigon's two crossings, from which ``n_twist_regions`` counts the twist
+    regions.
     """
 
     __slots__ = ("crossings", "provenance", "mate", "strands", "_comp", "_bigons")
@@ -120,7 +120,7 @@ class PlanarDiagram:
             strands.append(tuple(strand))
         if len(strands) > 1:
             # darts 4c and 4c + 1 lie on the two strands through crossing c
-            _, merges = _union_find(len(strands), zip(comp[0::4], comp[1::4]))
+            merges = _union_find(len(strands), zip(comp[0::4], comp[1::4]))
             if merges < len(strands) - 1:
                 raise NonPlanarRotation("diagram is split (underlying graph disconnected)")
         return tuple(strands), comp
@@ -179,36 +179,20 @@ class PlanarDiagram:
                 prev = under
         return True
 
-    def twist_regions(self) -> tuple[tuple[int, ...], ...]:
-        """Maximal chains of crossings joined by bigon faces, as a partition
-        of the crossings sorted by smallest crossing.
-
-        Two crossings belong to the same twist region when some sequence of
-        bigon faces connects them; a crossing adjacent to no bigon (or only
-        to a bigon folding back onto itself) is a region by itself.
-        """
-        find, _ = _union_find(len(self.crossings), self._bigons)
-        groups: dict[int, list[int]] = {}
-        for c in range(len(self.crossings)):
-            groups.setdefault(find(c), []).append(c)
-        # each region opens at its smallest crossing, so they come out sorted
-        return tuple(tuple(g) for g in groups.values())
-
     @property
     def n_twist_regions(self) -> int:
-        """``len(twist_regions())``, counted without listing the regions."""
-        return len(self.crossings) - _union_find(len(self.crossings), self._bigons)[1]
+        """The number of twist regions: maximal chains of crossings joined
+        by bigon faces.  A crossing adjacent to no bigon (or only to a bigon
+        folding back onto itself) is a region by itself."""
+        return len(self.crossings) - _union_find(len(self.crossings), self._bigons)
 
     def __repr__(self):
         return f"<PlanarDiagram {self.n_crossings} crossings, {self.n_components} components>"
 
 
 def _union_find(n, pairs):
-    """Join every pair in a union-find over 0..n-1; return ``(find, merges)``.
-
-    ``find(a)`` is the root of a's class, and ``merges`` counts the pairs that
-    joined two classes, so n - merges classes remain.
-    """
+    """Join every pair in a union-find over 0..n-1; return the number of
+    pairs that joined two classes, so n minus that many classes remain."""
     parent = list(range(n))
 
     def find(a):
@@ -223,7 +207,7 @@ def _union_find(n, pairs):
         if a != b:
             parent[a] = b
             merges += 1
-    return find, merges
+    return merges
 
 
 def _pair_labels(crossings):

@@ -41,7 +41,6 @@ __all__ = [
     "fixed_slope_vary_twists",
     "vary_slope_fixed_twists",
     "fibonacci_slopes",
-    "odd_denominator_slopes",
     "analyze_family",
     "load_family_config",
     "report_to_csv",
@@ -115,11 +114,6 @@ def _odd_denominator_pairs():
 def fibonacci_slopes(count: int):
     """Slopes F(i)/F(i+1): continued fraction [1,...,1,2] of length i."""
     return [Slope(p, q) for p, q in islice(_fibonacci_pairs(), count)]
-
-
-def odd_denominator_slopes(count: int):
-    """Slopes 1/3, 1/5, 1/7, ...: every continued fraction has length 1."""
-    return [Slope(p, q) for p, q in islice(_odd_denominator_pairs(), count)]
 
 
 _SEQUENCES = {"fibonacci": _fibonacci_pairs, "odd-denominators": _odd_denominator_pairs}

@@ -142,7 +142,8 @@ class CoilSpec(namedtuple("CoilSpec", "p q n1 n2")):
         band wiring of ``circle_passages`` does that exactly when p = 2:
         west to west and east to east across the two regions, merging two
         pairs of crossings.  Diagram generation stays the oracle: the law
-        is checked against ``twist_regions()`` in the tests and in verify.
+        is checked against ``PlanarDiagram.n_twist_regions`` of generated
+        coils in the tests and in verify (criterion-09).
         """
         if self.q == 2:
             return 2

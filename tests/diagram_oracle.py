@@ -2,8 +2,9 @@
 
 ``trace_faces`` pairs darts by their edge labels, not through ``mate``, and
 walks each face as the documented orbit: cross the edge, then turn one slot
-counterclockwise.  ``strand_labels`` names each strand of ``d.strands`` by
-the edge labels it leaves along.
+counterclockwise.  ``twist_regions`` joins the crossings of those traced
+faces' bigons.  ``strand_labels`` names each strand of ``d.strands`` by the
+edge labels it leaves along.
 """
 
 
@@ -33,6 +34,21 @@ def trace_faces(d):
             dart = 4 * (end // 4) + (end + 1) % 4
         faces.append(tuple(face))
     return tuple(faces)
+
+
+def twist_regions(d):
+    """The twist regions of ``d``, maximal chains of crossings joined by the
+    bigons of ``trace_faces``, as a partition of the crossings sorted by
+    smallest crossing."""
+    region = list(range(d.n_crossings))
+    for face in trace_faces(d):
+        if len(face) == 2:
+            old, new = region[face[0] // 4], region[face[1] // 4]
+            region = [new if r == old else r for r in region]
+    groups = {}
+    for c, r in enumerate(region):
+        groups.setdefault(r, []).append(c)
+    return tuple(tuple(g) for g in groups.values())
 
 
 def strand_labels(d):

@@ -715,6 +715,8 @@ FOOTPRINT_CASES = [
     (["render", "{pd}", "--svg", "k.svg"], ["bounds", "curves", "family", "generators", "verify"]),
     (["curve", "2/5", "1/3", "--svg", "c.svg"],
      ["bounds", "diagrams", "family", "generators", "verify", "_planar"]),
+    (["curve", "1/40", "2/5", "--oracle"],
+     ["bounds", "diagrams", "family", "generators", "verify", "svg", "_planar"]),
     (None, ["errors", "slopes", "bounds", "cli", *_PAST_BOUNDS, "_planar"]),
 ]
 

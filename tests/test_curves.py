@@ -12,16 +12,13 @@ from coilbounds.curves import (
     arc_curve_intersection,
     brute_force_intersection,
     circle_passages,
-    curve_coordinates,
     curve_curve_intersection,
-    dehn_twist,
     fold_parameters,
-    lattice_trace,
     trace_gate_events,
 )
 from coilbounds.curves import _line_families, _torus_crossings
 from coilbounds.errors import TooManyCrossings
-from coilbounds.slopes import Slope
+from coilbounds.slopes import Slope, reduce_slope
 
 INF = Slope(1, 0)
 ZERO = Slope(0, 1)
@@ -36,12 +33,6 @@ def reduced_slopes(cap, include_inf=True, negatives=False):
             if p != 0 and gcd(abs(p), q) == 1 and not (q == 1 and p == 0):
                 out.append(Slope(p, q))
     return out
-
-
-def test_tick_counts():
-    assert curve_coordinates(Slope(2, 5)) == (5, 5, 2, 2)
-    assert curve_coordinates(ZERO) == (1, 1, 0, 0)
-    assert curve_coordinates(INF) == (0, 0, 1, 1)
 
 
 def test_curve_curve_examples():
@@ -101,12 +92,6 @@ def test_arc_bound_and_equality():
                 assert arc_curve_intersection(INF, Slope(p, q)) == q
 
 
-def test_dehn_twist_examples():
-    assert dehn_twist(Slope(2, 5), count=1) == Slope(7, 5)
-    assert dehn_twist(Slope(2, 5), count=0) == Slope(2, 5)
-    assert dehn_twist(Slope(2, 5), count=-1) == Slope(-3, 5)
-
-
 @given(
     p=st.integers(-30, 30),
     q=st.integers(1, 30),
@@ -115,9 +100,10 @@ def test_dehn_twist_examples():
 def test_twist_invariance(p, q, m):
     if gcd(abs(p), q) != 1:
         return
-    s = Slope(p, q)
-    assert curve_curve_intersection(INF, dehn_twist(s, count=m)) == \
-        curve_curve_intersection(INF, s)
+    # m full Dehn twists about the 1/0 curve take p/q to (p + mq)/q
+    twisted = reduce_slope(p + m * q, q)
+    assert curve_curve_intersection(INF, twisted) == \
+        curve_curve_intersection(INF, Slope(p, q))
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,11 +151,12 @@ def test_oracle_matches_closed_form_past_twelve(a, b):
 
 def torus_crossings_by_pairs(f1, f2):
     """Reference for ``curves._torus_crossings``: Cramer's rule on every
-    pair of lines, one pair at a time, in the order c1 then c2."""
+    pair of lines, one pair at a time, in the order c1 then c2; returns the
+    crossings' numerators over their common denominator 16|p2*q1 - p1*q2|."""
     (p1, q1, cs1), (p2, q2, cs2) = f1, f2
     det = 16 * (p2 * q1 - p1 * q2)
     if det == 0:
-        return [], 0
+        return []
     sign = 4 if det > 0 else -4
     den = abs(det)
     points = []
@@ -179,7 +166,7 @@ def torus_crossings_by_pairs(f1, f2):
             yn = sign * (p2 * c1 - p1 * c2)
             if 0 <= xn < den and 0 <= yn < den:
                 points.append((xn, yn))
-    return points, den
+    return points
 
 
 def _slopes_up_to(cap):
@@ -197,23 +184,10 @@ def _slopes_up_to(cap):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(a=_slopes_up_to(30), b=_slopes_up_to(30), mode=st.sampled_from(["curve-curve", "arc-curve"]))
 def test_torus_crossings_match_pairwise_reference(a, b, mode):
-    """Every candidate line pair is tried: the points of the pairwise
-    reference, in its order."""
+    """Every candidate line pair is tried: as many crossings as the pairwise
+    reference finds."""
     families = _line_families(a, b, mode)
-    assert _torus_crossings(*families) == torus_crossings_by_pairs(*families)
-
-
-def test_lattice_trace_matches_count():
-    slopes = reduced_slopes(5)
-    for a in slopes:
-        for b in slopes:
-            for mode in ("curve-curve", "arc-curve"):
-                trace = lattice_trace(a, b, mode)
-                assert len(trace.crossings) % 2 == 0
-                assert trace.count == brute_force_intersection(a, b, mode)
-    trace = lattice_trace(INF, Slope(2, 5))
-    assert len(trace.families[0]) == 2  # two vertical lifts of the 1/0 curve
-    assert all(0 <= x < 1 and 0 <= y < 1 for x, y in trace.crossings)
+    assert _torus_crossings(*families) == len(torus_crossings_by_pairs(*families))
 
 
 def test_trace_event_counts():

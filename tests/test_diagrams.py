@@ -30,7 +30,7 @@ from coilbounds.generators import (
     gen_two_bridge,
 )
 from coilbounds.slopes import ContinuedFraction, Slope, cfrac_expand
-from diagram_oracle import strand_labels, trace_faces
+from diagram_oracle import strand_labels, trace_faces, twist_regions
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIGURE8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
@@ -48,7 +48,7 @@ def test_parse_empty():
     assert d.n_crossings == 0
     assert emit_pd(d) == ""
     assert len(trace_faces(d)) == d.n_faces == 1
-    assert len(d.twist_regions()) == 0
+    assert d.n_twist_regions == 0
     assert d.is_alternating()
 
 
@@ -166,11 +166,11 @@ def test_face_counts():
 
 
 def test_twist_regions_examples():
-    t = parse_pd(TREFOIL).twist_regions()
-    assert len(t) == 1 and len(t[0]) == 3
-    t = parse_pd(FIGURE8).twist_regions()
-    assert len(t) == 2 and sorted(len(r) for r in t) == [2, 2]
-    assert len(parse_pd("X(1,2,2,1)").twist_regions()) == 1
+    d = parse_pd(TREFOIL)
+    assert d.n_twist_regions == 1 and twist_regions(d) == ((0, 1, 2),)
+    d = parse_pd(FIGURE8)
+    assert d.n_twist_regions == 2 and sorted(len(r) for r in twist_regions(d)) == [2, 2]
+    assert parse_pd("X(1,2,2,1)").n_twist_regions == 1
 
 
 def test_is_alternating():
@@ -199,7 +199,7 @@ def test_roundtrip_generated():
         again = parse_pd(text)
         assert emit_pd(again) == text
         assert again.n_components == d.n_components
-        assert len(again.twist_regions()) == len(d.twist_regions())
+        assert again.n_twist_regions == d.n_twist_regions
 
 
 def test_twist_regions_relabel_invariant():
@@ -213,7 +213,7 @@ def test_twist_regions_relabel_invariant():
         moved = PlanarDiagram(
             [tuple(relabel[x] for x in cr) for cr in d.crossings]
         )
-        assert len(moved.twist_regions()) == len(d.twist_regions())
+        assert moved.n_twist_regions == d.n_twist_regions
         assert moved.is_alternating() == d.is_alternating()
 
 
@@ -334,12 +334,11 @@ def test_components_are_dart_strands(d):
 @settings(max_examples=30, deadline=None)
 @given(_built_diagram())
 def test_twist_regions_sorted_partition(d):
-    regions = d.twist_regions()
+    # the oracle's regions partition the crossings, and the count is theirs
+    regions = twist_regions(d)
     assert regions == tuple(sorted(regions))
     assert sorted(c for r in regions for c in r) == list(range(d.n_crossings))
-    for face in trace_faces(d):
-        if len(face) == 2:  # a bigon's two crossings share a region
-            assert any(face[0] >> 2 in r and face[1] >> 2 in r for r in regions)
+    assert d.n_twist_regions == len(regions)
 
 
 _PARSED = [
@@ -356,18 +355,8 @@ _PARSED = [
     st.sampled_from(_PARSED),
 ))
 def test_traced_faces_give_face_count_and_twist_regions(d):
-    faces = trace_faces(d)
-    assert len(faces) == d.n_faces
-    # join the two crossings of every traced bigon
-    region = list(range(d.n_crossings))
-    for face in faces:
-        if len(face) == 2:
-            old, new = region[face[0] // 4], region[face[1] // 4]
-            region = [new if r == old else r for r in region]
-    groups = {}
-    for c, r in enumerate(region):
-        groups.setdefault(r, []).append(c)
-    assert tuple(tuple(g) for g in groups.values()) == d.twist_regions()
+    assert len(trace_faces(d)) == d.n_faces
+    assert len(twist_regions(d)) == d.n_twist_regions
 
 
 @settings(max_examples=80, deadline=None)
@@ -380,7 +369,7 @@ def test_traced_faces_give_face_count_and_twist_regions(d):
     st.sampled_from(_PARSED),
 ))
 def test_twist_region_count_is_number_of_regions(d):
-    assert d.n_twist_regions == len(d.twist_regions())
+    assert d.n_twist_regions == len(twist_regions(d))
 
 
 def test_twist_region_count_on_every_plat_to_q_60():
@@ -388,7 +377,7 @@ def test_twist_region_count_on_every_plat_to_q_60():
         for p in range(1, q):
             if math.gcd(p, q) == 1:
                 d = gen_two_bridge(cfrac_expand(Slope(p, q)))
-                assert d.n_twist_regions == len(d.twist_regions()), (p, q)
+                assert d.n_twist_regions == len(twist_regions(d)), (p, q)
 
 
 def _finishes(build):

@@ -14,7 +14,6 @@ from coilbounds.family import (
     fibonacci_slopes,
     fixed_slope_vary_twists,
     load_family_config,
-    odd_denominator_slopes,
     report_to_csv,
     vary_slope_fixed_twists,
     CSV_COLUMNS,
@@ -30,7 +29,10 @@ def test_fibonacci_slopes_have_increasing_k():
 
 
 def test_odd_denominator_slopes():
-    slopes = odd_denominator_slopes(4)
+    fam = load_family_config(
+        "kind = vary-slope\nslope_sequence = odd-denominators\nrange_end = 4\nn1 = 4\n"
+    )
+    slopes = [m.slope for m in fam.members]
     assert [str(s) for s in slopes] == ["1/3", "1/5", "1/7", "1/9"]
     assert all(cfrac_expand(s).length == 1 for s in slopes)
 

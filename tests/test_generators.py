@@ -18,7 +18,13 @@ from coilbounds.generators import (
 )
 from coilbounds.generators import _build_plat, _coil_braid
 from coilbounds.slopes import ContinuedFraction, Slope, cfrac_expand
-from diagram_oracle import coil_braid_by_joins, plat_by_cap_chase, strand_labels, trace_faces
+from diagram_oracle import (
+    coil_braid_by_joins,
+    plat_by_cap_chase,
+    strand_labels,
+    trace_faces,
+    twist_regions,
+)
 
 
 def coprime_pairs(qmax):
@@ -30,9 +36,9 @@ def coprime_pairs(qmax):
 
 def test_two_bridge_examples():
     d = gen_two_bridge(ContinuedFraction((2, 2)))
-    assert d.n_crossings == 4 and len(d.twist_regions()) == 2 and d.is_alternating()
+    assert d.n_crossings == 4 and d.n_twist_regions == 2 and d.is_alternating()
     d = gen_two_bridge(ContinuedFraction((2,)))
-    assert d.n_crossings == 2 and len(d.twist_regions()) == 1
+    assert d.n_crossings == 2 and d.n_twist_regions == 1
     assert d.n_components == 2  # Hopf-link pattern
 
 
@@ -46,15 +52,15 @@ def test_two_bridge_stats_sweep():
         assert d.is_alternating()
         assert d.n_components == (1 if q % 2 else 2)
         expected = c.length - (1 if c.terms[0] == 1 else 0)
-        assert len(d.twist_regions()) == expected, (p, q, c.terms)
+        assert d.n_twist_regions == expected, (p, q, c.terms)
 
 
 def test_two_bridge_region_sizes():
     d = gen_two_bridge(ContinuedFraction((3, 1, 4)))
-    assert sorted(len(r) for r in d.twist_regions()) == [1, 3, 4]
+    assert sorted(len(r) for r in twist_regions(d)) == [1, 3, 4]
     # leading 1 coalesces with the next region
     d = gen_two_bridge(ContinuedFraction((1, 1, 2)))
-    assert sorted(len(r) for r in d.twist_regions()) == [2, 2]
+    assert sorted(len(r) for r in twist_regions(d)) == [2, 2]
 
 
 def test_two_bridge_region_sizes_sweep():
@@ -64,7 +70,7 @@ def test_two_bridge_region_sizes_sweep():
         terms = list(cfrac_expand(Slope(p, q)).terms)
         d = gen_two_bridge(cfrac_expand(Slope(p, q)))
         expected = [terms[0] + terms[1]] + terms[2:] if terms[0] == 1 else terms
-        got = sorted(len(r) for r in d.twist_regions())
+        got = sorted(len(r) for r in twist_regions(d))
         assert got == sorted(expected), (p, q, terms, got)
 
 
@@ -98,7 +104,7 @@ def test_clasped_structure():
     clasp_comp = d.provenance["roles"]["clasp"]
     assert 0 <= clasp_comp < d.n_components
     # the two regions of [2,2], plus the clasp's two strand-hugging bigon pairs
-    assert len(d.twist_regions()) == k + 2
+    assert d.n_twist_regions == k + 2
 
 
 def test_clasped_bad_slope():
@@ -123,7 +129,7 @@ def test_clasp_filling_gives_alternating_two_bridge():
             alternating = [f for f in results if f.is_alternating()]
             assert len(alternating) == 1
             expected = c.length + 1 - (1 if c.terms[0] == 1 else 0)
-            assert len(alternating[0].twist_regions()) == expected
+            assert alternating[0].n_twist_regions == expected
 
 
 # --- double coils -----------------------------------------------------------
@@ -134,8 +140,8 @@ def test_coil_figure8():
     assert d.n_crossings == 4
     assert d.n_components == 1
     assert d.is_alternating()
-    assert len(d.twist_regions()) == 2
-    assert sorted(len(r) for r in d.twist_regions()) == [2, 2]
+    assert d.n_twist_regions == 2
+    assert sorted(len(r) for r in twist_regions(d)) == [2, 2]
 
 
 def test_coil_35():
@@ -162,7 +168,7 @@ def test_coil_twist_region_closed_form():
     for p, q in coprime_pairs(12):
         for n1, n2 in [(1, 1), (-1, 2), (2, -3), (1, -1)]:
             spec = CoilSpec(p, q, n1, n2)
-            assert len(gen_double_coil(spec).twist_regions()) == spec.twist_region_count
+            assert gen_double_coil(spec).n_twist_regions == spec.twist_region_count
 
 
 # --- augmented + filling ----------------------------------------------------
@@ -209,7 +215,7 @@ def test_fill_matches_direct_coil():
         direct = gen_double_coil(CoilSpec(p, q, n1, n2))
         assert filled.n_crossings == direct.n_crossings
         assert filled.n_components == direct.n_components == 1
-        assert len(filled.twist_regions()) == len(direct.twist_regions())
+        assert filled.n_twist_regions == direct.n_twist_regions
         assert filled.is_alternating() == direct.is_alternating()
         face_sizes = lambda d: sorted(len(f) for f in trace_faces(d))
         assert face_sizes(filled) == face_sizes(direct)
@@ -293,7 +299,7 @@ def test_fill_matches_direct_random(seed):
     )
     direct = gen_double_coil(CoilSpec(p, q, n1, n2))
     assert filled.n_crossings == direct.n_crossings
-    assert len(filled.twist_regions()) == len(direct.twist_regions())
+    assert filled.n_twist_regions == direct.n_twist_regions
     assert filled.n_components == direct.n_components == 1
 
 
