@@ -1,17 +1,19 @@
 """Planar link diagrams as decorated 4-valent plane graphs.
 
-A diagram is stored in PD form: one 4-tuple of edge labels per crossing,
-listed counterclockwise starting from the incoming under-strand, so slots
-0 and 2 always carry the under-strand and slots 1 and 3 the over-strand.
-Each edge label appears exactly twice in the whole diagram.  The rotation
-system implied by the tuples must define an embedding in the sphere, which
+A diagram is stored in PD form: four edge labels per crossing, listed
+counterclockwise starting from the incoming under-strand, so slots 0 and 2
+always carry the under-strand and slots 1 and 3 the over-strand.  Each
+edge label appears exactly twice in the whole diagram.  The rotation
+system implied by the labels must define an embedding in the sphere, which
 for a connected 4-valent graph means exactly V + 2 faces.
 
 Darts
 -----
 An edge-end is a *dart*, the integer ``4*c + s`` for crossing ``c`` and
-slot ``s``.  Edges are stored once, as the dart array ``mate``; the labels
-only name them.  Three permutations drive everything:
+slot ``s``.  Every per-edge-end fact is a flat sequence indexed by dart:
+``labels[d]`` is the label of dart d, and ``mate[d]`` the other end of its
+edge.  The labels only name the edges.  Three permutations drive
+everything:
 
 * ``mate``      swaps the two ends of each edge,
 * ``s -> s+2``  walks a strand through a crossing,
@@ -47,58 +49,59 @@ __all__ = [
 class PlanarDiagram:
     """An immutable, validated planar diagram in PD form.
 
-    ``mate`` is the dart array: ``mate[4*c + s]`` is the other end of the
-    edge leaving crossing ``c`` at slot ``s``.  ``strands[k]`` lists the
-    darts at which link component k enters its crossings, in walk order;
-    ``component_of`` names the component through any dart.  Edge labels are
-    read only to pair and print the PD text.  Validation traces the faces
-    once: it proves their count is V + 2 (``n_faces``) and keeps only each
-    bigon's two crossings, from which ``n_twist_regions`` counts the twist
-    regions.
+    ``labels`` and ``mate`` are indexed by dart: ``labels[4*c + s]`` names
+    the edge leaving crossing ``c`` at slot ``s``, and ``mate[4*c + s]`` is
+    that edge's other end.  ``strands[k]`` lists the darts at which link
+    component k enters its crossings, in walk order; a component passes
+    through each entering dart x and its exit x ^ 2.  ``circles`` maps the
+    role of each crossing circle a generator laid ("C1", "C2", "clasp") to
+    ``(orient, passages)``, which ``generators.fill_crossing_circle`` reads;
+    it is empty for other diagrams.  Edge labels are read only to pair and
+    print the PD text.  Validation traces the faces once: it proves their
+    count is V + 2 (``n_faces``) and keeps only each bigon's two crossings,
+    from which ``n_twist_regions`` counts the twist regions.
     """
 
-    __slots__ = ("crossings", "provenance", "mate", "strands", "_comp", "_bigons")
+    __slots__ = ("labels", "circles", "mate", "strands", "_bigons")
 
-    def __init__(self, crossings, provenance=None, *, _mate=None):
+    def __init__(self, labels, circles=None, *, _mate=None):
         # ``_mate`` is the hand-over of a caller that already holds the dart
         # array: ``DiagramBuilder.finish`` wired it, and ``parse_pd`` paired
-        # the labels it read, so the tuples are neither copied nor checked
+        # the labels it read, so the labels are neither copied nor checked
         # again.  Strands, faces and the sphere count are checked on every path.
         if _mate is None:
-            crossings = tuple(tuple(x) for x in crossings)
-            for x in crossings:
-                if len(x) != 4:
-                    raise NonQuadrivalent(f"crossing {x} does not have four edge-ends")
-                for label in x:
-                    if type(label) is not int or label < 1:
-                        raise EdgePairingError(f"bad edge label {label!r}")
-            _mate = _pair_labels(crossings)
+            labels = tuple(labels)
+            if len(labels) % 4:
+                raise NonQuadrivalent(f"{len(labels)} edge-ends are not four per crossing")
+            for label in labels:
+                if type(label) is not int or label < 1:
+                    raise EdgePairingError(f"bad edge label {label!r}")
+            _mate = _pair_labels(labels)
         self.mate = _mate
-        self.crossings = crossings
-        self.provenance = provenance
-        self.strands, self._comp = self._walk_strands()
+        self.labels = labels
+        self.circles = {} if circles is None else circles
+        self.strands = self._walk_strands()
         faces, self._bigons = self._trace_faces()
-        if crossings and faces != len(crossings) + 2:
+        v = self.n_crossings
+        if v and faces != v + 2:
             raise NonPlanarRotation(
-                f"rotation system has {faces} faces, "
-                f"a sphere embedding needs {len(crossings) + 2}"
+                f"rotation system has {faces} faces, a sphere embedding needs {v + 2}"
             )
 
     # -- validation ---------------------------------------------------------
 
     def _walk_strands(self):
-        """Partition the darts into link components; return ``(strands, comp)``.
+        """Partition the darts into link components, one strand each.
 
-        ``comp[d]`` is the component through dart d.  Components containing
-        under-passages are walked in the orientation the PD convention
-        dictates (under-strands enter at slot 0); meeting a slot-2 entrance
-        means the code orients some strand both ways.  The underlying graph
-        is connected iff the components are, joined at the crossings where
-        they meet; a knot needs no such check.
+        Components containing under-passages are walked in the orientation
+        the PD convention dictates (under-strands enter at slot 0); meeting
+        a slot-2 entrance means the code orients some strand both ways.  The
+        underlying graph is connected iff the components are, joined at the
+        crossings where they meet; a knot needs no such check.
         """
         mate = self.mate
         n = len(mate)
-        comp = [-1] * n
+        comp = [-1] * n  # the component through each dart, while walking
         strands: list[tuple[int, ...]] = []
         for start in chain(range(0, n, 4), range(n)):
             if comp[start] >= 0:
@@ -123,7 +126,7 @@ class PlanarDiagram:
             merges = _union_find(len(strands), zip(comp[0::4], comp[1::4]))
             if merges < len(strands) - 1:
                 raise NonPlanarRotation("diagram is split (underlying graph disconnected)")
-        return tuple(strands), comp
+        return tuple(strands)
 
     def _trace_faces(self):
         mate = self.mate
@@ -149,7 +152,7 @@ class PlanarDiagram:
 
     @property
     def n_crossings(self) -> int:
-        return len(self.crossings)
+        return len(self.labels) // 4
 
     @property
     def n_edges(self) -> int:
@@ -158,15 +161,11 @@ class PlanarDiagram:
     @property
     def n_faces(self) -> int:
         """V + 2, as validation proved; the empty diagram is one face."""
-        return len(self.crossings) + 2 if self.crossings else 1
+        return self.n_crossings + 2 if self.labels else 1
 
     @property
     def n_components(self) -> int:
         return len(self.strands)
-
-    def component_of(self, dart: int) -> int:
-        """The link component whose strand passes through ``dart``."""
-        return self._comp[dart]
 
     def is_alternating(self) -> bool:
         """True iff crossings alternate over/under along every component."""
@@ -184,7 +183,8 @@ class PlanarDiagram:
         """The number of twist regions: maximal chains of crossings joined
         by bigon faces.  A crossing adjacent to no bigon (or only to a bigon
         folding back onto itself) is a region by itself."""
-        return len(self.crossings) - _union_find(len(self.crossings), self._bigons)
+        v = self.n_crossings
+        return v - _union_find(v, self._bigons)
 
     def __repr__(self):
         return f"<PlanarDiagram {self.n_crossings} crossings, {self.n_components} components>"
@@ -210,17 +210,17 @@ def _union_find(n, pairs):
     return merges
 
 
-def _pair_labels(crossings):
-    """Pair equal labels of the 4-tuples into the dart array ``mate``."""
+def _pair_labels(labels):
+    """Pair equal labels, dart by dart, into the dart array ``mate``."""
     first: dict[int, int] = {}  # label -> its first dart, in order of appearance
-    mate = [-1] * (4 * len(crossings))
-    for d, label in enumerate(chain.from_iterable(crossings)):
+    mate = [-1] * len(labels)
+    for d, label in enumerate(labels):
         e = first.setdefault(label, d)
         if e != d and mate[e] < 0:
             mate[e] = d
             mate[d] = e
     if -1 in mate:  # some label appears once, or three or more times
-        counts = Counter(label for x in crossings for label in x)
+        counts = Counter(labels)
         label = next(label for label in first if counts[label] != 2)
         raise EdgePairingError(
             f"edge label {label} appears {counts[label]} times, expected 2"
@@ -246,7 +246,7 @@ def parse_pd(text: str) -> PlanarDiagram:
     term is read or split off, so refusing it costs no more than the text.
     A label is 1 to ``MAX_DIGITS`` ASCII digits, not all zeros; anything
     else is a ``PDSyntaxError``, which quotes the start of the bad term.
-    Each term is checked once, here, and the tuples with their label
+    Each term is checked once, here, and the flat labels with their
     pairing are handed to ``PlanarDiagram`` as ``DiagramBuilder.finish``
     hands over its wiring.
     """
@@ -254,17 +254,17 @@ def parse_pd(text: str) -> PlanarDiagram:
     if len(text) > 2 * cap:  # a shorter text holds at most cap terms
         terms = sum(1 for _ in islice(_WORD.finditer(text), cap + 1))
         slopes.check_crossing_count(terms, "PD code")
-    crossings = []
+    labels = []
     for token in text.split():
         m = _TERM.match(token)
         if not m:
             raise PDSyntaxError(f"bad PD term {_quote(token)}")
-        labels = tuple(map(int, m.groups()))
-        if 0 in labels:  # the grammar admits digits only, so 0 is the one bad value
+        term = [*map(int, m.groups())]
+        if 0 in term:  # the grammar admits digits only, so 0 is the one bad value
             raise PDSyntaxError(f"edge labels must be positive in {_quote(token)}")
-        crossings.append(labels)
-    crossings = tuple(crossings)
-    return PlanarDiagram(crossings, _mate=_pair_labels(crossings))
+        labels += term
+    labels = tuple(labels)
+    return PlanarDiagram(labels, _mate=_pair_labels(labels))
 
 
 def verify_pd_text(text: str) -> str:
@@ -289,7 +289,8 @@ def _quote(token: str) -> str:
 
 
 def emit_pd(d: PlanarDiagram) -> str:
-    return " ".join("X({},{},{},{})".format(*x) for x in d.crossings)
+    terms = iter(d.labels)  # four reads of one iterator take one crossing's labels
+    return " ".join(map("X({},{},{},{})".format, terms, terms, terms, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +309,7 @@ class DiagramBuilder:
     planar order; ``under`` selects which diagonal carries the under-strand
     (0 for slots 0/2, 1 for 1/3).  ``finish`` orients each component,
     numbers the edges along the strands, and rotates every crossing so its
-    tuple starts at the incoming under-strand; it returns the map from
+    labels start at the incoming under-strand; it returns the map from
     builder darts to finished darts so callers can carry the darts they
     recorded into the finished diagram.
 
@@ -353,8 +354,12 @@ class DiagramBuilder:
         peer[da] = db
         peer[db] = da
 
-    def finish(self, provenance=None):
-        """Return ``(diagram, final)``; builder dart d is diagram dart final[d]."""
+    def finish(self, circles=None):
+        """Return ``(diagram, final)``; builder dart d is diagram dart final[d].
+
+        ``circles`` becomes the diagram's ``circles`` as it is; a caller that
+        recorded builder darts in it maps them through ``final``.
+        """
         peer, under = self._peer, self._under
         if peer is None:
             raise BuilderSpent("this builder was finished already")
@@ -388,7 +393,7 @@ class DiagramBuilder:
                 if d == start:
                     break
         self._peer = self._under = None  # spent: the wiring lives on only here
-        # rotate each crossing so its tuple starts at the incoming under-strand:
+        # rotate each crossing so its labels start at the incoming under-strand:
         # finished dart 4c + i is builder dart 4c + (i + turns[c]) mod 4
         turns = [u if entered[4 * c + u] else u + 2 for c, u in enumerate(under)]
         del entered, under
@@ -396,18 +401,16 @@ class DiagramBuilder:
         blocks = range(0, n, 4)
         final = [b + i for b, r in zip(blocks, turns) for i in _ROTATED[-r]]
         if not n:  # the empty diagram; an itemgetter needs an item
-            return PlanarDiagram((), provenance, _mate=()), final
+            return PlanarDiagram((), circles, _mate=()), final
         # Gather in C, and free the wiring before the next set of darts is
         # made: far[d] = final[peer[d]], and with source[e] the builder dart
-        # of finished dart e, mate[e] = far[source[e]] and the tuples read
-        # labels[source[e]].
+        # of finished dart e, mate[e] = far[source[e]] and the diagram's
+        # label of e is labels[source[e]].
         far = itemgetter(*peer)(final)
         del peer
         gather = itemgetter(*[b + i for b, r in zip(blocks, turns) for i in _ROTATED[r]])
         mate = gather(far)
         del far
-        flat = gather(labels)
-        del gather, labels
-        tuples = tuple(zip(flat[0::4], flat[1::4], flat[2::4], flat[3::4]))
-        del flat
-        return PlanarDiagram(tuples, provenance, _mate=mate), final
+        labels = gather(labels)
+        del gather
+        return PlanarDiagram(labels, circles, _mate=mate), final

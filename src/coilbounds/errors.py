@@ -54,7 +54,8 @@ class NotAKnot(DiagramError):
 
 
 class NotACrossingCircle(DiagramError):
-    """Component is not a provenance-marked crossing circle."""
+    """The name is not a role in the diagram's ``circles``; only role names
+    ("C1", "C2", "clasp") name a crossing circle to fill."""
 
 
 class BuilderSpent(DiagramError):

@@ -100,7 +100,7 @@ def _build_plat(terms, with_clasp: bool):
         b.join(nr + 3, sr + 3)
         b.join(nl + 1, sl + 1)
         # strand passages through the clasp, braid-start side first
-        clasp_info = {"orient": 1, "passages": [(nl, sl + 2), (nr, sr + 2)]}
+        clasp_info = (1, [(nl, sl + 2), (nr, sr + 2)])
 
     for items in cols:
         for (_, south), (north, _) in zip(items, items[1:]):
@@ -123,8 +123,7 @@ def gen_two_bridge(c: ContinuedFraction) -> PlanarDiagram:
     """Standard alternating 2-bridge diagram with one twist region per term."""
     check_crossing_count(sum(c.terms), f"two-bridge diagram {c}")
     b, _ = _build_plat(c.terms, with_clasp=False)
-    prov = {"generator": "two_bridge", "cfrac": list(c.terms)}
-    diagram, _ = b.finish(prov)
+    diagram, _ = b.finish()
     return diagram
 
 
@@ -142,14 +141,7 @@ def gen_clasped_two_bridge(s: Slope) -> PlanarDiagram:
     c = cfrac_expand(s)
     check_crossing_count(sum(c.terms) + 4, f"clasped two-bridge diagram of {s}")
     b, clasp_info = _build_plat(c.terms, with_clasp=True)
-    prov = {
-        "generator": "clasped_two_bridge",
-        "slope": str(s),
-        "cfrac": list(c.terms),
-        "circles": {"clasp": clasp_info},
-        "roles": {},
-    }
-    return _finish_circles(b, prov)
+    return _finish_circles(b, {"clasp": clasp_info})
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +229,7 @@ def gen_double_coil(spec: CoilSpec) -> PlanarDiagram:
         if not is_entering_event(ev):
             j = (i + 1) % len(events)
             b.join(port[i], port[j])
-    diagram, _ = b.finish({"generator": "double_coil", **spec._asdict()})
+    diagram, _ = b.finish()
     if diagram.n_components != 1:
         raise AssertionError("double coil construction must close to a knot")
     return diagram
@@ -282,38 +274,25 @@ def gen_augmented(s: Slope) -> PlanarDiagram:
             b.join(west[t] + 3, west[t + 1] + 1)
         b.join(east[-1] + 3, west[-1] + 3)
         b.join(east[0] + 1, west[0] + 1)
-        circles[role] = {
-            "orient": _REGION_ORIENT[region],
-            # outer slots: west faces W, east faces E
-            "passages": [(w, e + 2) for w, e in zip(west, east)],
-        }
-
-    prov = {
-        "generator": "augmented",
-        "p": s.p,
-        "q": s.q,
-        "circles": circles,
-        "roles": {},
-        "fills": {},
-    }
-    diagram = _finish_circles(b, prov)
+        # outer slots: west faces W, east faces E
+        circles[role] = _REGION_ORIENT[region], [(w, e + 2) for w, e in zip(west, east)]
+    diagram = _finish_circles(b, circles)
     if diagram.n_components != 3:
         raise AssertionError("augmented link must have three components")
     return diagram
 
 
-def _finish_circles(b, prov):
-    """Finish ``b``; carry circle passages into it and name each circle's component.
+def _finish_circles(b, circles):
+    """Finish ``b`` and carry the circle passages into the diagram's darts.
 
-    A passage ``(w, e)`` holds the outer darts of one encircled strand at
-    the circle's two crossings: its edge inside the circle joins ``w ^ 2``
-    to ``e ^ 2``, and ``w ^ 1`` lies on the circle itself.
+    ``circles`` maps each role to ``(orient, passages)``.  A passage
+    ``(w, e)`` holds the outer darts of one encircled strand at the circle's
+    two crossings: its edge inside the circle joins ``w ^ 2`` to ``e ^ 2``,
+    and ``w ^ 1`` lies on the circle itself.
     """
-    diagram, final = b.finish(prov)
-    roles = prov["roles"] = {}
-    for role, info in prov["circles"].items():
-        info["passages"] = [(final[w], final[e]) for w, e in info["passages"]]
-        roles[role] = diagram.component_of(info["passages"][0][0] ^ 1)
+    diagram, final = b.finish(circles)
+    for role, (orient, passages) in circles.items():
+        circles[role] = orient, [(final[w], final[e]) for w, e in passages]
     return diagram
 
 
@@ -322,43 +301,35 @@ def _finish_circles(b, prov):
 # ---------------------------------------------------------------------------
 
 
-def _find_circle_role(prov, circle):
-    if isinstance(circle, str) and circle in prov.get("circles", {}):
-        return circle
-    for role, comp in prov.get("roles", {}).items():
-        if comp == circle:
-            return role
-    raise NotACrossingCircle(f"{circle!r} is not a provenance-marked crossing circle")
-
-
-def fill_crossing_circle(d: PlanarDiagram, circle, n: int) -> PlanarDiagram:
+def fill_crossing_circle(d: PlanarDiagram, circle: str, n: int) -> PlanarDiagram:
     """Replace a crossing circle by n full twists of its encircled strands.
 
-    ``circle`` is a component id (or provenance role name).  The circle's
-    2q crossings give way to a coil braid with n*q*(q-1) crossings, which
-    is empty for n = 0.  One walk splices it in for every n: each wired
-    dart joins the next wired dart along its strand, stepping straight
-    through the circle's crossings where no braid port sits.
+    ``circle`` is a role of ``d.circles``: "C1" or "C2" of an augmented
+    link, or "clasp" of a clasped two-bridge link.  The circle's 2q
+    crossings give way to a coil braid with n*q*(q-1) crossings, which is
+    empty for n = 0.  One walk splices it in for every n: each wired dart
+    joins the next wired dart along its strand, stepping straight through
+    the circle's crossings where no braid port sits.  The filled diagram
+    keeps the other circles.
     """
     if not isinstance(n, int):
         raise TypeError("full-twist count must be an integer")
-    prov = dict(d.provenance or {})
-    role = _find_circle_role(prov, circle)
-    circles = {k: dict(v) for k, v in prov.get("circles", {}).items()}
-    info = circles.pop(role)
-    recs = info["passages"]
+    if not isinstance(circle, str) or circle not in d.circles:
+        raise NotACrossingCircle(f"{circle!r} is not a provenance-marked crossing circle")
+    circles = dict(d.circles)
+    orient, recs = circles.pop(circle)
     q = len(recs)
     check_crossing_count(
-        d.n_crossings - 2 * q + q * (q - 1) * abs(n), f"{role} filled with {n} full twists"
+        d.n_crossings - 2 * q + q * (q - 1) * abs(n), f"{circle} filled with {n} full twists"
     )
     deleted = {x >> 2 for rec in recs for x in rec}
     kept = [c for c in range(d.n_crossings) if c not in deleted]
     if not kept and not n:
-        return PlanarDiagram((), {"generator": "trivial", "note": "all crossings removed"})
+        return PlanarDiagram(())
     mate = d.mate
     b = DiagramBuilder()
     b.crossings(len(kept))
-    west, east = _coil_braid(b, q, n * info["orient"])
+    west, east = _coil_braid(b, q, n * orient)
     # old dart -> new dart: a kept crossing keeps its slots, a passage's
     # outer darts take the braid's ports, and every other dart gets -1
     new = [-1] * len(mate)
@@ -381,26 +352,6 @@ def fill_crossing_circle(d: PlanarDiagram, circle, n: int) -> PlanarDiagram:
         peer[nx] = new[y]
     del peer  # ``finish`` frees the builder's wiring once it has read it
 
-    for other in circles.values():
-        other["passages"] = [(new[w], new[e]) for w, e in other["passages"]]
-
-    fills = dict(prov.get("fills", {}))
-    fills[role] = n
-    prov["fills"] = fills
-    prov["circles"] = circles
-    if (
-        prov.get("generator") == "augmented"
-        and not circles
-        and all(fills.get(r) for r in ("C1", "C2"))
-    ):
-        prov = {
-            "generator": "double_coil",
-            "p": prov["p"],
-            "q": prov["q"],
-            "n1": fills["C1"],
-            "n2": fills["C2"],
-            "filled": True,
-        }
-        diagram, _ = b.finish(prov)
-        return diagram
-    return _finish_circles(b, prov)
+    for role, (other_orient, passages) in circles.items():
+        circles[role] = other_orient, [(new[w], new[e]) for w, e in passages]
+    return _finish_circles(b, circles)

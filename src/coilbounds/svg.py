@@ -1,8 +1,8 @@
 """SVG rendering: diagrams from their rotation systems, curves on the
 framed sphere.
 
-Diagram drawing never uses generator geometry: the crossing tuples alone
-fix a combinatorial sphere embedding, each edge is subdivided twice, and
+Diagram drawing never uses generator geometry: the dart array alone
+fixes a combinatorial sphere embedding, each edge is subdivided twice, and
 Chrobak and Payne's straight-line grid drawing lays the subdivision out
 honoring that embedding (``_planar``, ported from networkx's
 ``combinatorial_embedding_to_pos``).  The embedding is the one that
@@ -70,10 +70,13 @@ def render_svg(d) -> str:
 
     mate = d.mate
     parts = [_SVG_OPEN.format(w=_DIAGRAM_SIZE, h=_DIAGRAM_SIZE)]
+    over = [None] * v  # the colour of each crossing's over-strand
     for i, strand in enumerate(d.strands):
         color = _PALETTE[i % len(_PALETTE)]
         parts.append(f'<g class="component" stroke="{color}">')
         for e in strand:
+            if e & 1:  # the strand enters crossing e >> 2 at over-slot 1 or 3
+                over[e >> 2] = color
             e1, e2 = sorted((e ^ 2, mate[e ^ 2]))  # the edge leaving e, smaller dart first
             pts = [pos[e1 >> 2], pos[v + e1], pos[v + e2], pos[e2 >> 2]]
             if e1 & 1 == 0:  # under-strand slots 0 and 2 stop short of the crossing
@@ -85,8 +88,7 @@ def render_svg(d) -> str:
     for c in range(v):
         a = _lerp(pos[c], pos[v + 4 * c + 1], 0.6)
         bb = _lerp(pos[c], pos[v + 4 * c + 3], 0.6)
-        color = _PALETTE[d.component_of(4 * c + 1) % len(_PALETTE)]
-        parts.append(_polyline([a, pos[c], bb], color, 2.4, cls="xing"))
+        parts.append(_polyline([a, pos[c], bb], over[c], 2.4, cls="xing"))
     parts.append("</svg>")
     return "".join(parts)
 

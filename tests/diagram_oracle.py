@@ -4,7 +4,8 @@
 walks each face as the documented orbit: cross the edge, then turn one slot
 counterclockwise.  ``twist_regions`` joins the crossings of those traced
 faces' bigons.  ``strand_labels`` names each strand of ``d.strands`` by the
-edge labels it leaves along.
+edge labels it leaves along, and ``component_map`` names the strand
+through every dart.
 """
 
 
@@ -13,7 +14,7 @@ def trace_faces(d):
 
     The empty diagram is the sphere: one face with no darts.
     """
-    labels = [x for crossing in d.crossings for x in crossing]
+    labels = list(d.labels)
     ends = {}
     for dart, label in enumerate(labels):
         ends.setdefault(label, []).append(dart)
@@ -53,10 +54,21 @@ def twist_regions(d):
 
 def strand_labels(d):
     """Edge labels of each link component, in traversal order: the edge
-    leaving each dart of its strand (``d.strands``)."""
+    leaving each dart of its strand (``d.strands``), slot s + 2 of the
+    crossing it enters."""
     return tuple(
-        tuple(d.crossings[x // 4][(x + 2) % 4] for x in strand) for strand in d.strands
+        tuple(d.labels[4 * (x // 4) + (x + 2) % 4] for x in strand) for strand in d.strands
     )
+
+
+def component_map(d):
+    """The index in ``d.strands`` of the strand through each dart: a strand
+    enters its crossings at its darts x and leaves them at x ^ 2."""
+    comp = [None] * len(d.mate)
+    for k, strand in enumerate(d.strands):
+        for x in strand:
+            comp[x] = comp[x ^ 2] = k
+    return comp
 
 
 def coil_braid_by_joins(b, q, n_signed):
@@ -104,8 +116,8 @@ def plat_by_cap_chase(b, terms, with_clasp):
     columns (1, 2), and join (1, 2) and (0, 3) otherwise.  From each end of
     a column with crossings, caps and crossing-free columns lead to exactly
     one other such end.  Braid crossings use slots 0=NW, 1=SW, 2=SE, 3=NE;
-    clasp crossings 0=N, 1=W, 2=S, 3=E.  Returns the clasp's provenance
-    record, or None.
+    clasp crossings 0=N, 1=W, 2=S, 3=E.  Returns the clasp's
+    ``(orient, passages)`` record, or None.
     """
     cols = [[] for _ in range(4)]  # (north, south) darts per crossing
     for idx, a in enumerate(terms):
@@ -125,7 +137,7 @@ def plat_by_cap_chase(b, terms, with_clasp):
         b.join(sl + 3, sr + 1)
         b.join(nr + 3, sr + 3)
         b.join(nl + 1, sl + 1)
-        clasp_info = {"orient": 1, "passages": [(nl, sl + 2), (nr, sr + 2)]}
+        clasp_info = (1, [(nl, sl + 2), (nr, sr + 2)])
 
     for items in cols:
         for (_, south), (north, _) in zip(items, items[1:]):

@@ -64,11 +64,15 @@ def test_parse_errors():
     with pytest.raises(NonPlanarRotation):
         # two disjoint kinks: a split diagram is not a sphere diagram here
         parse_pd("X(1,2,2,1) X(3,4,4,3)")
+    # the public constructor reads one flat label per dart, four per crossing
+    for n in (1, 2, 3, 5, 7, 9):
+        with pytest.raises(NonQuadrivalent):
+            PlanarDiagram([1, 1, 2, 2, 3, 3, 4, 4, 5][:n])
     with pytest.raises(NonQuadrivalent):
-        PlanarDiagram([(1, 2, 3)])
+        PlanarDiagram([(1, 2, 2, 1)])  # per-crossing tuples are not labels
     # labels are held to 2000 digits, well inside int()'s 4300-digit limit
     label = "1" * 2000
-    assert parse_pd(f"X({label},2,2,{label})").crossings[0][0] == int(label)
+    assert parse_pd(f"X({label},2,2,{label})").labels[0] == int(label)
     with pytest.raises(PDSyntaxError):
         parse_pd(f"X({label}1,2,2,{label}1)")
     # labels are ASCII digits: int() would read these as 1, 2, 2, 1
@@ -128,22 +132,36 @@ def test_big_coil_peak_memory_per_crossing():
     assert _peak_bytes(lambda: verify_pd_text(text)) <= 540 * crossings
 
 
+def test_built_coil_held_memory_per_crossing():
+    # what a built diagram keeps, once the builder is gone: the flat labels,
+    # the dart array and the strands, each dart held once per array
+    spec = CoilSpec(37, 80, 1, 2)
+    tracemalloc.start()
+    try:
+        d = gen_double_coil(spec)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d.n_crossings == spec.crossing_count
+    assert held <= 300 * spec.crossing_count
+
+
 def test_label_pairing_errors():
     with pytest.raises(EdgePairingError, match="edge label 4 appears 1 times"):
         parse_pd("X(1,2,2,1) X(3,3,4,5)")
     with pytest.raises(EdgePairingError, match="edge label 1 appears 3 times"):
         parse_pd("X(1,1,1,2) X(2,3,3,4)")
     with pytest.raises(EdgePairingError, match="bad edge label"):
-        PlanarDiagram([(1, 2, 2, "1")])
+        PlanarDiagram([1, 2, 2, "1"])
     # a bool is an int to isinstance, but emit_pd would print it as "True"
     with pytest.raises(EdgePairingError, match="bad edge label True"):
-        PlanarDiagram([(True, 2, 2, 1)])
+        PlanarDiagram([True, 2, 2, 1])
 
 
 def test_mate_pairs_edge_labels():
     d = parse_pd(FIGURE8)
     assert d.n_edges == 8
-    label = [x for cr in d.crossings for x in cr]  # label of each dart
+    label = d.labels  # label of each dart
     ends = {}
     for e, f in enumerate(d.mate):
         assert f != e and d.mate[f] == e
@@ -210,9 +228,7 @@ def test_twist_regions_relabel_invariant():
         perm = labels[:]
         rng.shuffle(perm)
         relabel = dict(zip(labels, perm))
-        moved = PlanarDiagram(
-            [tuple(relabel[x] for x in cr) for cr in d.crossings]
-        )
+        moved = PlanarDiagram([relabel[x] for x in d.labels])
         assert moved.n_twist_regions == d.n_twist_regions
         assert moved.is_alternating() == d.is_alternating()
 
@@ -272,8 +288,7 @@ def _assert_same_diagram(d, again):
     assert trace_faces(again) == trace_faces(d)
     assert again.n_faces == d.n_faces
     assert again.n_edges == d.n_edges
-    for dart in range(len(d.mate)):
-        assert again.component_of(dart) == d.component_of(dart)
+    assert again.labels == d.labels
 
 
 _PQ = st.integers(2, 7).flatmap(
@@ -322,12 +337,18 @@ def test_builder_path_matches_parse_path(d):
 @given(_built_diagram())
 def test_components_are_dart_strands(d):
     labels = strand_labels(d)
-    for dart in range(len(d.mate)):
-        k = d.component_of(dart)
-        assert k == d.component_of(dart ^ 2) == d.component_of(d.mate[dart])
-        assert d.crossings[dart >> 2][dart & 3] in labels[k]
-    walked = sorted(y for strand in d.strands for x in strand for y in (x, x ^ 2))
-    assert walked == list(range(len(d.mate)))  # each dart on exactly one strand
+    comp = {}
+    for k, strand in enumerate(d.strands):
+        for x in strand:
+            for y in (x, x ^ 2):
+                assert y not in comp  # no dart on two strands, or twice on one
+                comp[y] = k
+    assert sorted(comp) == list(range(len(d.mate)))  # each dart on exactly one strand
+    for k, strand in enumerate(d.strands):
+        for x in strand:
+            assert comp[d.mate[x ^ 2]] == k  # the strand leaves x ^ 2 along its edge
+    for dart, k in comp.items():
+        assert d.labels[dart] in labels[k]
     assert d.is_alternating() == parse_pd(emit_pd(d)).is_alternating()
 
 
@@ -386,11 +407,11 @@ def _finishes(build):
     calls = []
     real = DiagramBuilder.finish
 
-    def finish(b, provenance=None):
+    def finish(b, circles=None):
         peer, under = list(b._peer), list(b._under)
-        result = real(b, provenance)
+        result = real(b, circles)
         with pytest.raises(BuilderSpent):
-            real(b, provenance)
+            real(b, circles)
         calls.append((peer, under, *result))
         return result
 
@@ -407,7 +428,7 @@ def test_finish_maps_builder_darts_onto_the_diagram(build):
         assert sorted(final) == list(range(len(peer)))
         for x, y in enumerate(peer):
             assert d.mate[final[x]] == final[y]
-        # each tuple starts at the incoming under-strand: the builder's under
+        # each crossing starts at the incoming under-strand: the builder's under
         # diagonal lands on slots 0 and 2, and walking on from every slot 0
         # enters no crossing at slot 2
         for c, u in enumerate(under):
@@ -430,14 +451,14 @@ def test_finish_of_the_empty_builder_spends_it():
 
 
 def _labelled(mate):
-    """PD tuples whose labels pair exactly the darts that ``mate`` pairs."""
+    """Flat PD labels that pair exactly the darts that ``mate`` pairs."""
     labels = [0] * len(mate)
     edges = 0
     for d, m in enumerate(mate):
         if not labels[d]:
             edges += 1
             labels[d] = labels[m] = edges
-    return [tuple(labels[4 * c:4 * c + 4]) for c in range(len(mate) // 4)]
+    return tuple(labels)
 
 
 def _outcome(build):
@@ -457,13 +478,20 @@ def test_corrupted_mate_same_outcome_on_both_paths(d, data):
     c = data.draw(st.sampled_from([x for x in range(len(mate)) if x not in (a, mate[a])]))
     b, e = mate[a], mate[c]
     mate[a], mate[c], mate[b], mate[e] = c, a, e, b
-    tuples = _labelled(mate)
-    fast = _outcome(lambda: PlanarDiagram(tuples, _mate=tuple(mate)))
-    full = _outcome(lambda: PlanarDiagram(tuples))
+    labels = _labelled(mate)
+    fast = _outcome(lambda: PlanarDiagram(labels, _mate=tuple(mate)))
+    full = _outcome(lambda: PlanarDiagram(labels))
     if isinstance(full, tuple):
         assert fast == full
     else:
         _assert_same_diagram(full, fast)
+
+
+def _pd_text(labels):
+    """PD text of flat labels, written term by term."""
+    return " ".join(
+        "X({},{},{},{})".format(*labels[i:i + 4]) for i in range(0, len(labels), 4)
+    )
 
 
 def _builder_copy(b, d, offset=0):
@@ -493,7 +521,7 @@ def test_builder_rejects_split_diagram():
     _builder_copy(b, trefoil, offset=3)
     with pytest.raises(NonPlanarRotation, match="split"):
         b.finish()
-    shifted = " ".join(f"X({a + 6},{b + 6},{c + 6},{e + 6})" for a, b, c, e in trefoil.crossings)
+    shifted = _pd_text([x + 6 for x in trefoil.labels])
     with pytest.raises(NonPlanarRotation, match="split"):
         parse_pd(TREFOIL + " " + shifted)
 
@@ -515,9 +543,8 @@ def test_flipped_strand_rejected_on_both_paths():
     turn = [4 * c + s for c in range(d.n_crossings) for s in range(4)]
     turn[0:4] = [2, 3, 0, 1]  # new dart -> old dart (an involution)
     mate = tuple(turn[d.mate[turn[x]]] for x in range(len(turn)))
-    tuples = [tuple(d.crossings[c][turn[4 * c + s] % 4] for s in range(4))
-              for c in range(d.n_crossings)]
+    labels = tuple(d.labels[t] for t in turn)
     with pytest.raises(EdgePairingError, match="orientation"):
-        PlanarDiagram(tuples, _mate=mate)
+        PlanarDiagram(labels, _mate=mate)
     with pytest.raises(EdgePairingError, match="orientation"):
-        parse_pd(" ".join("X({},{},{},{})".format(*x) for x in tuples))
+        parse_pd(_pd_text(labels))

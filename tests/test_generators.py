@@ -20,6 +20,7 @@ from coilbounds.generators import _build_plat, _coil_braid
 from coilbounds.slopes import ContinuedFraction, Slope, cfrac_expand
 from diagram_oracle import (
     coil_braid_by_joins,
+    component_map,
     plat_by_cap_chase,
     strand_labels,
     trace_faces,
@@ -95,13 +96,20 @@ def test_plat_closure_matches_cap_chase(terms, with_clasp):
 # --- clasped ----------------------------------------------------------------
 
 
+def circle_components(d):
+    """The component of each circle of ``d.circles``: the strand through
+    ``w ^ 1`` for the first passage ``(w, e)``."""
+    comp = component_map(d)
+    return {role: comp[recs[0][0] ^ 1] for role, (_, recs) in d.circles.items()}
+
+
 def test_clasped_structure():
     s = Slope(2, 5)
     d = gen_clasped_two_bridge(s)
     k = cfrac_expand(s).length
     assert d.n_crossings == 4 + 4  # plat crossings plus the clasp's four
-    assert "clasp" in d.provenance["circles"]
-    clasp_comp = d.provenance["roles"]["clasp"]
+    assert set(d.circles) == {"clasp"}
+    clasp_comp = circle_components(d)["clasp"]
     assert 0 <= clasp_comp < d.n_components
     # the two regions of [2,2], plus the clasp's two strand-hugging bigon pairs
     assert d.n_twist_regions == k + 2
@@ -179,8 +187,8 @@ def test_augmented_structure():
         d = gen_augmented(Slope(p, q))
         assert d.n_components == 3
         assert d.n_crossings == 4 * q
-        roles = d.provenance["roles"]
-        assert set(roles) >= {"C1", "C2"}
+        roles = circle_components(d)
+        assert set(roles) == {"C1", "C2"}
         assert roles["C1"] != roles["C2"]
 
 
@@ -194,15 +202,20 @@ def test_fill_zero_deletes_circle():
 
 def test_fill_non_circle():
     d = gen_augmented(Slope(1, 2))
-    curve_comp = next(
-        i for i in range(3) if i not in d.provenance["roles"].values()
-    )
-    with pytest.raises(NotACrossingCircle):
-        fill_crossing_circle(d, curve_comp, 1)
     with pytest.raises(NotACrossingCircle):
         fill_crossing_circle(d, "C9", 1)
     with pytest.raises(NotACrossingCircle):
         fill_crossing_circle(gen_two_bridge(ContinuedFraction((2, 2))), 0, 1)
+    with pytest.raises(NotACrossingCircle):
+        fill_crossing_circle(gen_two_bridge(ContinuedFraction((2, 2))), "C1", 1)
+    # a circle is named by its role only: a component id, None or an
+    # unhashable value is refused as not a crossing circle, never with a
+    # TypeError
+    for circle in (*range(d.n_components), None, ["C1"], {"C1": 1}, b"C1"):
+        with pytest.raises(NotACrossingCircle, match="is not a provenance-marked"):
+            fill_crossing_circle(d, circle, 2)
+    assert set(d.circles) == {"C1", "C2"}
+    assert set(fill_crossing_circle(d, "C2", 2).circles) == {"C1"}
 
 
 def test_fill_matches_direct_coil():
@@ -219,19 +232,12 @@ def test_fill_matches_direct_coil():
         assert filled.is_alternating() == direct.is_alternating()
         face_sizes = lambda d: sorted(len(f) for f in trace_faces(d))
         assert face_sizes(filled) == face_sizes(direct)
-        assert filled.provenance["generator"] == "double_coil"
+        assert filled.circles == direct.circles == {}
     assert emit_pd(
         fill_crossing_circle(
             fill_crossing_circle(gen_augmented(Slope(1, 2)), "C1", 1), "C2", 1
         )
     ) == emit_pd(gen_double_coil(CoilSpec(1, 2, 1, 1)))
-
-
-def test_fill_by_component_id():
-    d = gen_augmented(Slope(1, 3))
-    cid = d.provenance["roles"]["C2"]
-    f = fill_crossing_circle(d, cid, 2)
-    assert f.n_crossings == d.n_crossings - 2 * 3 + 2 * 3 * 2
 
 
 def test_fill_refuses_oversized_twists_up_front(monkeypatch):
@@ -263,13 +269,12 @@ def test_circle_passages_are_dart_pairs():
             for n in (-2, -1, 0, 1, 2)
         ]
         for d in diagrams:
-            prov = d.provenance
-            for role, info in prov["circles"].items():
-                circle = strand_labels(d)[prov["roles"][role]]
-                for w, e in info["passages"]:
+            roles = circle_components(d)
+            for role, (_, recs) in d.circles.items():
+                circle = strand_labels(d)[roles[role]]
+                for w, e in recs:
                     assert d.mate[w ^ 2] == e ^ 2
-                    x = w ^ 1
-                    assert d.crossings[x >> 2][x & 3] in circle
+                    assert d.labels[w ^ 1] in circle
                     passages += 1
     assert passages == 2 * 122 + 2 * 21 + 10 * 122
 
