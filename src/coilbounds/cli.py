@@ -12,7 +12,6 @@ curve, diagram and drawing code.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -131,6 +130,8 @@ def _cmd_slope(args):
         "k": c.length,
     }
     if args.format == "json":
+        import json
+
         print(json.dumps(record))
     else:
         print(
@@ -208,6 +209,8 @@ def _cmd_gen(args):
 
 
 def _cmd_bounds(args):
+    import json
+
     from .bounds import bound_report
 
     report = bound_report(_coil_spec(args))
@@ -217,6 +220,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_family(args):
+    import json
+
     from .family import analyze_family, load_family_config, report_to_csv
 
     with open(args.config) as fh:

@@ -10,10 +10,10 @@ for a connected 4-valent graph means exactly V + 2 faces.
 Darts
 -----
 An edge-end is a *dart*, the integer ``4*c + s`` for crossing ``c`` and
-slot ``s``.  Every per-edge-end fact is a flat sequence indexed by dart:
-``labels[d]`` is the label of dart d, and ``mate[d]`` the other end of its
-edge.  The labels only name the edges.  Three permutations drive
-everything:
+slot ``s``.  Every per-edge-end fact is a flat ``array`` indexed by dart,
+holding machine integers rather than a Python int per entry: ``labels[d]``
+is the label of dart d, and ``mate[d]`` the other end of its edge.  The
+labels only name the edges.  Three permutations drive everything:
 
 * ``mate``      swaps the two ends of each edge,
 * ``s -> s+2``  walks a strand through a crossing,
@@ -24,13 +24,11 @@ everything:
 from __future__ import annotations
 
 import re
-from collections import Counter
+from array import array
 from itertools import chain, islice
-from operator import itemgetter
 
 from . import slopes
 from .errors import (
-    BuilderSpent,
     EdgePairingError,
     NonPlanarRotation,
     NonQuadrivalent,
@@ -45,15 +43,25 @@ __all__ = [
     "verify_pd_text",
 ]
 
+# Typecodes of the flat arrays: darts in C unsigned ints (4 * MAX_CROSSINGS
+# of them fit many times over), edge labels in unsigned 64-bit ints.  Unsigned
+# typecodes, because array stores them faster than signed ones.
+_DARTS = "I"
+_LABELS = "Q"
+_UNWIRED = (1 << 8 * array(_DARTS).itemsize) - 1  # no dart: the largest C unsigned int
+
 
 class PlanarDiagram:
     """An immutable, validated planar diagram in PD form.
 
-    ``labels`` and ``mate`` are indexed by dart: ``labels[4*c + s]`` names
-    the edge leaving crossing ``c`` at slot ``s``, and ``mate[4*c + s]`` is
-    that edge's other end.  ``strands[k]`` lists the darts at which link
-    component k enters its crossings, in walk order; a component passes
-    through each entering dart x and its exit x ^ 2.  ``circles`` maps the
+    ``labels`` and ``mate`` are flat arrays indexed by dart: ``labels[4*c + s]``
+    names the edge leaving crossing ``c`` at slot ``s``, and ``mate[4*c + s]``
+    is that edge's other end.  ``mate`` is an ``array`` of C unsigned ints;
+    ``labels`` is an ``array`` of unsigned 64-bit ints, or a tuple of Python
+    ints when some label is 2^64 or more (PD labels may have 2000 digits).
+    ``strands[k]`` is an array of the darts at which link component k enters
+    its crossings, in walk order; a component passes through each entering
+    dart x and its exit x ^ 2.  ``circles`` maps the
     role of each crossing circle a generator laid ("C1", "C2", "clasp") to
     ``(orient, passages)``, which ``generators.fill_crossing_circle`` reads;
     it is empty for other diagrams.  Edge labels are read only to pair and
@@ -76,6 +84,10 @@ class PlanarDiagram:
             for label in labels:
                 if type(label) is not int or label < 1:
                     raise EdgePairingError(f"bad edge label {label!r}")
+            try:
+                labels = array(_LABELS, labels)
+            except OverflowError:
+                pass  # a label of 2^64 or more: keep the tuple
             _mate = _pair_labels(labels)
         self.mate = _mate
         self.labels = labels
@@ -101,27 +113,38 @@ class PlanarDiagram:
         """
         mate = self.mate
         n = len(mate)
-        comp = [-1] * n  # the component through each dart, while walking
-        strands: list[tuple[int, ...]] = []
+        entered = bytearray(n)  # where the strands walked so far enter, once more follow
+        covered = 0  # darts on those strands, entering or leaving
+        strands = []
         for start in chain(range(0, n, 4), range(n)):
-            if comp[start] >= 0:
+            if covered == n:
+                break
+            if entered[start] or entered[start ^ 2]:
                 continue
-            k = len(strands)
-            strand = []
+            strand = array(_DARTS)
+            append = strand.append
             d = start
             while True:
                 if d & 3 == 2:
                     raise EdgePairingError(
                         f"inconsistent strand orientation at crossing {d >> 2}"
                     )
-                out = d ^ 2
-                comp[d] = comp[out] = k
-                strand.append(d)
-                d = mate[out]
+                append(d)
+                d = mate[d ^ 2]
                 if d == start:
                     break
-            strands.append(tuple(strand))
+            strands.append(strand)
+            # it leaves each crossing by the other end of the diagonal it
+            # enters; no dart is its own mate, so it never enters that end
+            covered += 2 * len(strand)
+            if covered < n:  # more strands to walk: mark where this one enters
+                for d in strand:
+                    entered[d] = 1
         if len(strands) > 1:
+            comp = _filled(_DARTS, 0, n)  # the strand through each dart
+            for k, strand in enumerate(strands):
+                for d in strand:
+                    comp[d] = comp[d ^ 2] = k
             # darts 4c and 4c + 1 lie on the two strands through crossing c
             merges = _union_find(len(strands), zip(comp[0::4], comp[1::4]))
             if merges < len(strands) - 1:
@@ -129,23 +152,27 @@ class PlanarDiagram:
         return tuple(strands)
 
     def _trace_faces(self):
+        # The faces are the orbits of d -> rotation(mate[d]).  Its conjugate
+        # by mate, d -> mate[rotation(d)], has orbits of the same sizes, and
+        # each of its bigons joins the same two crossings.  Its table is the
+        # dart array shifted by one, slot 3 turning back to slot 0.
         mate = self.mate
-        seen = bytearray(len(mate))
+        turn = mate[1:] + mate[:1]
+        turn[3::4] = mate[0::4]
+        seen = bytearray(len(turn))
         count = 0
         bigons = []
-        for d0 in range(len(mate)):
-            if seen[d0]:
-                continue
+        d0 = seen.find(0)
+        while d0 >= 0:
             count += 1
-            size = 0
-            d = d0
-            while not seen[d]:
+            seen[d0] = 1
+            d = turn[d0]
+            if d != d0 and turn[d] == d0:  # a bigon: keep its two crossings
+                bigons.append((d0 >> 2, d >> 2))
+            while d != d0:
                 seen[d] = 1
-                size += 1
-                m = mate[d]
-                d = (m & ~3) + ((m + 1) & 3)
-            if size == 2:  # a bigon: keep its crossings, d0's and mate[d0]'s
-                bigons.append((d0 >> 2, mate[d0] >> 2))
+                d = turn[d]
+            d0 = seen.find(0, d0 + 1)
         return count, tuple(bigons)
 
     # -- queries -------------------------------------------------------------
@@ -190,6 +217,11 @@ class PlanarDiagram:
         return f"<PlanarDiagram {self.n_crossings} crossings, {self.n_components} components>"
 
 
+def _filled(typecode, value, count):
+    """An array of ``count`` copies of ``value``."""
+    return array(typecode, (value,)) * count
+
+
 def _union_find(n, pairs):
     """Join every pair in a union-find over 0..n-1; return the number of
     pairs that joined two classes, so n minus that many classes remain."""
@@ -211,21 +243,39 @@ def _union_find(n, pairs):
 
 
 def _pair_labels(labels):
-    """Pair equal labels, dart by dart, into the dart array ``mate``."""
-    first: dict[int, int] = {}  # label -> its first dart, in order of appearance
-    mate = [-1] * len(labels)
-    for d, label in enumerate(labels):
-        e = first.setdefault(label, d)
-        if e != d and mate[e] < 0:
+    """Pair equal labels, dart by dart, into the dart array ``mate``.
+
+    The first dart of each label is kept in a dense array indexed by label;
+    labels that are not all within 1..n/2 (n darts) are first renumbered by
+    rank, so one pass pairs every text.
+    """
+    n = len(labels)
+    keys = labels
+    top = max(labels, default=0)
+    if top > n // 2:  # renumber the labels 1, 2, ... in increasing order
+        from bisect import bisect_left
+
+        distinct = sorted(set(labels))
+        keys = array(_DARTS, [bisect_left(distinct, label) + 1 for label in labels])
+        top = len(distinct)
+    first = _filled(_DARTS, _UNWIRED, top + 1)  # key -> its first dart
+    mate = _filled(_DARTS, _UNWIRED, n)
+    for d, key in enumerate(keys):
+        e = first[key]
+        if e == _UNWIRED:
+            first[key] = d
+        elif mate[e] == _UNWIRED:
             mate[e] = d
             mate[d] = e
-    if -1 in mate:  # some label appears once, or three or more times
-        counts = Counter(labels)
-        label = next(label for label in first if counts[label] != 2)
+    if _UNWIRED in mate:  # some label appears once, or three or more times
+        counts = _filled(_DARTS, 0, top + 1)
+        for key in keys:
+            counts[key] += 1
+        d = next(d for d, key in enumerate(keys) if counts[key] != 2)
         raise EdgePairingError(
-            f"edge label {label} appears {counts[label]} times, expected 2"
+            f"edge label {labels[d]} appears {counts[keys[d]]} times, expected 2"
         )
-    return tuple(mate)
+    return mate
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +285,10 @@ def _pair_labels(labels):
 # a label of up to MAX_DIGITS ASCII digits, like the CLI's slope integers
 _LABEL = rf"([0-9]{{1,{slopes.MAX_DIGITS}}})"
 _QUOTED_TERM = 40  # characters of a bad term that an error message quotes
-_TERM = re.compile(rf"X\({_LABEL},{_LABEL},{_LABEL},{_LABEL}\)\Z")
+_TERM = re.compile(rf"X\({_LABEL},{_LABEL},{_LABEL},{_LABEL}\)")
+# a term none of whose labels is all zeros
+_POSITIVE = rf"(?!0+[,)]){_LABEL}"
+_GOOD_TERM = re.compile(rf"X\({_POSITIVE},{_POSITIVE},{_POSITIVE},{_POSITIVE}\)")
 _WORD = re.compile(r"\S+")  # a term as str.split() finds it
 
 
@@ -246,25 +299,32 @@ def parse_pd(text: str) -> PlanarDiagram:
     term is read or split off, so refusing it costs no more than the text.
     A label is 1 to ``MAX_DIGITS`` ASCII digits, not all zeros; anything
     else is a ``PDSyntaxError``, which quotes the start of the bad term.
-    Each term is checked once, here, and the flat labels with their
-    pairing are handed to ``PlanarDiagram`` as ``DiagramBuilder.finish``
-    hands over its wiring.
+    The terms are read in one lazy pass straight into a flat label array,
+    and the labels with their pairing are handed to ``PlanarDiagram`` as
+    ``DiagramBuilder.finish`` hands over its wiring.
     """
     cap = slopes.MAX_CROSSINGS
     if len(text) > 2 * cap:  # a shorter text holds at most cap terms
         terms = sum(1 for _ in islice(_WORD.finditer(text), cap + 1))
         slopes.check_crossing_count(terms, "PD code")
-    labels = []
-    for token in text.split():
-        m = _TERM.match(token)
-        if not m:
-            raise PDSyntaxError(f"bad PD term {_quote(token)}")
-        term = [*map(int, m.groups())]
-        if 0 in term:  # the grammar admits digits only, so 0 is the one bad value
-            raise PDSyntaxError(f"edge labels must be positive in {_quote(token)}")
-        labels += term
-    labels = tuple(labels)
+    try:
+        labels = array(_LABELS, map(int, chain.from_iterable(_term_labels(text))))
+    except OverflowError:  # a label of 2^64 or more: read them all as Python ints
+        labels = tuple(map(int, chain.from_iterable(_term_labels(text))))
     return PlanarDiagram(labels, _mate=_pair_labels(labels))
+
+
+def _term_labels(text):
+    """The four label digit strings of each term of ``text``, in order."""
+    match = _GOOD_TERM.fullmatch
+    for word in _WORD.finditer(text):
+        m = match(text, word.start(), word.end())
+        if m is None:
+            token = word[0]
+            if _TERM.fullmatch(token):  # the grammar admits digits only, so 0 is the one bad value
+                raise PDSyntaxError(f"edge labels must be positive in {_quote(token)}")
+            raise PDSyntaxError(f"bad PD term {_quote(token)}")
+        yield m.groups()
 
 
 def verify_pd_text(text: str) -> str:
@@ -290,127 +350,20 @@ def _quote(token: str) -> str:
 
 def emit_pd(d: PlanarDiagram) -> str:
     terms = iter(d.labels)  # four reads of one iterator take one crossing's labels
-    return " ".join(map("X({},{},{},{})".format, terms, terms, terms, terms))
+    terms = map("X({},{},{},{})".format, terms, terms, terms, terms)
+    # join the terms a chunk at a time, so that no list holds a string per crossing
+    chunks = iter(lambda: " ".join(islice(terms, _EMIT_CHUNK)), "")
+    return " ".join(chunks)
 
 
-# ---------------------------------------------------------------------------
-# Construction
-# ---------------------------------------------------------------------------
+_EMIT_CHUNK = 1 << 12  # terms per chunk of emitted text
 
 
-# slots of a crossing read counterclockwise from slot r
-_ROTATED = tuple(tuple((r + i) % 4 for i in range(4)) for r in range(4))
+def __getattr__(name):
+    # DiagramBuilder lives in .builder, which imports this module; it is
+    # imported on first use, as the package root imports its modules
+    if name == "DiagramBuilder":
+        from .builder import DiagramBuilder
 
-
-class DiagramBuilder:
-    """Assemble a diagram from crossings with explicit slot wiring.
-
-    Positions are darts ``4*crossing + slot``, slots in counterclockwise
-    planar order; ``under`` selects which diagonal carries the under-strand
-    (0 for slots 0/2, 1 for 1/3).  ``finish`` orients each component,
-    numbers the edges along the strands, and rotates every crossing so its
-    labels start at the incoming under-strand; it returns the map from
-    builder darts to finished darts so callers can carry the darts they
-    recorded into the finished diagram.
-
-    ``join`` checks each edge it wires.  A generator that owns fresh
-    crossings may write ``_peer`` directly (the coil braid's slices, the
-    fill splice); ``finish`` checks that every dart is wired and that the
-    wiring is an involution, whichever way it was written.
-
-    A builder is spent after ``finish``: once the checks pass, ``finish``
-    releases ``_peer`` and ``_under`` and frees the wiring as soon as it is
-    read, before the diagram's dart array is built.  A caller that keeps a
-    reference to ``_peer`` across the call keeps it alive.  Finishing a spent
-    builder raises ``BuilderSpent``.
-    """
-
-    def __init__(self):
-        self._peer: list[int] = []  # dart -> dart, -1 while unwired
-        self._under: list[int] = []
-
-    def crossings(self, count: int, under: int = 0) -> range:
-        """Add ``count`` crossings with the same under diagonal; return their ids."""
-        if under not in (0, 1):
-            raise NonQuadrivalent("under diagonal must be 0 or 1")
-        first = len(self._under)
-        self._peer += [-1] * (4 * count)
-        self._under += [under] * count
-        return range(first, first + count)
-
-    def crossing(self, under: int = 0) -> int:
-        return self.crossings(1, under).start
-
-    def join(self, da: int, db: int) -> None:
-        """Wire dart ``da`` to dart ``db`` (dart = 4 * crossing + slot)."""
-        peer = self._peer
-        if not (0 <= da < len(peer) and 0 <= db < len(peer)):
-            raise EdgePairingError(f"darts are 0..{len(peer) - 1}, got {da} and {db}")
-        for d in (da, db):
-            if peer[d] >= 0:
-                raise EdgePairingError(f"slot {divmod(d, 4)} wired twice")
-        if da == db:
-            raise EdgePairingError(f"cannot wire slot {divmod(da, 4)} to itself")
-        peer[da] = db
-        peer[db] = da
-
-    def finish(self, circles=None):
-        """Return ``(diagram, final)``; builder dart d is diagram dart final[d].
-
-        ``circles`` becomes the diagram's ``circles`` as it is; a caller that
-        recorded builder darts in it maps them through ``final``.
-        """
-        peer, under = self._peer, self._under
-        if peer is None:
-            raise BuilderSpent("this builder was finished already")
-        n = len(peer)
-        if -1 in peer:
-            raise EdgePairingError(f"slot {divmod(peer.index(-1), 4)} left dangling")
-
-        # Walk every strand once, numbering its edges in walk order; a dart
-        # is walked once its edge has a label.  Each edge is checked from the
-        # end it is walked out of: wiring that is an involution on every
-        # walked edge brings each walk back to its start, so a bad wiring
-        # raises here instead of walking forever.
-        labels = [0] * n
-        entered = bytearray(n)
-        next_label = 1
-        for start in range(n):
-            if labels[start]:
-                continue
-            d = start
-            while True:
-                entered[d] = 1
-                out = d ^ 2  # slot s + 2 of the same crossing
-                d = peer[out]
-                if peer[d] != out:
-                    raise EdgePairingError(
-                        f"slot {divmod(out, 4)} is wired to {divmod(d, 4)}, "
-                        f"which is wired to {divmod(peer[d], 4)}"
-                    )
-                labels[out] = labels[d] = next_label
-                next_label += 1
-                if d == start:
-                    break
-        self._peer = self._under = None  # spent: the wiring lives on only here
-        # rotate each crossing so its labels start at the incoming under-strand:
-        # finished dart 4c + i is builder dart 4c + (i + turns[c]) mod 4
-        turns = [u if entered[4 * c + u] else u + 2 for c, u in enumerate(under)]
-        del entered, under
-        # final inverts that: a turn is 0..3, so _ROTATED[-r] turns by -r mod 4
-        blocks = range(0, n, 4)
-        final = [b + i for b, r in zip(blocks, turns) for i in _ROTATED[-r]]
-        if not n:  # the empty diagram; an itemgetter needs an item
-            return PlanarDiagram((), circles, _mate=()), final
-        # Gather in C, and free the wiring before the next set of darts is
-        # made: far[d] = final[peer[d]], and with source[e] the builder dart
-        # of finished dart e, mate[e] = far[source[e]] and the diagram's
-        # label of e is labels[source[e]].
-        far = itemgetter(*peer)(final)
-        del peer
-        gather = itemgetter(*[b + i for b, r in zip(blocks, turns) for i in _ROTATED[r]])
-        mate = gather(far)
-        del far
-        labels = gather(labels)
-        del gather
-        return PlanarDiagram(labels, circles, _mate=mate), final
+        return DiagramBuilder
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

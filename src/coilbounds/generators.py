@@ -34,6 +34,8 @@ bounds need no diagram code; it is re-exported here.
 
 from __future__ import annotations
 
+from array import array
+
 from .curves import (
     GATE_C1_EAST,
     GATE_C2_EAST,
@@ -41,7 +43,8 @@ from .curves import (
     is_entering_event,
     trace_gate_events,
 )
-from .diagrams import DiagramBuilder, PlanarDiagram
+from .builder import DiagramBuilder
+from .diagrams import PlanarDiagram
 from .errors import NotACrossingCircle
 from .slopes import CoilSpec, ContinuedFraction, Slope, cfrac_expand, check_crossing_count
 
@@ -102,9 +105,14 @@ def _build_plat(terms, with_clasp: bool):
         # strand passages through the clasp, braid-start side first
         clasp_info = (1, [(nl, sl + 2), (nr, sr + 2)])
 
+    # each column joins its crossings top to bottom; those crossings are
+    # fresh and each of their darts is wired once here, so the wiring is
+    # written directly, and ``finish`` checks it
+    peer = b._peer
     for items in cols:
         for (_, south), (north, _) in zip(items, items[1:]):
-            b.join(south, north)
+            peer[south] = north
+            peer[north] = south
     (top1, bot1), (top2, bot2) = ((items[0][0], items[-1][1]) for items in cols[1:])
     if not cols[0]:  # k = 1 with no clasp
         closing = ((top1, bot1), (top2, bot2))
@@ -200,7 +208,7 @@ def _coil_braid(b, q: int, n_signed: int):
         lo = start + pos + (row if target < 0 else 0)
         hi = end - (row if target >= row else 0)
         shift = target - pos
-        peer[lo:hi:row] = range(lo + shift, hi + shift, row)
+        peer[lo:hi:row] = array(peer.typecode, range(lo + shift, hi + shift, row))
     west = [start + 1] + list(range(start, start + row, 4))
     east = list(range(end - row + 2, end, 4)) + [end - 1]
     return west, east
@@ -315,7 +323,7 @@ def fill_crossing_circle(d: PlanarDiagram, circle: str, n: int) -> PlanarDiagram
     if not isinstance(n, int):
         raise TypeError("full-twist count must be an integer")
     if not isinstance(circle, str) or circle not in d.circles:
-        raise NotACrossingCircle(f"{circle!r} is not a provenance-marked crossing circle")
+        raise NotACrossingCircle(f"{circle!r} is not a crossing circle of this diagram")
     circles = dict(d.circles)
     orient, recs = circles.pop(circle)
     q = len(recs)

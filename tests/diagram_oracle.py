@@ -1,5 +1,8 @@
 """Test oracles for diagrams, written from the PD convention alone.
 
+``pair_labels`` pairs equal edge labels through a dict of each label's first
+dart: the reference for the dense pairing in ``diagrams._pair_labels``.
+
 ``trace_faces`` pairs darts by their edge labels, not through ``mate``, and
 walks each face as the documented orbit: cross the edge, then turn one slot
 counterclockwise.  ``twist_regions`` joins the crossings of those traced
@@ -7,6 +10,31 @@ faces' bigons.  ``strand_labels`` names each strand of ``d.strands`` by the
 edge labels it leaves along, and ``component_map`` names the strand
 through every dart.
 """
+
+from collections import Counter
+
+from coilbounds.errors import EdgePairingError
+
+
+def pair_labels(labels):
+    """The dart array ``mate`` of flat PD labels, as a tuple: each dart is
+    paired with the other dart of its label.  A label that appears once, or
+    three or more times, is an ``EdgePairingError`` naming the first such
+    label in order of appearance."""
+    first = {}  # label -> its first dart, in order of appearance
+    mate = [-1] * len(labels)
+    for d, label in enumerate(labels):
+        e = first.setdefault(label, d)
+        if e != d and mate[e] < 0:
+            mate[e] = d
+            mate[d] = e
+    if -1 in mate:
+        counts = Counter(labels)
+        label = next(label for label in first if counts[label] != 2)
+        raise EdgePairingError(
+            f"edge label {label} appears {counts[label]} times, expected 2"
+        )
+    return tuple(mate)
 
 
 def trace_faces(d):

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -30,7 +31,7 @@ from coilbounds.generators import (
     gen_two_bridge,
 )
 from coilbounds.slopes import ContinuedFraction, Slope, cfrac_expand
-from diagram_oracle import strand_labels, trace_faces, twist_regions
+from diagram_oracle import pair_labels, strand_labels, trace_faces, twist_regions
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIGURE8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
@@ -122,19 +123,19 @@ def _peak_bytes(run):
 
 def test_big_coil_peak_memory_per_crossing():
     # 18 960 crossings: large enough that the dart arrays, not fixed costs,
-    # set the peak.  The builder releases its wiring before the finished
-    # dart array is gathered, and the PD line counts twist regions without
-    # listing them.
+    # set the peak.  The builder's wiring and the finished diagram are flat
+    # arrays, the walk in finish writes the finished arrays directly, and
+    # parsing reads the labels into one array and pairs them through another.
     spec = CoilSpec(37, 80, 1, 2)
     crossings = spec.crossing_count
-    assert _peak_bytes(lambda: gen_double_coil(spec)) <= 600 * crossings
+    assert _peak_bytes(lambda: gen_double_coil(spec)) <= 250 * crossings
     text = emit_pd(gen_double_coil(spec))
-    assert _peak_bytes(lambda: verify_pd_text(text)) <= 540 * crossings
+    assert _peak_bytes(lambda: verify_pd_text(text)) <= 200 * crossings
 
 
 def test_built_coil_held_memory_per_crossing():
-    # what a built diagram keeps, once the builder is gone: the flat labels,
-    # the dart array and the strands, each dart held once per array
+    # what a built diagram keeps, once the builder is gone: the flat label
+    # and dart arrays and the strands, 4 or 8 bytes per dart each
     spec = CoilSpec(37, 80, 1, 2)
     tracemalloc.start()
     try:
@@ -143,7 +144,7 @@ def test_built_coil_held_memory_per_crossing():
     finally:
         tracemalloc.stop()
     assert d.n_crossings == spec.crossing_count
-    assert held <= 300 * spec.crossing_count
+    assert held <= 120 * spec.crossing_count
 
 
 def test_label_pairing_errors():
@@ -156,6 +157,51 @@ def test_label_pairing_errors():
     # a bool is an int to isinstance, but emit_pd would print it as "True"
     with pytest.raises(EdgePairingError, match="bad edge label True"):
         PlanarDiagram([True, 2, 2, 1])
+
+
+# labels for relabelled built diagrams: sparse, around 2^63 and 2^64 (from
+# 2^64 on, parse_pd keeps them in a tuple), and up to the 2000-digit limit
+_LABEL_VALUES = st.one_of(
+    st.integers(1, 10**6),
+    st.integers(2**63 - 3, 2**63 + 3),
+    st.integers(2**64 - 3, 2**64 + 3),
+    st.integers(2**64, 10**2000 - 1),
+)
+
+
+@st.composite
+def _relabelled(draw):
+    """Flat labels of a built diagram with each edge renamed, and perhaps one
+    dart moved to another edge's label (seen three times, its own once) or to
+    a fresh label (seen once)."""
+    d = draw(_built_diagram())
+    names = draw(st.lists(_LABEL_VALUES, min_size=d.n_edges, max_size=d.n_edges,
+                          unique=True))
+    labels = [names[label - 1] for label in d.labels]
+    if labels and draw(st.booleans()):
+        dart = draw(st.integers(0, len(labels) - 1))
+        labels[dart] = draw(st.one_of(st.sampled_from(labels), _LABEL_VALUES))
+    return labels
+
+
+def _paired(run):
+    """``run()``, or the message of the EdgePairingError it raises."""
+    try:
+        return run()
+    except EdgePairingError as e:
+        return str(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_relabelled())
+def test_parse_pairs_labels_as_the_oracle(labels):
+    want = _paired(lambda: pair_labels(labels))
+    got = _paired(lambda: parse_pd(_pd_text(labels)))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert tuple(got.mate) == want
+        assert tuple(got.labels) == tuple(labels)
 
 
 def test_mate_pairs_edge_labels():
@@ -260,8 +306,19 @@ def test_builder_refuses_wiring_that_is_not_an_involution():
     # would circle 1 -> 3 -> 1 and never return without the check
     b = DiagramBuilder()
     b.crossing()
-    b._peer[:] = [3, 2, 1, 1]
+    b._peer[:] = array(b._peer.typecode, [3, 2, 1, 1])
     with pytest.raises(EdgePairingError, match=r"slot \(0, 3\) is wired to \(0, 1\)"):
+        b.finish()
+
+
+def test_builder_refuses_a_dart_wired_to_itself():
+    # written directly: darts 0 and 2 are their own peers, an involution that
+    # join refuses; the walk from dart 0 turns back at dart 2, so finish
+    # walks more edges than the wiring has and names the first such dart
+    b = DiagramBuilder()
+    b.crossing()
+    b._peer[:] = array(b._peer.typecode, [0, 3, 2, 1])
+    with pytest.raises(EdgePairingError, match=r"cannot wire slot \(0, 0\) to itself"):
         b.finish()
 
 
@@ -445,7 +502,7 @@ def test_finish_maps_builder_darts_onto_the_diagram(build):
 def test_finish_of_the_empty_builder_spends_it():
     b = DiagramBuilder()
     d, final = b.finish()
-    assert d.n_crossings == 0 and final == []
+    assert d.n_crossings == 0 and len(final) == 0
     with pytest.raises(BuilderSpent, match="finished already"):
         b.finish()
 
@@ -458,7 +515,7 @@ def _labelled(mate):
         if not labels[d]:
             edges += 1
             labels[d] = labels[m] = edges
-    return tuple(labels)
+    return array("Q", labels)
 
 
 def _outcome(build):
@@ -479,7 +536,7 @@ def test_corrupted_mate_same_outcome_on_both_paths(d, data):
     b, e = mate[a], mate[c]
     mate[a], mate[c], mate[b], mate[e] = c, a, e, b
     labels = _labelled(mate)
-    fast = _outcome(lambda: PlanarDiagram(labels, _mate=tuple(mate)))
+    fast = _outcome(lambda: PlanarDiagram(labels, _mate=array(d.mate.typecode, mate)))
     full = _outcome(lambda: PlanarDiagram(labels))
     if isinstance(full, tuple):
         assert fast == full
@@ -542,7 +599,7 @@ def test_flipped_strand_rejected_on_both_paths():
     d = parse_pd(TREFOIL)
     turn = [4 * c + s for c in range(d.n_crossings) for s in range(4)]
     turn[0:4] = [2, 3, 0, 1]  # new dart -> old dart (an involution)
-    mate = tuple(turn[d.mate[turn[x]]] for x in range(len(turn)))
+    mate = array(d.mate.typecode, [turn[d.mate[turn[x]]] for x in range(len(turn))])
     labels = tuple(d.labels[t] for t in turn)
     with pytest.raises(EdgePairingError, match="orientation"):
         PlanarDiagram(labels, _mate=mate)

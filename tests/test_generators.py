@@ -212,7 +212,7 @@ def test_fill_non_circle():
     # unhashable value is refused as not a crossing circle, never with a
     # TypeError
     for circle in (*range(d.n_components), None, ["C1"], {"C1": 1}, b"C1"):
-        with pytest.raises(NotACrossingCircle, match="is not a provenance-marked"):
+        with pytest.raises(NotACrossingCircle, match="is not a crossing circle of this diagram"):
             fill_crossing_circle(d, circle, 2)
     assert set(d.circles) == {"C1", "C2"}
     assert set(fill_crossing_circle(d, "C2", 2).circles) == {"C1"}
