@@ -2,8 +2,9 @@
 
 ``DiagramBuilder`` is how every generator makes a diagram: it adds
 crossings, wires their darts, and ``finish`` orients the strands, numbers
-the edges and hands ``diagrams.PlanarDiagram`` its flat arrays.  It is
-also reachable as ``diagrams.DiagramBuilder``.
+the edges into flat arrays and returns the ``diagrams.PlanarDiagram`` of
+those arrays, with the generator's circle passages carried into its darts.
+It is also reachable as ``diagrams.DiagramBuilder``.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ class DiagramBuilder:
     planar order; ``under`` selects which diagonal carries the under-strand
     (0 for slots 0/2, 1 for 1/3).  The wiring ``_peer`` is a flat array of
     C unsigned ints, ``_UNWIRED`` where a dart is not wired yet.  ``finish``
-    orients each component, numbers the edges along the strands, and
-    rotates every crossing so its labels start at the incoming under-strand;
-    it returns the map from builder darts to finished darts so callers can
-    carry the darts they recorded into the finished diagram.
+    orients each component, numbers the edges along the strands, rotates
+    every crossing so its labels start at the incoming under-strand, and
+    carries the circle passages a generator recorded in builder darts into
+    the finished diagram's darts.
 
     ``join`` checks each edge it wires.  A generator that owns fresh
     crossings may write ``_peer`` directly (the coil braid's slices, the
@@ -73,11 +74,15 @@ class DiagramBuilder:
         peer[da] = db
         peer[db] = da
 
-    def finish(self, circles=None):
-        """Return ``(diagram, final)``; builder dart d is diagram dart final[d].
+    def finish(self, circles=None) -> PlanarDiagram:
+        """Return the finished diagram.
 
-        ``circles`` becomes the diagram's ``circles`` as it is; a caller that
-        recorded builder darts in it maps them through ``final``.
+        ``circles`` maps the role of each crossing circle to ``(orient,
+        passages)`` in builder darts.  A passage ``(w, e)`` holds the outer
+        darts of one encircled strand at the circle's two crossings: its edge
+        inside the circle joins ``w ^ 2`` to ``e ^ 2``, and ``w ^ 1`` lies on
+        the circle itself.  The diagram's ``circles`` holds the same passages
+        in finished darts, in a new dict; the caller's dict is left as it is.
         """
         peer, under = self._peer, self._under
         if peer is None:
@@ -99,7 +104,7 @@ class DiagramBuilder:
         # walk that meets a dart wired to itself turns back along its strand,
         # so it walks more than the n/2 edges a valid wiring has.
         turn = [u | 4 for u in under]
-        labels = [0] * n  # by finished dart; a list while the walk writes it
+        labels = _filled(_LABELS, 0, n)  # by finished dart
         mate = _filled(_DARTS, 0, n)
         next_label = 1
         p = 0
@@ -147,8 +152,13 @@ class DiagramBuilder:
             raise EdgePairingError(f"cannot wire slot {divmod(d, 4)} to itself")
         self._peer = self._under = None  # spent: the wiring is read
         del peer, under
-        labels = array(_LABELS, labels)
-        return PlanarDiagram(labels, circles, _mate=mate), _FinalDarts(turn)
+        if circles is not None:  # each passage's builder darts, as finished darts
+            circles = {
+                role: (orient, [(w & -4 | (w - turn[w >> 2]) & 3, e & -4 | (e - turn[e >> 2]) & 3)
+                                for w, e in passages])
+                for role, (orient, passages) in circles.items()
+            }
+        return PlanarDiagram(labels, circles, _mate=mate)
 
 
 def _swap_over(labels, mate, a):
@@ -167,21 +177,3 @@ def _swap_over(labels, mate, a):
         nb = ma ^ 2 if ma | 2 == b else ma
         mate[b] = nb
         mate[nb] = b
-
-
-class _FinalDarts:
-    """The map ``final`` that ``DiagramBuilder.finish`` returns, builder dart
-    -> finished dart, read off each crossing's turn when asked."""
-
-    __slots__ = ("_turn",)
-
-    def __init__(self, turn):
-        self._turn = turn
-
-    def __len__(self):
-        return 4 * len(self._turn)
-
-    def __getitem__(self, d):
-        if not 0 <= d < 4 * len(self._turn):
-            raise IndexError(d)
-        return d & -4 | (d - self._turn[d >> 2]) & 3

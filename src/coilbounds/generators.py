@@ -131,8 +131,7 @@ def gen_two_bridge(c: ContinuedFraction) -> PlanarDiagram:
     """Standard alternating 2-bridge diagram with one twist region per term."""
     check_crossing_count(sum(c.terms), f"two-bridge diagram {c}")
     b, _ = _build_plat(c.terms, with_clasp=False)
-    diagram, _ = b.finish()
-    return diagram
+    return b.finish()
 
 
 def gen_clasped_two_bridge(s: Slope) -> PlanarDiagram:
@@ -149,7 +148,7 @@ def gen_clasped_two_bridge(s: Slope) -> PlanarDiagram:
     c = cfrac_expand(s)
     check_crossing_count(sum(c.terms) + 4, f"clasped two-bridge diagram of {s}")
     b, clasp_info = _build_plat(c.terms, with_clasp=True)
-    return _finish_circles(b, {"clasp": clasp_info})
+    return b.finish({"clasp": clasp_info})
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +236,7 @@ def gen_double_coil(spec: CoilSpec) -> PlanarDiagram:
         if not is_entering_event(ev):
             j = (i + 1) % len(events)
             b.join(port[i], port[j])
-    diagram, _ = b.finish()
+    diagram = b.finish()
     if diagram.n_components != 1:
         raise AssertionError("double coil construction must close to a knot")
     return diagram
@@ -284,23 +283,9 @@ def gen_augmented(s: Slope) -> PlanarDiagram:
         b.join(east[0] + 1, west[0] + 1)
         # outer slots: west faces W, east faces E
         circles[role] = _REGION_ORIENT[region], [(w, e + 2) for w, e in zip(west, east)]
-    diagram = _finish_circles(b, circles)
+    diagram = b.finish(circles)
     if diagram.n_components != 3:
         raise AssertionError("augmented link must have three components")
-    return diagram
-
-
-def _finish_circles(b, circles):
-    """Finish ``b`` and carry the circle passages into the diagram's darts.
-
-    ``circles`` maps each role to ``(orient, passages)``.  A passage
-    ``(w, e)`` holds the outer darts of one encircled strand at the circle's
-    two crossings: its edge inside the circle joins ``w ^ 2`` to ``e ^ 2``,
-    and ``w ^ 1`` lies on the circle itself.
-    """
-    diagram, final = b.finish(circles)
-    for role, (orient, passages) in circles.items():
-        circles[role] = orient, [(final[w], final[e]) for w, e in passages]
     return diagram
 
 
@@ -332,8 +317,6 @@ def fill_crossing_circle(d: PlanarDiagram, circle: str, n: int) -> PlanarDiagram
     )
     deleted = {x >> 2 for rec in recs for x in rec}
     kept = [c for c in range(d.n_crossings) if c not in deleted]
-    if not kept and not n:
-        return PlanarDiagram(())
     mate = d.mate
     b = DiagramBuilder()
     b.crossings(len(kept))
@@ -362,4 +345,4 @@ def fill_crossing_circle(d: PlanarDiagram, circle: str, n: int) -> PlanarDiagram
 
     for role, (other_orient, passages) in circles.items():
         circles[role] = other_orient, [(new[w], new[e]) for w, e in passages]
-    return _finish_circles(b, circles)
+    return b.finish(circles)

@@ -124,11 +124,12 @@ def _peak_bytes(run):
 def test_big_coil_peak_memory_per_crossing():
     # 18 960 crossings: large enough that the dart arrays, not fixed costs,
     # set the peak.  The builder's wiring and the finished diagram are flat
-    # arrays, the walk in finish writes the finished arrays directly, and
-    # parsing reads the labels into one array and pairs them through another.
+    # arrays, the walk in finish writes the finished label and dart arrays
+    # in place, and parsing reads the labels into one array and pairs them
+    # through another.
     spec = CoilSpec(37, 80, 1, 2)
     crossings = spec.crossing_count
-    assert _peak_bytes(lambda: gen_double_coil(spec)) <= 250 * crossings
+    assert _peak_bytes(lambda: gen_double_coil(spec)) <= 130 * crossings
     text = emit_pd(gen_double_coil(spec))
     assert _peak_bytes(lambda: verify_pd_text(text)) <= 200 * crossings
 
@@ -458,19 +459,30 @@ def test_twist_region_count_on_every_plat_to_q_60():
                 assert d.n_twist_regions == len(twist_regions(d)), (p, q)
 
 
+_MAP = "builder darts"  # a circle role no generator lays
+
+
 def _finishes(build):
     """Run ``build()``; return, for every ``finish`` it calls, the builder's
-    wiring and under diagonals copied before the call, and what it returned."""
+    wiring and under diagonals copied before the call, the diagram, and the
+    map ``final`` from builder darts to diagram darts.  The map is read
+    through ``circles``, as generators read it: one more role holds the
+    passage ``(x, x)`` for every builder dart x, and it is removed before
+    ``build`` sees the diagram."""
     calls = []
     real = DiagramBuilder.finish
 
     def finish(b, circles=None):
         peer, under = list(b._peer), list(b._under)
-        result = real(b, circles)
+        darts = [(x, x) for x in range(len(peer))]
+        d = real(b, {**(circles or {}), _MAP: (1, darts)})
         with pytest.raises(BuilderSpent):
             real(b, circles)
-        calls.append((peer, under, *result))
-        return result
+        _, passages = d.circles.pop(_MAP)
+        final = [w for w, _ in passages]
+        assert final == [e for _, e in passages]
+        calls.append((peer, under, d, final))
+        return d
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(DiagramBuilder, "finish", finish)
@@ -501,8 +513,8 @@ def test_finish_maps_builder_darts_onto_the_diagram(build):
 
 def test_finish_of_the_empty_builder_spends_it():
     b = DiagramBuilder()
-    d, final = b.finish()
-    assert d.n_crossings == 0 and len(final) == 0
+    d = b.finish()
+    assert d.n_crossings == 0 and d.circles == {}
     with pytest.raises(BuilderSpent, match="finished already"):
         b.finish()
 
@@ -587,7 +599,7 @@ def test_builder_copy_round_trips():
     d = parse_pd(FIGURE8)
     b = DiagramBuilder()
     _builder_copy(b, d)
-    again, _ = b.finish()
+    again = b.finish()
     assert again.n_crossings == 4 and again.n_components == 1
     assert len(trace_faces(again)) == again.n_faces == 6
 

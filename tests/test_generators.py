@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import time
 from math import gcd
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coilbounds import slopes
-from coilbounds.diagrams import DiagramBuilder, emit_pd
+from coilbounds.diagrams import DiagramBuilder, emit_pd, verify_pd_text
 from coilbounds.errors import NotACrossingCircle, NotAKnot, TooManyCrossings
 from coilbounds.generators import (
     CoilSpec,
@@ -198,6 +199,40 @@ def test_fill_zero_deletes_circle():
     # the deleted circle had 2q = 4 crossings; nothing else changes
     assert f.n_crossings == 4
     assert f.n_components == 2
+
+
+def test_fill_both_circles_with_zero_is_the_empty_diagram():
+    # the second fill keeps no crossing and lays no braid: finish on the
+    # empty builder gives the diagram of the empty PD text
+    for p, q in coprime_pairs(8):
+        d = gen_augmented(Slope(p, q))
+        for first, second in (("C1", "C2"), ("C2", "C1")):
+            f = fill_crossing_circle(fill_crossing_circle(d, first, 0), second, 0)
+            assert emit_pd(f) == ""
+            assert f.circles == {}
+            assert verify_pd_text(emit_pd(f)) == verify_pd_text("")
+
+
+def test_finish_neither_rewrites_nor_keeps_the_callers_circles():
+    calls = []
+    real = DiagramBuilder.finish
+
+    def finish(b, circles=None):
+        before = copy.deepcopy(circles)
+        d = real(b, circles)
+        calls.append((circles, before, d))
+        return d
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DiagramBuilder, "finish", finish)
+        d = gen_augmented(Slope(3, 7))
+        fill_crossing_circle(gen_clasped_two_bridge(Slope(3, 7)), "clasp", 2)
+        fill_crossing_circle(d, "C1", -1)
+    assert len(calls) == 4
+    for circles, before, d in calls:
+        assert circles == before
+        assert d.circles is not circles
+        assert set(d.circles) == set(circles)
 
 
 def test_fill_non_circle():
