@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from array import array
 
-from .diagrams import _DARTS, _LABELS, _UNWIRED, PlanarDiagram, _filled
+from .diagrams import _DARTS, _UNWIRED, PlanarDiagram, _filled
 from .errors import BuilderSpent, EdgePairingError, NonQuadrivalent
 
 __all__ = ["DiagramBuilder"]
 
 _UNWIRED_DART = array(_DARTS, (_UNWIRED,))
+_GUESS = bytes.maketrans(b"\0\1", b"\4\5")  # under diagonal u -> the guessed turn u + 4
 
 
 class DiagramBuilder:
@@ -25,11 +26,12 @@ class DiagramBuilder:
     Positions are darts ``4*crossing + slot``, slots in counterclockwise
     planar order; ``under`` selects which diagonal carries the under-strand
     (0 for slots 0/2, 1 for 1/3).  The wiring ``_peer`` is a flat array of
-    C unsigned ints, ``_UNWIRED`` where a dart is not wired yet.  ``finish``
-    orients each component, numbers the edges along the strands, rotates
-    every crossing so its labels start at the incoming under-strand, and
-    carries the circle passages a generator recorded in builder darts into
-    the finished diagram's darts.
+    C unsigned ints, ``_UNWIRED`` where a dart is not wired yet, and the
+    under diagonals ``_under`` are a ``bytearray``, a byte per crossing.
+    ``finish`` orients each component, numbers the edges along the strands,
+    rotates every crossing so its labels start at the incoming under-strand,
+    and carries the circle passages a generator recorded in builder darts
+    into the finished diagram's darts.
 
     ``join`` checks each edge it wires.  A generator that owns fresh
     crossings may write ``_peer`` directly (the coil braid's slices, the
@@ -46,7 +48,7 @@ class DiagramBuilder:
 
     def __init__(self):
         self._peer = array(_DARTS)  # dart -> dart, _UNWIRED while unwired
-        self._under: list[int] = []
+        self._under = bytearray()  # crossing -> its under diagonal
 
     def crossings(self, count: int, under: int = 0) -> range:
         """Add ``count`` crossings with the same under diagonal; return their ids."""
@@ -54,7 +56,7 @@ class DiagramBuilder:
             raise NonQuadrivalent("under diagonal must be 0 or 1")
         first = len(self._under)
         self._peer += _UNWIRED_DART * (4 * count)
-        self._under += [under] * count
+        self._under += bytes((under,)) * count
         return range(first, first + count)
 
     def crossing(self, under: int = 0) -> int:
@@ -102,13 +104,15 @@ class DiagramBuilder:
         # is an involution on every walked edge brings each walk back to its
         # start, so a bad wiring raises here instead of walking forever.  A
         # walk that meets a dart wired to itself turns back along its strand,
-        # so it walks more than the n/2 edges a valid wiring has.
-        turn = [u | 4 for u in under]
-        labels = _filled(_LABELS, 0, n)  # by finished dart
+        # so it walks more than the n/2 edges a valid wiring has; until a walk
+        # turns back, the walks are done once they have numbered n/2 edges.
+        turn = under.translate(_GUESS)
+        labels = _filled(_DARTS, 0, n)  # by finished dart
         mate = _filled(_DARTS, 0, n)
         next_label = 1
         p = 0
-        while True:
+        turned_back = False
+        while next_label <= n // 2 or turned_back:
             try:
                 p = labels.index(0, p)  # finished darts are labelled as they are walked
             except ValueError:
@@ -142,11 +146,13 @@ class DiagramBuilder:
                 po = pos ^ 2
                 out = d ^ 2  # slot s + 2 of the same crossing
                 d = peer[out]
-                if peer[d] != out:
-                    raise EdgePairingError(
-                        f"slot {divmod(out, 4)} is wired to {divmod(d, 4)}, "
-                        f"which is wired to {divmod(peer[d], 4)}"
-                    )
+                if peer[d] != out or d == out:  # not wired back, or wired to itself
+                    if d != out:
+                        raise EdgePairingError(
+                            f"slot {divmod(out, 4)} is wired to {divmod(d, 4)}, "
+                            f"which is wired to {divmod(peer[d], 4)}"
+                        )
+                    turned_back = True
         if next_label - 1 != n // 2:  # some walk turned back: a dart is its own peer
             d = next(d for d in range(n) if peer[d] == d)
             raise EdgePairingError(f"cannot wire slot {divmod(d, 4)} to itself")

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
+from itertools import chain
 
 from . import __version__
 from .errors import CoilboundsError
@@ -39,12 +41,9 @@ def _round_floats(obj, precision):
     return obj
 
 
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(pieces, out_path):
+    with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
+        fh.writelines(pieces)
 
 
 class _UsageError(Exception):
@@ -163,7 +162,7 @@ def _cmd_curve(args):
 
 
 def _cmd_gen(args):
-    from .diagrams import emit_pd
+    from .diagrams import pd_pieces
     from .generators import (
         gen_augmented,
         gen_clasped_two_bridge,
@@ -204,7 +203,7 @@ def _cmd_gen(args):
 
         with open(args.svg, "w") as fh:
             fh.write(render_svg(d))
-    _emit(emit_pd(d) + "\n", args.out)
+    _emit(chain(pd_pieces(d), "\n"), args.out)
     return 0
 
 
@@ -214,8 +213,8 @@ def _cmd_bounds(args):
     from .bounds import bound_report
 
     report = bound_report(_coil_spec(args))
-    text = json.dumps(_round_floats(report, args.precision), indent=2) + "\n"
-    _emit(text, args.out)
+    text = json.dumps(_round_floats(report, args.precision), indent=2)
+    _emit((text, "\n"), args.out)
     return 0
 
 
@@ -229,9 +228,9 @@ def _cmd_family(args):
     report = analyze_family(fam)
     if args.format == "json":
         data = _round_floats(report, args.precision)
-        _emit(json.dumps(data, indent=2) + "\n", args.out)
+        _emit((json.dumps(data, indent=2), "\n"), args.out)
     else:
-        _emit(report_to_csv(report, args.precision), args.out)
+        _emit((report_to_csv(report, args.precision),), args.out)
     return 0
 
 
@@ -267,7 +266,7 @@ def _cmd_render(args):
 
     with open(args.pdfile) as fh:
         d = parse_pd(fh.read())
-    _emit(render_svg(d), args.svg)
+    _emit((render_svg(d),), args.svg)
     return 0
 
 

@@ -40,14 +40,16 @@ __all__ = [
     "DiagramBuilder",
     "parse_pd",
     "emit_pd",
+    "pd_pieces",
     "verify_pd_text",
 ]
 
-# Typecodes of the flat arrays: darts in C unsigned ints (4 * MAX_CROSSINGS
-# of them fit many times over), edge labels in unsigned 64-bit ints.  Unsigned
-# typecodes, because array stores them faster than signed ones.
+# Typecode of the flat arrays, darts and edge labels alike: C unsigned ints.
+# 4 * MAX_CROSSINGS darts fit many times over, and so does every label a
+# builder numbers (at most half the darts); a parsed label of 2^32 or more
+# keeps the labels in a tuple.  Unsigned, because array stores those faster
+# than signed ones.
 _DARTS = "I"
-_LABELS = "Q"
 _UNWIRED = (1 << 8 * array(_DARTS).itemsize) - 1  # no dart: the largest C unsigned int
 
 
@@ -56,9 +58,9 @@ class PlanarDiagram:
 
     ``labels`` and ``mate`` are flat arrays indexed by dart: ``labels[4*c + s]``
     names the edge leaving crossing ``c`` at slot ``s``, and ``mate[4*c + s]``
-    is that edge's other end.  ``mate`` is an ``array`` of C unsigned ints;
-    ``labels`` is an ``array`` of unsigned 64-bit ints, or a tuple of Python
-    ints when some label is 2^64 or more (PD labels may have 2000 digits).
+    is that edge's other end.  Both are ``array``s of C unsigned ints, except
+    that ``labels`` is a tuple of Python ints when some label is 2^32 or more
+    (PD labels may have 2000 digits).
     ``strands[k]`` is an array of the darts at which link component k enters
     its crossings, in walk order; a component passes through each entering
     dart x and its exit x ^ 2.  ``circles`` maps the
@@ -85,9 +87,9 @@ class PlanarDiagram:
                 if type(label) is not int or label < 1:
                     raise EdgePairingError(f"bad edge label {label!r}")
             try:
-                labels = array(_LABELS, labels)
+                labels = array(_DARTS, labels)
             except OverflowError:
-                pass  # a label of 2^64 or more: keep the tuple
+                pass  # a label of 2^32 or more: keep the tuple
             _mate = _pair_labels(labels)
         self.mate = _mate
         self.labels = labels
@@ -146,7 +148,7 @@ class PlanarDiagram:
                 for d in strand:
                     comp[d] = comp[d ^ 2] = k
             # darts 4c and 4c + 1 lie on the two strands through crossing c
-            merges = _union_find(len(strands), zip(comp[0::4], comp[1::4]))
+            merges = _union_find(zip(comp[0::4], comp[1::4]))
             if merges < len(strands) - 1:
                 raise NonPlanarRotation("diagram is split (underlying graph disconnected)")
         return tuple(strands)
@@ -157,7 +159,8 @@ class PlanarDiagram:
         # each of its bigons joins the same two crossings.  Its table is the
         # dart array shifted by one, slot 3 turning back to slot 0.
         mate = self.mate
-        turn = mate[1:] + mate[:1]
+        turn = mate[1:]
+        turn.extend(mate[:1])
         turn[3::4] = mate[0::4]
         seen = bytearray(len(turn))
         count = 0
@@ -210,8 +213,7 @@ class PlanarDiagram:
         """The number of twist regions: maximal chains of crossings joined
         by bigon faces.  A crossing adjacent to no bigon (or only to a bigon
         folding back onto itself) is a region by itself."""
-        v = self.n_crossings
-        return v - _union_find(v, self._bigons)
+        return self.n_crossings - _union_find(self._bigons)
 
     def __repr__(self):
         return f"<PlanarDiagram {self.n_crossings} crossings, {self.n_components} components>"
@@ -222,16 +224,19 @@ def _filled(typecode, value, count):
     return array(typecode, (value,)) * count
 
 
-def _union_find(n, pairs):
-    """Join every pair in a union-find over 0..n-1; return the number of
-    pairs that joined two classes, so n minus that many classes remain."""
-    parent = list(range(n))
+def _union_find(pairs):
+    """Join every pair in a union-find; return the number of pairs that
+    joined two classes, so over n elements n minus that many classes remain.
+    Only the elements the pairs name are held, not all n."""
+    parent = {}  # each joined element's parent; a root has no entry
 
     def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+        root = a
+        while root in parent:
+            root = parent[root]
+        while a != root:  # point the path walked at its root
+            parent[a], a = root, parent[a]
+        return root
 
     merges = 0
     for a, b in pairs:
@@ -308,8 +313,8 @@ def parse_pd(text: str) -> PlanarDiagram:
         terms = sum(1 for _ in islice(_WORD.finditer(text), cap + 1))
         slopes.check_crossing_count(terms, "PD code")
     try:
-        labels = array(_LABELS, map(int, chain.from_iterable(_term_labels(text))))
-    except OverflowError:  # a label of 2^64 or more: read them all as Python ints
+        labels = array(_DARTS, map(int, chain.from_iterable(_term_labels(text))))
+    except OverflowError:  # a label of 2^32 or more: read them all as Python ints
         labels = tuple(map(int, chain.from_iterable(_term_labels(text))))
     return PlanarDiagram(labels, _mate=_pair_labels(labels))
 
@@ -349,11 +354,20 @@ def _quote(token: str) -> str:
 
 
 def emit_pd(d: PlanarDiagram) -> str:
+    return "".join(pd_pieces(d))
+
+
+def pd_pieces(d: PlanarDiagram):
+    """The PD text of ``d`` in pieces that join to ``emit_pd(d)``: chunks of
+    terms and the spaces between them, so that a writer holds one chunk at a
+    time, neither a string per crossing nor the whole text."""
     terms = iter(d.labels)  # four reads of one iterator take one crossing's labels
     terms = map("X({},{},{},{})".format, terms, terms, terms, terms)
-    # join the terms a chunk at a time, so that no list holds a string per crossing
-    chunks = iter(lambda: " ".join(islice(terms, _EMIT_CHUNK)), "")
-    return " ".join(chunks)
+    space = ""
+    while chunk := " ".join(islice(terms, _EMIT_CHUNK)):
+        yield space
+        yield chunk
+        space = " "
 
 
 _EMIT_CHUNK = 1 << 12  # terms per chunk of emitted text

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from math import gcd
 from pathlib import Path
 
@@ -13,10 +14,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import coilbounds
+import coilbounds.diagrams
+import coilbounds.generators
 from coilbounds.cli import main
-from coilbounds.diagrams import parse_pd
+from coilbounds.diagrams import PlanarDiagram, emit_pd, parse_pd
 from coilbounds.errors import ConfigError
 from coilbounds.family import fibonacci_slopes, load_family_config
+from coilbounds.generators import CoilSpec, gen_double_coil
 
 
 def run(capsys, *argv):
@@ -523,6 +527,50 @@ def test_gen_determinism(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+_COIL = ("gen", "coil", "--p", "2", "--q", "5", "--n1", "1", "--n2", "1")
+
+
+def _gen_coil_returning(monkeypatch, d):
+    """Make ``gen coil`` write the prebuilt diagram ``d``."""
+    monkeypatch.setattr(coilbounds.generators, "gen_double_coil", lambda spec: d)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 8, 1 << 12])
+@pytest.mark.parametrize("crossings", [0, 40])
+def test_gen_streams_the_pd_text(tmp_path, monkeypatch, capsys, chunk, crossings):
+    # the PD text goes out a chunk of terms at a time, to a file or to
+    # stdout; either way it is emit_pd's text and a newline, for the empty
+    # diagram, a text of whole chunks (40 terms by 8) and a ragged last chunk
+    d = gen_double_coil(CoilSpec(2, 5, 1, 1)) if crossings else PlanarDiagram(())
+    assert d.n_crossings == crossings
+    _gen_coil_returning(monkeypatch, d)
+    monkeypatch.setattr(coilbounds.diagrams, "_EMIT_CHUNK", chunk)
+    want = emit_pd(d) + "\n"
+    pd_file = tmp_path / "d.pd"
+    code, out, _ = run(capsys, *_COIL, "--out", str(pd_file))
+    assert code == 0 and out == ""
+    assert pd_file.read_text() == want
+    code, out, _ = run(capsys, *_COIL)
+    assert code == 0 and out == want
+
+
+def test_gen_streaming_memory_does_not_grow_with_the_diagram(tmp_path, monkeypatch):
+    # writing the PD text of coils 4x apart in size peaks at about one chunk
+    # of terms either way; building the whole text would peak 4x higher
+    peaks = []
+    for spec in (CoilSpec(37, 80, 1, 2), CoilSpec(37, 80, 6, 6)):
+        _gen_coil_returning(monkeypatch, gen_double_coil(spec))
+        tracemalloc.start()
+        try:
+            assert main([*_COIL, "--out", str(tmp_path / "d.pd")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    small, big = peaks
+    assert big < 1.5 * small
 
 
 def test_family_csv_and_json(tmp_path, capsys):

@@ -124,19 +124,20 @@ def _peak_bytes(run):
 def test_big_coil_peak_memory_per_crossing():
     # 18 960 crossings: large enough that the dart arrays, not fixed costs,
     # set the peak.  The builder's wiring and the finished diagram are flat
-    # arrays, the walk in finish writes the finished label and dart arrays
-    # in place, and parsing reads the labels into one array and pairs them
-    # through another.
+    # arrays of 4-byte ints and its scratch a byte per crossing, the walk in
+    # finish writes the finished label and dart arrays in place, parsing
+    # reads the labels into one array and pairs them through another, and
+    # neither the faces nor the twist regions copy the dart array twice.
     spec = CoilSpec(37, 80, 1, 2)
     crossings = spec.crossing_count
-    assert _peak_bytes(lambda: gen_double_coil(spec)) <= 130 * crossings
+    assert _peak_bytes(lambda: gen_double_coil(spec)) <= 80 * crossings
     text = emit_pd(gen_double_coil(spec))
-    assert _peak_bytes(lambda: verify_pd_text(text)) <= 200 * crossings
+    assert _peak_bytes(lambda: verify_pd_text(text)) <= 80 * crossings
 
 
 def test_built_coil_held_memory_per_crossing():
     # what a built diagram keeps, once the builder is gone: the flat label
-    # and dart arrays and the strands, 4 or 8 bytes per dart each
+    # and dart arrays and the strands, 4 bytes per dart each
     spec = CoilSpec(37, 80, 1, 2)
     tracemalloc.start()
     try:
@@ -145,7 +146,7 @@ def test_built_coil_held_memory_per_crossing():
     finally:
         tracemalloc.stop()
     assert d.n_crossings == spec.crossing_count
-    assert held <= 120 * spec.crossing_count
+    assert held <= 48 * spec.crossing_count
 
 
 def test_label_pairing_errors():
@@ -160,10 +161,11 @@ def test_label_pairing_errors():
         PlanarDiagram([True, 2, 2, 1])
 
 
-# labels for relabelled built diagrams: sparse, around 2^63 and 2^64 (from
-# 2^64 on, parse_pd keeps them in a tuple), and up to the 2000-digit limit
+# labels for relabelled built diagrams: sparse, around 2^32 (from 2^32 on,
+# parse_pd keeps them in a tuple), 2^63 and 2^64, and up to the 2000-digit limit
 _LABEL_VALUES = st.one_of(
     st.integers(1, 10**6),
+    st.integers(2**32 - 3, 2**32 + 3),
     st.integers(2**63 - 3, 2**63 + 3),
     st.integers(2**64 - 3, 2**64 + 3),
     st.integers(2**64, 10**2000 - 1),
@@ -203,6 +205,18 @@ def test_parse_pairs_labels_as_the_oracle(labels):
     else:
         assert tuple(got.mate) == want
         assert tuple(got.labels) == tuple(labels)
+
+
+@pytest.mark.parametrize("big, kept", [(2**32 - 1, array), (2**32, tuple)])
+def test_labels_stay_an_array_below_2_to_the_32(big, kept):
+    # the trefoil with its label 5 renamed: the largest label a C unsigned
+    # int holds keeps the flat array, one more falls back to Python ints
+    labels = [big if label == 5 else label for label in parse_pd(TREFOIL).labels]
+    text = _pd_text(labels)
+    for d in (parse_pd(text), PlanarDiagram(labels)):
+        assert type(d.labels) is kept
+        assert emit_pd(d) == text
+    assert verify_pd_text(text) == verify_pd_text(TREFOIL)
 
 
 def test_mate_pairs_edge_labels():
@@ -527,7 +541,7 @@ def _labelled(mate):
         if not labels[d]:
             edges += 1
             labels[d] = labels[m] = edges
-    return array("Q", labels)
+    return array("I", labels)
 
 
 def _outcome(build):
