@@ -17,7 +17,6 @@ from .errors import BuilderSpent, EdgePairingError, NonQuadrivalent
 __all__ = ["DiagramBuilder"]
 
 _UNWIRED_DART = array(_DARTS, (_UNWIRED,))
-_GUESS = bytes.maketrans(b"\0\1", b"\4\5")  # under diagonal u -> the guessed turn u + 4
 
 
 class DiagramBuilder:
@@ -28,10 +27,11 @@ class DiagramBuilder:
     (0 for slots 0/2, 1 for 1/3).  The wiring ``_peer`` is a flat array of
     C unsigned ints, ``_UNWIRED`` where a dart is not wired yet, and the
     under diagonals ``_under`` are a ``bytearray``, a byte per crossing.
-    ``finish`` orients each component, numbers the edges along the strands,
-    rotates every crossing so its labels start at the incoming under-strand,
-    and carries the circle passages a generator recorded in builder darts
-    into the finished diagram's darts.
+    ``finish`` walks the strands twice: the first walk checks the wiring and
+    turns every crossing so its labels start at the incoming under-strand,
+    the second numbers the edges along the strands.  It carries the circle
+    passages a generator recorded in builder darts into the finished
+    diagram's darts.
 
     ``join`` checks each edge it wires.  A generator that owns fresh
     crossings may write ``_peer`` directly (the coil braid's slices, the
@@ -41,7 +41,7 @@ class DiagramBuilder:
 
     A builder is spent after ``finish``: once the checks pass, ``finish``
     releases ``_peer`` and ``_under``, so the wiring is freed as soon as the
-    walk that reads it has written the diagram's arrays.  A caller that keeps
+    walks that read it have written the diagram's arrays.  A caller that keeps
     a reference to ``_peer`` across the call keeps it alive.  Finishing a
     spent builder raises ``BuilderSpent``.
     """
@@ -77,7 +77,9 @@ class DiagramBuilder:
         peer[db] = da
 
     def finish(self, circles=None) -> PlanarDiagram:
-        """Return the finished diagram.
+        """Return the finished diagram, in two walks over the strands: the
+        first checks every edge and turns each crossing, the second numbers
+        the edges and writes the diagram's arrays.
 
         ``circles`` maps the role of each crossing circle to ``(orient,
         passages)`` in builder darts.  A passage ``(w, e)`` holds the outer
@@ -93,69 +95,60 @@ class DiagramBuilder:
         if _UNWIRED in peer:
             raise EdgePairingError(f"slot {divmod(peer.index(_UNWIRED), 4)} left dangling")
 
-        # Walk every strand once, numbering its edges in walk order, and write
-        # each edge straight into the finished diagram.  Crossing c is turned
-        # turn[c] slots, so that its labels start at the incoming under-strand:
-        # builder dart d is finished dart d & -4 | (d - turn[d >> 2]) & 3.  The
-        # first walk along c's under diagonal fixes turn[c]; until then it is
-        # c's under diagonal plus 4, a guess that puts the over-strand at
-        # slots 1 and 3 and that _swap_over corrects if it is half a turn out.
-        # Each edge is checked from the end it is walked out of: wiring that
-        # is an involution on every walked edge brings each walk back to its
-        # start, so a bad wiring raises here instead of walking forever.  A
-        # walk that meets a dart wired to itself turns back along its strand,
-        # so it walks more than the n/2 edges a valid wiring has; until a walk
-        # turns back, the walks are done once they have numbered n/2 edges.
-        turn = under.translate(_GUESS)
-        labels = _filled(_DARTS, 0, n)  # by finished dart
-        mate = _filled(_DARTS, 0, n)
-        next_label = 1
-        p = 0
+        # Pass 1 orients.  It walks each strand from the first dart not walked
+        # yet and checks each edge from the end it is walked out of, so a bad
+        # wiring raises here instead of walking forever.  Crossing c is turned
+        # turn[c] slots, the slot where a walk enters its under diagonal (once
+        # in a valid wiring), so builder dart d is finished dart d & -4 |
+        # (d - turn[d >> 2]) & 3.  A walk that meets a dart wired to itself
+        # turns back and still ends; the first such dart is named after pass 1.
+        turn = bytearray(under)  # the under diagonal's parity, until walked
+        walked = bytearray(n)
+        starts = []
         turned_back = False
-        while next_label <= n // 2 or turned_back:
-            try:
-                p = labels.index(0, p)  # finished darts are labelled as they are walked
-            except ValueError:
-                break
-            for start in range(p & -4, (p & -4) + 4):  # the first dart not walked yet
-                if not labels[start & -4 | (start - turn[p >> 2]) & 3]:
-                    break
+        start = walked.find(0)
+        while start >= 0:
+            starts.append(start)
             d = start
-            po = -1  # the finished dart the walk left by; none before the start
             while True:
-                t = turn[d >> 2]
-                if t > 3 and not (d ^ t) & 1:  # the first walk along this under diagonal
-                    turn[d >> 2] = d & 3
-                    pos = d & -4
-                    if po >= 0:
-                        labels[po] = labels[pos] = next_label
-                        mate[po] = pos
-                        mate[pos] = po
-                        next_label += 1
-                    if d & 3 != t & 3 and (labels[pos + 1] or labels[pos + 3]):
-                        _swap_over(labels, mate, pos + 1)
-                else:
-                    pos = d & -4 | (d - t) & 3
-                    if po >= 0:
-                        labels[po] = labels[pos] = next_label
-                        mate[po] = pos
-                        mate[pos] = po
-                        next_label += 1
-                        if d == start:
-                            break
-                po = pos ^ 2
+                c = d >> 2
+                if not (d ^ turn[c]) & 1:  # entering c's under diagonal
+                    turn[c] = d & 3
                 out = d ^ 2  # slot s + 2 of the same crossing
+                walked[d] = walked[out] = 1
                 d = peer[out]
-                if peer[d] != out or d == out:  # not wired back, or wired to itself
-                    if d != out:
-                        raise EdgePairingError(
-                            f"slot {divmod(out, 4)} is wired to {divmod(d, 4)}, "
-                            f"which is wired to {divmod(peer[d], 4)}"
-                        )
+                if peer[d] != out:  # not wired back
+                    raise EdgePairingError(
+                        f"slot {divmod(out, 4)} is wired to {divmod(d, 4)}, "
+                        f"which is wired to {divmod(peer[d], 4)}"
+                    )
+                if d == out:  # wired to itself: the walk turns back
                     turned_back = True
-        if next_label - 1 != n // 2:  # some walk turned back: a dart is its own peer
+                if d == start:
+                    break
+            start = walked.find(0, start)
+        del walked
+        if turned_back:
             d = next(d for d in range(n) if peer[d] == d)
             raise EdgePairingError(f"cannot wire slot {divmod(d, 4)} to itself")
+
+        # Pass 2 numbers the edges in walk order, straight into finished darts.
+        labels = _filled(_DARTS, 0, n)  # by finished dart
+        mate = _filled(_DARTS, 0, n)
+        label = 0
+        for start in starts:
+            d = start
+            pos = d & -4 | (d - turn[d >> 2]) & 3
+            while True:
+                po = pos ^ 2  # the finished dart the walk leaves by
+                d = peer[d ^ 2]
+                pos = d & -4 | (d - turn[d >> 2]) & 3
+                label += 1
+                labels[po] = labels[pos] = label
+                mate[po] = pos
+                mate[pos] = po
+                if d == start:
+                    break
         self._peer = self._under = None  # spent: the wiring is read
         del peer, under
         if circles is not None:  # each passage's builder darts, as finished darts
@@ -165,21 +158,3 @@ class DiagramBuilder:
                 for role, (orient, passages) in circles.items()
             }
         return PlanarDiagram(labels, circles, _mate=mate)
-
-
-def _swap_over(labels, mate, a):
-    """Swap the over-strand slots a and a ^ 2 of one crossing, labels and
-    wiring, as far as they are written: an edge is moved with its end, and
-    an end at either slot moves too."""
-    b = a ^ 2
-    la, lb = labels[a], labels[b]
-    ma, mb = mate[a], mate[b]
-    labels[a], labels[b] = lb, la
-    if lb:
-        na = mb ^ 2 if mb | 2 == b else mb
-        mate[a] = na
-        mate[na] = a
-    if la:
-        nb = ma ^ 2 if ma | 2 == b else ma
-        mate[b] = nb
-        mate[nb] = b

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from array import array
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 from . import slopes
 from .errors import (
@@ -252,7 +252,7 @@ def _pair_labels(labels):
 
     The first dart of each label is kept in a dense array indexed by label;
     labels that are not all within 1..n/2 (n darts) are first renumbered by
-    rank, so one pass pairs every text.
+    rank from 0, so one pass pairs every text.
     """
     n = len(labels)
     keys = labels
@@ -261,8 +261,8 @@ def _pair_labels(labels):
         from bisect import bisect_left
 
         distinct = sorted(set(labels))
-        keys = array(_DARTS, [bisect_left(distinct, label) + 1 for label in labels])
-        top = len(distinct)
+        keys = array(_DARTS, map(bisect_left, repeat(distinct), labels))
+        top = len(distinct) - 1
     first = _filled(_DARTS, _UNWIRED, top + 1)  # key -> its first dart
     mate = _filled(_DARTS, _UNWIRED, n)
     for d, key in enumerate(keys):
@@ -304,19 +304,26 @@ def parse_pd(text: str) -> PlanarDiagram:
     term is read or split off, so refusing it costs no more than the text.
     A label is 1 to ``MAX_DIGITS`` ASCII digits, not all zeros; anything
     else is a ``PDSyntaxError``, which quotes the start of the bad term.
-    The terms are read in one lazy pass straight into a flat label array,
-    and the labels with their pairing are handed to ``PlanarDiagram`` as
+    The terms are read in one lazy pass straight into a flat label array
+    (from a label of 2^32 or more on, into a tuple of Python ints), and
+    the labels with their pairing are handed to ``PlanarDiagram`` as
     ``DiagramBuilder.finish`` hands over its wiring.
     """
     cap = slopes.MAX_CROSSINGS
     if len(text) > 2 * cap:  # a shorter text holds at most cap terms
         terms = sum(1 for _ in islice(_WORD.finditer(text), cap + 1))
         slopes.check_crossing_count(terms, "PD code")
+    ints = map(int, chain.from_iterable(_term_labels(text)))
+    labels = array(_DARTS)
     try:
-        labels = array(_DARTS, map(int, chain.from_iterable(_term_labels(text))))
-    except OverflowError:  # a label of 2^32 or more: read them all as Python ints
-        labels = tuple(map(int, chain.from_iterable(_term_labels(text))))
+        while chunk := tuple(islice(ints, _READ_CHUNK)):
+            labels += array(_DARTS, chunk)
+    except OverflowError:  # a label of 2^32 or more: go on in Python ints
+        labels = (*labels, *chunk, *ints)
     return PlanarDiagram(labels, _mate=_pair_labels(labels))
+
+
+_READ_CHUNK = 1 << 10  # labels read into a tuple at a time
 
 
 def _term_labels(text):

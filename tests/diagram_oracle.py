@@ -9,6 +9,9 @@ counterclockwise.  ``twist_regions`` joins the crossings of those traced
 faces' bigons.  ``strand_labels`` names each strand of ``d.strands`` by the
 edge labels it leaves along, and ``component_map`` names the strand
 through every dart.
+
+``finish_by_rotation`` is the reference for ``DiagramBuilder.finish``: it
+numbers the edges in builder darts and rotates the crossings only at the end.
 """
 
 from collections import Counter
@@ -97,6 +100,45 @@ def component_map(d):
         for x in strand:
             comp[x] = comp[x ^ 2] = k
     return comp
+
+
+def finish_by_rotation(peer, under, circles=None):
+    """Reference ``DiagramBuilder.finish`` of a valid wiring: the finished
+    ``(labels, mate, circles)``, as lists and a dict.
+
+    Each walk starts at the first builder dart no walk has labelled yet and
+    numbers the edges it leaves by, the first leaving the start's crossing.
+    Only then is every crossing rotated so that slot 0 is the slot at which
+    its under-strand enters, ``under[c]`` or ``under[c] + 2``.
+    """
+    n = len(peer)
+    label_of = [0] * n  # by builder dart
+    enter = [None] * (n // 4)  # crossing -> the slot its under-strand enters at
+    label = 0
+    for start in range(n):
+        if label_of[start]:
+            continue
+        dart = start
+        while True:
+            c, slot = divmod(dart, 4)
+            if slot % 2 == under[c]:
+                enter[c] = slot
+            out = 4 * c + (slot + 2) % 4
+            dart = peer[out]
+            label += 1
+            label_of[out] = label_of[dart] = label
+            if dart == start:
+                break
+    final = [4 * (x // 4) + (x - enter[x // 4]) % 4 for x in range(n)]
+    labels, mate = [0] * n, [0] * n
+    for x in range(n):
+        labels[final[x]] = label_of[x]
+        mate[final[x]] = final[peer[x]]
+    circles = {
+        role: (orient, [(final[w], final[e]) for w, e in passages])
+        for role, (orient, passages) in (circles or {}).items()
+    }
+    return labels, mate, circles
 
 
 def coil_braid_by_joins(b, q, n_signed):

@@ -6,7 +6,7 @@ from array import array
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coilbounds import slopes
+from coilbounds import diagrams, slopes
 from coilbounds.diagrams import (
     DiagramBuilder,
     PlanarDiagram,
@@ -31,7 +31,13 @@ from coilbounds.generators import (
     gen_two_bridge,
 )
 from coilbounds.slopes import ContinuedFraction, Slope, cfrac_expand
-from diagram_oracle import pair_labels, strand_labels, trace_faces, twist_regions
+from diagram_oracle import (
+    finish_by_rotation,
+    pair_labels,
+    strand_labels,
+    trace_faces,
+    twist_regions,
+)
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIGURE8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
@@ -219,6 +225,30 @@ def test_labels_stay_an_array_below_2_to_the_32(big, kept):
     assert verify_pd_text(text) == verify_pd_text(TREFOIL)
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 4, 5, 1 << 10])
+def test_parse_reads_a_big_label_text_once(monkeypatch, chunk):
+    # a label of 2^32 or more turns the labels read so far into a tuple and
+    # the same pass goes on, whichever chunk of labels it is read in
+    texts = [
+        _pd_text([2**32 if label == big else label for label in parse_pd(TREFOIL).labels])
+        for big in (1, 4, 6)  # at darts 0 and 7, 1 and 6, 5 and 10
+    ]
+    calls = []
+    term_labels = diagrams._term_labels
+    monkeypatch.setattr(diagrams, "_term_labels", lambda text: calls.append(text) or term_labels(text))
+    monkeypatch.setattr(diagrams, "_READ_CHUNK", chunk)
+    for text in texts:
+        calls.clear()
+        d = parse_pd(text)
+        assert calls == [text]
+        assert type(d.labels) is tuple
+        assert emit_pd(d) == text
+    calls.clear()
+    with pytest.raises(PDSyntaxError, match="bad PD term 'X\\(1,2\\)'"):
+        parse_pd(texts[0] + " X(1,2)")
+    assert len(calls) == 1
+
+
 def test_mate_pairs_edge_labels():
     d = parse_pd(FIGURE8)
     assert d.n_edges == 8
@@ -328,8 +358,8 @@ def test_builder_refuses_wiring_that_is_not_an_involution():
 
 def test_builder_refuses_a_dart_wired_to_itself():
     # written directly: darts 0 and 2 are their own peers, an involution that
-    # join refuses; the walk from dart 0 turns back at dart 2, so finish
-    # walks more edges than the wiring has and names the first such dart
+    # join refuses; the walk from dart 0 turns back at dart 2, and once every
+    # strand is walked finish names the first dart wired to itself
     b = DiagramBuilder()
     b.crossing()
     b._peer[:] = array(b._peer.typecode, [0, 3, 2, 1])
@@ -478,8 +508,9 @@ _MAP = "builder darts"  # a circle role no generator lays
 
 def _finishes(build):
     """Run ``build()``; return, for every ``finish`` it calls, the builder's
-    wiring and under diagonals copied before the call, the diagram, and the
-    map ``final`` from builder darts to diagram darts.  The map is read
+    wiring and under diagonals copied before the call, the diagram, the
+    map ``final`` from builder darts to diagram darts, and the circles the
+    call was given.  The map is read
     through ``circles``, as generators read it: one more role holds the
     passage ``(x, x)`` for every builder dart x, and it is removed before
     ``build`` sees the diagram."""
@@ -495,7 +526,7 @@ def _finishes(build):
         _, passages = d.circles.pop(_MAP)
         final = [w for w, _ in passages]
         assert final == [e for _, e in passages]
-        calls.append((peer, under, d, final))
+        calls.append((peer, under, d, final, circles))
         return d
 
     with pytest.MonkeyPatch.context() as mp:
@@ -507,7 +538,7 @@ def _finishes(build):
 @settings(max_examples=60, deadline=None)
 @given(_build())
 def test_finish_maps_builder_darts_onto_the_diagram(build):
-    for peer, under, d, final in _finishes(build):
+    for peer, under, d, final, _ in _finishes(build):
         assert sorted(final) == list(range(len(peer)))
         for x, y in enumerate(peer):
             assert d.mate[final[x]] == final[y]
@@ -523,6 +554,16 @@ def test_finish_maps_builder_darts_onto_the_diagram(build):
                 assert x & 3 != 2
                 seen.add(x)
                 x = d.mate[x ^ 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_build())
+def test_finish_numbers_and_turns_as_the_reference(build):
+    for peer, under, d, _, circles in _finishes(build):
+        labels, mate, want_circles = finish_by_rotation(peer, under, circles)
+        assert list(d.labels) == labels
+        assert list(d.mate) == mate
+        assert d.circles == want_circles
 
 
 def test_finish_of_the_empty_builder_spends_it():
