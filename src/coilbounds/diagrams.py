@@ -257,7 +257,7 @@ def _pair_labels(labels):
     n = len(labels)
     keys = labels
     top = max(labels, default=0)
-    if top > n // 2:  # renumber the labels 1, 2, ... in increasing order
+    if top > n // 2:  # renumber the labels 0, 1, ... by rank
         from bisect import bisect_left
 
         distinct = sorted(set(labels))
@@ -304,26 +304,19 @@ def parse_pd(text: str) -> PlanarDiagram:
     term is read or split off, so refusing it costs no more than the text.
     A label is 1 to ``MAX_DIGITS`` ASCII digits, not all zeros; anything
     else is a ``PDSyntaxError``, which quotes the start of the bad term.
-    The terms are read in one lazy pass straight into a flat label array
-    (from a label of 2^32 or more on, into a tuple of Python ints), and
-    the labels with their pairing are handed to ``PlanarDiagram`` as
+    The terms are read in one lazy pass straight into a flat label array,
+    and the labels with their pairing are handed to ``PlanarDiagram`` as
     ``DiagramBuilder.finish`` hands over its wiring.
     """
     cap = slopes.MAX_CROSSINGS
     if len(text) > 2 * cap:  # a shorter text holds at most cap terms
         terms = sum(1 for _ in islice(_WORD.finditer(text), cap + 1))
         slopes.check_crossing_count(terms, "PD code")
-    ints = map(int, chain.from_iterable(_term_labels(text)))
-    labels = array(_DARTS)
     try:
-        while chunk := tuple(islice(ints, _READ_CHUNK)):
-            labels += array(_DARTS, chunk)
-    except OverflowError:  # a label of 2^32 or more: go on in Python ints
-        labels = (*labels, *chunk, *ints)
+        labels = array(_DARTS, map(int, chain.from_iterable(_term_labels(text))))
+    except OverflowError:  # a label of 2^32 or more: read them all as Python ints
+        labels = tuple(map(int, chain.from_iterable(_term_labels(text))))
     return PlanarDiagram(labels, _mate=_pair_labels(labels))
-
-
-_READ_CHUNK = 1 << 10  # labels read into a tuple at a time
 
 
 def _term_labels(text):

@@ -6,7 +6,7 @@ from array import array
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coilbounds import diagrams, slopes
+from coilbounds import slopes
 from coilbounds.diagrams import (
     DiagramBuilder,
     PlanarDiagram,
@@ -223,30 +223,6 @@ def test_labels_stay_an_array_below_2_to_the_32(big, kept):
         assert type(d.labels) is kept
         assert emit_pd(d) == text
     assert verify_pd_text(text) == verify_pd_text(TREFOIL)
-
-
-@pytest.mark.parametrize("chunk", [1, 3, 4, 5, 1 << 10])
-def test_parse_reads_a_big_label_text_once(monkeypatch, chunk):
-    # a label of 2^32 or more turns the labels read so far into a tuple and
-    # the same pass goes on, whichever chunk of labels it is read in
-    texts = [
-        _pd_text([2**32 if label == big else label for label in parse_pd(TREFOIL).labels])
-        for big in (1, 4, 6)  # at darts 0 and 7, 1 and 6, 5 and 10
-    ]
-    calls = []
-    term_labels = diagrams._term_labels
-    monkeypatch.setattr(diagrams, "_term_labels", lambda text: calls.append(text) or term_labels(text))
-    monkeypatch.setattr(diagrams, "_READ_CHUNK", chunk)
-    for text in texts:
-        calls.clear()
-        d = parse_pd(text)
-        assert calls == [text]
-        assert type(d.labels) is tuple
-        assert emit_pd(d) == text
-    calls.clear()
-    with pytest.raises(PDSyntaxError, match="bad PD term 'X\\(1,2\\)'"):
-        parse_pd(texts[0] + " X(1,2)")
-    assert len(calls) == 1
 
 
 def test_mate_pairs_edge_labels():
