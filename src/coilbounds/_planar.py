@@ -8,121 +8,103 @@ This is a port of networkx 3.6's ``combinatorial_embedding_to_pos``
 (``networkx/algorithms/planar_drawing.py``: ``triangulate_embedding``,
 ``make_bi_connected``, ``triangulate_face``, ``get_canonical_ordering``
 and the shift step) and of the parts of ``PlanarEmbedding``
-(``networkx/algorithms/planarity.py``) that it uses.  Every dict and set
-operation is made in the same order as there, so the positions, and the
-order of their keys, are the ones networkx returns; the tests compare the
-two.  networkx is Copyright (c) 2004-2025, NetworkX Developers, and is
-distributed under the 3-clause BSD license, reproduced at the end of this
-file.
+(``networkx/algorithms/planarity.py``) that it uses.  Every rotation is
+walked and every set is changed in the same order as there, so the
+positions, and the order of their keys, are the ones networkx returns;
+the tests compare the two.  networkx is Copyright (c) 2004-2025, NetworkX
+Developers, and is distributed under the 3-clause BSD license, reproduced
+at the end of this file.
 
-An embedding is a dict ``succ``: node -> {neighbour: [cw, ccw]}, where cw
-and ccw are the neighbours next to that neighbour clockwise and
-counterclockwise around the node.  As in networkx, the last key of
-``succ[v]`` is v's leftmost neighbour, where the clockwise order starts.
-The drawing needs a connected sphere embedding with at least four nodes;
-nothing here checks it, since ``svg._layout`` builds it from a validated
+An embedding ``emb`` is the tuple (head, cw, ccw, twin, leftmost) of
+flat arrays indexed by half-edge or node, where networkx keeps a dict of
+neighbours per node: half-edge h runs to node ``head[h]``, ``twin[h]``
+runs back, and ``cw[h]`` and ``ccw[h]`` are the half-edges next to h
+clockwise and counterclockwise around its tail.  ``leftmost[v]`` is the
+half-edge where v's clockwise order starts, networkx's last neighbour
+key; it moves only where networkx's does.  The edges the drawing adds
+get the next free half-edge numbers, two each.  ``svg._layout`` numbers
+the given half-edges by the diagram's darts.  The drawing needs a
+connected, simple sphere embedding with at least four nodes; nothing
+here checks it, since ``svg._layout`` builds it from a validated
 ``PlanarDiagram``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
-CW, CCW = 0, 1
+from array import array
 
 
-def add_half_edge(succ, v, w, *, cw=None, ccw=None):
-    """Add the half-edge v -> w next to v's neighbour ``cw`` or ``ccw``.
+def add_edge(emb, p, q):
+    """Add the edge v1-v3 between p = v1 -> v2 and q = v3 -> v2.
 
-    Naming ``cw`` puts w first counterclockwise from it, naming ``ccw``
-    first clockwise; v's first half-edge names neither.
+    v1 -> v3 goes first clockwise from p, v3 -> v1 first counterclockwise
+    from q, and takes over from q as v3's leftmost.  Returns v1 -> v3.
     """
-    nbrs = succ.setdefault(v, {})
-    succ.setdefault(w, {})
-    if not nbrs:
-        nbrs[w] = [w, w]
-        return
-    leftmost = next(reversed(nbrs))
-    if cw is not None:
-        ref_ccw = nbrs[cw][CCW]
-        nbrs[w] = [cw, ref_ccw]
-        nbrs[ref_ccw][CW] = w
-        nbrs[cw][CCW] = w
-        # with cw the leftmost neighbour, w is the last key and takes its place
-        move_leftmost_to_end = cw != leftmost
-    else:
-        ref_cw = nbrs[ccw][CW]
-        nbrs[w] = [ref_cw, ccw]
-        nbrs[ref_cw][CCW] = w
-        nbrs[ccw][CW] = w
-        move_leftmost_to_end = True
-    if move_leftmost_to_end:
-        nbrs[leftmost] = nbrs.pop(leftmost)
+    head, cw, ccw, twin, leftmost = emb
+    a = len(head)
+    v1, v3 = head[twin[p]], head[twin[q]]
+    head.append(v3)
+    head.append(v1)
+    twin.append(a + 1)
+    twin.append(a)
+    r = cw[p]
+    cw.append(r)
+    ccw.append(p)
+    ccw[r] = cw[p] = a
+    r = ccw[q]
+    cw.append(q)
+    ccw.append(r)
+    cw[r] = ccw[q] = a + 1
+    if leftmost[v3] == q:
+        leftmost[v3] = a + 1
+    return a
 
 
-def neighbors_cw_order(succ, v):
-    """v's neighbours clockwise from the leftmost one, read as they are walked."""
-    nbrs = succ[v]
-    start = next(reversed(nbrs))
+def cw_order(cw, start):
+    """Half-edges clockwise from ``start``, each next one read when it is reached."""
     yield start
-    current = nbrs[start][CW]
-    while current != start:
-        yield current
-        current = nbrs[current][CW]
+    h = cw[start]
+    while h != start:
+        yield h
+        h = cw[h]
 
 
-def next_face_half_edge(succ, v, w):
-    """The half-edge after v -> w along the face on its left."""
-    return w, succ[w][v][CCW]
-
-
-def combinatorial_embedding_to_pos(succ):
+def combinatorial_embedding_to_pos(emb, nodes):
     """Integer grid positions {node: (x, y)} of a straight-line drawing.
 
-    Triangulates ``succ`` in place, keeping its largest face as the outer
-    face, then places the nodes in canonical order.
+    Triangulates ``emb`` in place, keeping its largest face as the outer
+    face, then places the nodes in canonical order; ``nodes`` gives the
+    order in which the faces are found.
     """
-    outer_face = triangulate_embedding(succ)
+    outer_face = triangulate_embedding(emb, nodes)
+    order, contours, ends = get_canonical_ordering(emb, outer_face)
+    n = len(order)
 
-    # node -> child in the two trees; absent: not yet placed, None: no subtree
-    left_t_child = {}
-    right_t_child = {}
-    delta_x = {}
-    y_coordinate = {}
-
-    node_list = get_canonical_ordering(succ, outer_face)
+    # node -> child in the two trees, -1 for none
+    left_t_child = array("i", [-1]) * n
+    right_t_child = array("i", [-1]) * n
+    delta_x = array("i", [0]) * n
+    y_coordinate = array("i", [0]) * n
 
     # 1. Relative positions
-    v1, v2, v3 = node_list[0][0], node_list[1][0], node_list[2][0]
-
-    delta_x[v1] = 0
-    y_coordinate[v1] = 0
+    v1, v2, v3 = order[0], order[1], order[2]
     right_t_child[v1] = v3
-    left_t_child[v1] = None
-
     delta_x[v2] = 1
-    y_coordinate[v2] = 0
-    right_t_child[v2] = None
-    left_t_child[v2] = None
-
     delta_x[v3] = 1
     y_coordinate[v3] = 1
     right_t_child[v3] = v2
-    left_t_child[v3] = None
 
-    for k in range(3, len(node_list)):
-        vk, contour_nbrs = node_list[k]
-        wp = contour_nbrs[0]
-        wp1 = contour_nbrs[1]
-        wq = contour_nbrs[-1]
-        wq1 = contour_nbrs[-2]
-        adds_mult_tri = len(contour_nbrs) > 2
+    for k in range(3, n):
+        vk = order[k]
+        a, b = ends[k + 1], ends[k]  # vk's contour is contours[a:b]
+        wp, wp1, wq1, wq = contours[a], contours[a + 1], contours[b - 2], contours[b - 1]
+        adds_mult_tri = b - a > 2
 
         # stretch the gaps
         delta_x[wp1] += 1
         delta_x[wq] += 1
 
-        delta_x_wp_wq = sum(delta_x[x] for x in contour_nbrs[1:])
+        delta_x_wp_wq = sum(delta_x[x] for x in contours[a + 1 : b])
 
         # adjust the offsets
         delta_x[vk] = (-y_coordinate[wp] + delta_x_wp_wq + y_coordinate[wq]) // 2
@@ -136,9 +118,9 @@ def combinatorial_embedding_to_pos(succ):
         right_t_child[vk] = wq
         if adds_mult_tri:
             left_t_child[vk] = wp1
-            right_t_child[wq1] = None
+            right_t_child[wq1] = -1
         else:
-            left_t_child[vk] = None
+            left_t_child[vk] = -1
 
     # 2. Absolute positions
     pos = {v1: (0, y_coordinate[v1])}
@@ -147,93 +129,98 @@ def combinatorial_embedding_to_pos(succ):
         parent = remaining_nodes.pop()
         for tree in (left_t_child, right_t_child):
             child = tree[parent]
-            if child is not None:
+            if child >= 0:
                 pos[child] = (pos[parent][0] + delta_x[child], y_coordinate[child])
                 remaining_nodes.append(child)
     return pos
 
 
-def get_canonical_ordering(succ, outer_face):
-    """Canonical ordering [(vk, contour of G_k from wp to wq)] of a triangulation.
+def get_canonical_ordering(emb, outer_face):
+    """Canonical ordering of a triangulation, as flat arrays (order, contours, ends).
 
-    Chrobak–Payne, Lemma 1: starting from the whole graph, repeatedly
-    remove an outer node that has no chord.
+    order[k] is vk, and for k >= 2, contours[ends[k + 1]:ends[k]] lists
+    vk's neighbours from wp to wq, the part of G_(k-1)'s outer face that
+    vk covers.  Chrobak–Payne, Lemma 1: starting from the whole graph,
+    repeatedly remove an outer node that has no chord.
     """
+    head, cw, ccw, _, leftmost = emb
+    n = len(leftmost)
     v1 = outer_face[0]
     v2 = outer_face[1]
-    chords = defaultdict(int)  # node -> number of its chords
-    marked_nodes = set()
+    chords = array("i", [0]) * n  # node -> number of its chords
     ready_to_pick = set(outer_face)
+    # node -> flags: 1 once on the outer face, 2 once removed (marked), so
+    # a node is on the outer face of what is left when its flags are 1
+    outer = bytearray(n)
+    for v in outer_face:
+        outer[v] = 1
 
-    # outer-face neighbours, without v1 -> v2 and v2 -> v1
-    outer_face_ccw_nbr = {}
+    # outer-face neighbours, -1 for none, without v1 -> v2 and v2 -> v1
+    outer_face_ccw_nbr = array("i", [-1]) * n
     prev_nbr = v2
     for idx in range(2, len(outer_face)):
         outer_face_ccw_nbr[prev_nbr] = outer_face[idx]
         prev_nbr = outer_face[idx]
     outer_face_ccw_nbr[prev_nbr] = v1
 
-    outer_face_cw_nbr = {}
+    outer_face_cw_nbr = array("i", [-1]) * n
     prev_nbr = v1
     for idx in range(len(outer_face) - 1, 0, -1):
         outer_face_cw_nbr[prev_nbr] = outer_face[idx]
         prev_nbr = outer_face[idx]
 
-    def is_outer_face_nbr(x, y):
-        if x not in outer_face_ccw_nbr:
-            return outer_face_cw_nbr[x] == y
-        if x not in outer_face_cw_nbr:
-            return outer_face_ccw_nbr[x] == y
-        return outer_face_ccw_nbr[x] == y or outer_face_cw_nbr[x] == y
-
-    def is_on_outer_face(x):
-        return x not in marked_nodes and (x in outer_face_ccw_nbr or x == v1)
-
     for v in outer_face:
-        for nbr in neighbors_cw_order(succ, v):
-            if is_on_outer_face(nbr) and not is_outer_face_nbr(v, nbr):
+        for h in cw_order(cw, leftmost[v]):
+            nbr = head[h]
+            if (outer[nbr] == 1 and outer_face_ccw_nbr[v] != nbr
+                    and outer_face_cw_nbr[v] != nbr):
                 chords[v] += 1
                 ready_to_pick.discard(v)
 
-    canonical_ordering = [None] * len(succ)
-    canonical_ordering[0] = (v1, [])
-    canonical_ordering[1] = (v2, [])
+    order = array("i", [0]) * n
+    order[0] = v1
+    order[1] = v2
+    contours = array("i")
+    ends = array("i", [0]) * (n + 1)
     ready_to_pick.discard(v1)
     ready_to_pick.discard(v2)
 
-    for k in range(len(succ) - 1, 1, -1):
+    for k in range(n - 1, 1, -1):
         v = ready_to_pick.pop()
-        marked_nodes.add(v)
+        outer[v] |= 2
 
         # v has exactly two neighbours on the outer face, wp and wq
-        wp = None
-        wq = None
-        for nbr in neighbors_cw_order(succ, v):
-            if nbr in marked_nodes:
-                continue
-            if is_on_outer_face(nbr):
+        wp = wq = -1
+        for h in cw_order(cw, leftmost[v]):
+            nbr = head[h]
+            if outer[nbr] == 1:
                 if nbr == v1:
-                    wp = v1
+                    wp, hp = v1, h
                 elif nbr == v2:
                     wq = v2
                 elif outer_face_cw_nbr[nbr] == v:
-                    wp = nbr
+                    wp, hp = nbr, h
                 else:
                     wq = nbr
-            if wp is not None and wq is not None:
-                break
+                if wp >= 0 and wq >= 0:
+                    break
 
         # v's neighbours from wp to wq join the outer face
-        wp_wq = [wp]
+        start = len(contours)
+        contours.append(wp)
         nbr = wp
         while nbr != wq:
-            next_nbr = succ[v][nbr][CCW]
-            wp_wq.append(next_nbr)
+            hp = ccw[hp]
+            next_nbr = head[hp]
+            contours.append(next_nbr)
             outer_face_cw_nbr[nbr] = next_nbr
             outer_face_ccw_nbr[next_nbr] = nbr
+            outer[next_nbr] |= 1
             nbr = next_nbr
+        order[k] = v
+        ends[k] = len(contours)
 
-        if len(wp_wq) == 2:
+        if ends[k] - start == 2:
             # the chord wp-wq is now an outer edge
             chords[wp] -= 1
             if chords[wp] == 0:
@@ -242,92 +229,90 @@ def get_canonical_ordering(succ, outer_face):
             if chords[wq] == 0:
                 ready_to_pick.add(wq)
         else:
-            new_face_nodes = set(wp_wq[1:-1])
+            new_face_nodes = set(contours[start + 1 : -1])
             for w in new_face_nodes:
                 ready_to_pick.add(w)
-                for nbr in neighbors_cw_order(succ, w):
-                    if is_on_outer_face(nbr) and not is_outer_face_nbr(w, nbr):
+                for h in cw_order(cw, leftmost[w]):
+                    nbr = head[h]
+                    if (outer[nbr] == 1 and outer_face_ccw_nbr[w] != nbr
+                            and outer_face_cw_nbr[w] != nbr):
                         chords[w] += 1
                         ready_to_pick.discard(w)
                         if nbr not in new_face_nodes:
                             chords[nbr] += 1
                             ready_to_pick.discard(nbr)
-        canonical_ordering[k] = (v, wp_wq)
 
-    return canonical_ordering
+    return order, contours, ends
 
 
-def triangulate_face(succ, v1, v2):
-    """Triangulate the face on the left of the half-edge v1 -> v2."""
-    _, v3 = next_face_half_edge(succ, v1, v2)
-    _, v4 = next_face_half_edge(succ, v2, v3)
-    if v1 in (v2, v3):
+def triangulate_face(emb, h12):
+    """Triangulate the face on the left of the half-edge h12 = v1 -> v2."""
+    head, cw, ccw, twin, leftmost = emb
+    v1 = head[twin[h12]]
+    h23 = ccw[twin[h12]]
+    if v1 == head[h23]:
         return
-    while v1 != v4:
-        if v3 in succ[v1]:
-            v1, v2, v3 = v2, v3, v4
+    while v1 != head[ccw[twin[h23]]]:  # v4, after v3
+        # is v3 a neighbour of v1?  Both rotations are read in step, so a
+        # fan centre's is read no further than the other node's; the else
+        # runs when one of them meets the other node.
+        v3 = head[h23]
+        x = sx = leftmost[v1]
+        y = sy = leftmost[v3]
+        while head[x] != v3 and head[y] != v1:
+            x, y = cw[x], cw[y]
+            if x == sx or y == sy:
+                h12 = add_edge(emb, h12, twin[h23])
+                break
         else:
-            add_half_edge(succ, v1, v3, ccw=v2)
-            add_half_edge(succ, v3, v1, cw=v2)
-            v1, v2, v3 = v1, v3, v4
-        _, v4 = next_face_half_edge(succ, v2, v3)
+            v1 = head[h12]
+            h12 = h23
+        h23 = ccw[twin[h12]]
 
 
-def triangulate_embedding(succ):
-    """Make ``succ`` 2-connected and triangulate all faces but the largest.
+def triangulate_embedding(emb, nodes):
+    """Make ``emb`` 2-connected and triangulate all faces but the largest.
 
-    Returns the nodes of the largest face, which stays the outer face.
+    Walks the faces in the order networkx's ``make_bi_connected`` does,
+    from each node of ``nodes`` clockwise, and returns the nodes of the
+    largest face, which stays the outer face.
     """
+    head, cw, ccw, twin, leftmost = emb
     outer_face = []
-    face_list = []
-    edges_visited = set()
-    for v in succ:
-        for w in neighbors_cw_order(succ, v):
-            new_face = make_bi_connected(succ, v, w, edges_visited)
-            if new_face:
-                face_list.append(new_face)
-                if len(new_face) > len(outer_face):
-                    outer_face = new_face
+    face_starts = array("i")
+    edges_visited = bytearray(len(head))
+    met = array("i", [-1]) * len(leftmost)  # node -> first half-edge of the last walk to meet it
+    for v in nodes:
+        for h0 in cw_order(cw, leftmost[v]):
+            if edges_visited[h0]:
+                continue
+            # walk the face left of h0, splitting cut vertices
+            edges_visited[h0] = 1
+            face = [v]
+            met[v] = h0
+            h12 = h0
+            h23 = ccw[twin[h0]]
+            while h23 != h0:
+                v2 = head[h12]
+                if met[v2] == h0:
+                    # v2 met twice: an edge v1-v3 keeps the face 2-connected
+                    edges_visited[h23] = 1
+                    h12 = add_edge(emb, h12, twin[h23])
+                    edges_visited += b"\1\1"
+                else:
+                    met[v2] = h0
+                    face.append(v2)
+                    h12 = h23
+                h23 = ccw[twin[h12]]
+                edges_visited[h12] = 1
+            face_starts.append(h0)
+            if len(face) > len(outer_face):
+                outer_face, outer_start = face, h0
 
-    for face in face_list:
-        if face is not outer_face:
-            triangulate_face(succ, face[0], face[1])
+    for h0 in face_starts:
+        if h0 != outer_start:
+            triangulate_face(emb, h0)
     return outer_face
-
-
-def make_bi_connected(succ, starting_node, outgoing_node, edges_counted):
-    """Walk the face left of starting_node -> outgoing_node, splitting cut vertices.
-
-    Returns the face's nodes, or [] if the half-edge is in ``edges_counted``;
-    adds every half-edge walked to ``edges_counted``.
-    """
-    if (starting_node, outgoing_node) in edges_counted:
-        return []
-    edges_counted.add((starting_node, outgoing_node))
-
-    v1 = starting_node
-    v2 = outgoing_node
-    face_list = [starting_node]
-    face_set = set(face_list)
-    _, v3 = next_face_half_edge(succ, v1, v2)
-
-    while v2 != starting_node or v3 != outgoing_node:
-        if v2 in face_set:
-            # v2 met twice: an edge v1-v3 keeps the face 2-connected
-            add_half_edge(succ, v1, v3, ccw=v2)
-            add_half_edge(succ, v3, v1, cw=v2)
-            edges_counted.add((v2, v3))
-            edges_counted.add((v3, v1))
-            v2 = v1
-        else:
-            face_set.add(v2)
-            face_list.append(v2)
-
-        v1 = v2
-        v2, v3 = next_face_half_edge(succ, v2, v3)
-        edges_counted.add((v1, v2))
-
-    return face_list
 
 
 # networkx license (3-clause BSD), for the code ported above:

@@ -65,7 +65,8 @@ def render_svg(d) -> str:
     if d.n_crossings == 0:
         return _SVG_OPEN.format(w=_DIAGRAM_SIZE, h=_DIAGRAM_SIZE) + "</svg>"
 
-    pos = _normalize(_layout(d))
+    pos = _layout(d)
+    _normalize(pos)
     v = d.n_crossings
 
     mate = d.mate
@@ -102,48 +103,58 @@ def _layout(d):
 
     Crossing c is node c, and the subdivision node next to dart e is node
     V + e, so the edge with darts e < mate[e] becomes the path
-    c(e), V + e, V + mate[e], c(mate[e]).  The positions come from
-    Chrobak and Payne's grid drawing, in ``_planar``, a port of networkx's
-    ``combinatorial_embedding_to_pos`` that gives the same positions.
-    Its sets hold integer nodes, so their iteration order, and with it the
-    drawing, does not depend on the hash seed.  ``_planar`` is imported
-    here, not at module level, so that only commands that draw a diagram
-    load it.
+    c(e), V + e, V + mate[e], c(mate[e]).  Its half-edges are numbered by
+    dart: 4c + s runs from crossing c to node V + 4c + s, 4V + e from node
+    V + e back to its crossing, and 8V + e from node V + e to node
+    V + mate[e].  The positions come from Chrobak and Payne's grid
+    drawing, in ``_planar``, a port of networkx's
+    ``combinatorial_embedding_to_pos`` that gives the same positions, in
+    the same key order, when the nodes are visited as networkx's embedding
+    would hold them: c, V + 4c, ..., V + 4c + 3 for each c.  Its sets hold
+    integer nodes, so their iteration order, and with it the drawing, does
+    not depend on the hash seed.  ``_planar`` is imported here, not at
+    module level, so that only commands that draw a diagram load it.
 
     The embedding is not checked again: ``PlanarDiagram`` proved ``d.mate``
-    connected with V + 2 faces, subdividing keeps both (5V nodes, 6V edges),
-    and the lists below give each half-edge its twin and each node the
-    rotation of its darts.
+    connected with V + 2 faces, and subdividing keeps both (5V nodes, 6V
+    edges).  Each crossing's half-edges turn clockwise in slot order from
+    slot 0, and each subdivision node's two start with the one that points
+    along its path toward c(e), as networkx's rotations would.
     """
+    from array import array
+
     from . import _planar
 
     v = d.n_crossings
-    neighbors = {c: [v + 4 * c + s for s in range(4)] for c in range(v)}
-    for e, f in enumerate(d.mate):
-        if e < f:
-            neighbors[v + e] = [e // 4, v + f]
-            neighbors[v + f] = [v + e, f // 4]
-
-    succ = {}
-    for node, nbrs in neighbors.items():
-        prev = None
-        for w in nbrs:
-            _planar.add_half_edge(succ, node, w, ccw=prev)
-            prev = w
-    return _planar.combinatorial_embedding_to_pos(succ)
+    n = 4 * v
+    mate = d.mate
+    head = array("i", range(v, v + n))
+    head.extend(e >> 2 for e in range(n))
+    head.extend(v + f for f in mate)
+    twin = array("i", range(n, 2 * n))
+    twin.extend(range(n))
+    twin.extend(2 * n + f for f in mate)
+    cw = array("i", (h & -4 | (h + 1) & 3 for h in range(n)))
+    ccw = array("i", (h & -4 | (h - 1) & 3 for h in range(n)))
+    for rot in (cw, ccw):  # a subdivision node's two half-edges follow each other
+        rot.extend(range(2 * n, 3 * n))
+        rot.extend(range(n, 2 * n))
+    leftmost = array("i", range(0, n, 4))
+    leftmost.extend(n + e if e < f else 2 * n + e for e, f in enumerate(mate))
+    nodes = (w for c in range(v) for w in (c, *range(v + 4 * c, v + 4 * c + 4)))
+    return _planar.combinatorial_embedding_to_pos((head, cw, ccw, twin, leftmost), nodes)
 
 
 def _normalize(pos):
+    """Scale the positions in place into the drawing's square, inside its margin."""
     xs = [p[0] for p in pos.values()]
     ys = [p[1] for p in pos.values()]
     x0, y0 = min(xs), min(ys)
     span = max(max(xs) - x0, max(ys) - y0) or 1.0
     margin = 0.06 * _DIAGRAM_SIZE
     scale = (_DIAGRAM_SIZE - 2 * margin) / span
-    return {
-        k: (margin + (x - x0) * scale, margin + (y - y0) * scale)
-        for k, (x, y) in pos.items()
-    }
+    for k, (x, y) in pos.items():
+        pos[k] = (margin + (x - x0) * scale, margin + (y - y0) * scale)
 
 
 # ---------------------------------------------------------------------------

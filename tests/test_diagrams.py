@@ -31,6 +31,7 @@ from coilbounds.generators import (
     gen_two_bridge,
 )
 from coilbounds.slopes import ContinuedFraction, Slope, cfrac_expand
+from coilbounds.svg import render_svg
 from diagram_oracle import (
     finish_by_rotation,
     pair_labels,
@@ -139,6 +140,15 @@ def test_big_coil_peak_memory_per_crossing():
     assert _peak_bytes(lambda: gen_double_coil(spec)) <= 80 * crossings
     text = emit_pd(gen_double_coil(spec))
     assert _peak_bytes(lambda: verify_pd_text(text)) <= 80 * crossings
+
+
+def test_render_peak_memory_per_crossing():
+    # 5 060 crossings: the drawing lays out 5V nodes on flat half-edge
+    # arrays (about 30V half-edges of 16 bytes at the end) and keeps one
+    # position table, which render_svg scales in place; that table, the
+    # SVG pieces and the joined text set the peak, about 2 000 B/crossing
+    d = gen_double_coil(CoilSpec(2, 11, 23, 23))
+    assert _peak_bytes(lambda: render_svg(d)) <= 2500 * d.n_crossings
 
 
 def test_built_coil_held_memory_per_crossing():

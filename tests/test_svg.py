@@ -186,6 +186,12 @@ def _layout_corpus():
         yield f"augmented {p}/{q}", aug
         for n in (-1, 1):
             yield f"augmented {p}/{q} C1 {n}", fill_crossing_circle(aug, "C1", n)
+    # the hardest for the port: the 180 crossings that cli-short draws, a
+    # fan centre of degree about 180, and long twist regions side by side
+    yield "coil 3/4 -9 6", gen_double_coil(CoilSpec(3, 4, -9, 6))
+    yield "two-bridge [60]", gen_two_bridge(ContinuedFraction((60,)))
+    yield "two-bridge [2, 40, 3]", gen_two_bridge(ContinuedFraction((2, 40, 3)))
+    yield "augmented 5/11 C2 2", fill_crossing_circle(gen_augmented(Slope(5, 11)), "C2", 2)
 
 
 def test_layout_matches_networkx():
