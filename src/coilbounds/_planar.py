@@ -21,7 +21,8 @@ neighbours per node: half-edge h runs to node ``head[h]``, ``twin[h]``
 runs back, and ``cw[h]`` and ``ccw[h]`` are the half-edges next to h
 clockwise and counterclockwise around its tail.  ``leftmost[v]`` is the
 half-edge where v's clockwise order starts, networkx's last neighbour
-key; it moves only where networkx's does.  The edges the drawing adds
+key; it never moves, where networkx's moves to an added edge, since no walk
+here sees the difference (see ``add_edge``).  The edges the drawing adds
 get the next free half-edge numbers, two each.  ``svg._layout`` numbers
 the given half-edges by the diagram's darts.  The drawing needs a
 connected, simple sphere embedding with at least four nodes; nothing
@@ -38,9 +39,12 @@ def add_edge(emb, p, q):
     """Add the edge v1-v3 between p = v1 -> v2 and q = v3 -> v2.
 
     v1 -> v3 goes first clockwise from p, v3 -> v1 first counterclockwise
-    from q, and takes over from q as v3's leftmost.  Returns v1 -> v3.
+    from q.  Returns v1 -> v3.  networkx makes v3 -> v1 v3's leftmost
+    where q was; here neither leftmost moves.  The new half-edge lands just
+    counterclockwise of q, so a walk from either start meets the half-edges
+    not yet visited in the same order.
     """
-    head, cw, ccw, twin, leftmost = emb
+    head, cw, ccw, twin, _ = emb
     a = len(head)
     v1, v3 = head[twin[p]], head[twin[q]]
     head.append(v3)
@@ -55,8 +59,6 @@ def add_edge(emb, p, q):
     cw.append(q)
     ccw.append(r)
     cw[r] = ccw[q] = a + 1
-    if leftmost[v3] == q:
-        leftmost[v3] = a + 1
     return a
 
 

@@ -134,7 +134,7 @@ class DiagramBuilder:
 
         # Pass 2 numbers the edges in walk order, straight into finished darts.
         labels = _filled(_DARTS, 0, n)  # by finished dart
-        mate = _filled(_DARTS, 0, n)
+        mate = _filled(_DARTS, _UNWIRED, n)  # an unnumbered dart fails the diagram's walks
         label = 0
         for start in starts:
             d = start
@@ -157,4 +157,4 @@ class DiagramBuilder:
                                 for w, e in passages])
                 for role, (orient, passages) in circles.items()
             }
-        return PlanarDiagram(labels, circles, _mate=mate)
+        return PlanarDiagram(labels, mate, circles)

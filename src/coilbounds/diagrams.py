@@ -28,12 +28,7 @@ from array import array
 from itertools import chain, islice, repeat
 
 from . import slopes
-from .errors import (
-    EdgePairingError,
-    NonPlanarRotation,
-    NonQuadrivalent,
-    PDSyntaxError,
-)
+from .errors import EdgePairingError, NonPlanarRotation, PDSyntaxError
 
 __all__ = [
     "PlanarDiagram",
@@ -70,28 +65,18 @@ class PlanarDiagram:
     print the PD text.  Validation traces the faces once: it proves their
     count is V + 2 (``n_faces``) and keeps only each bigon's two crossings,
     from which ``n_twist_regions`` counts the twist regions.
+
+    Only ``parse_pd`` and ``DiagramBuilder.finish`` build one, each handing
+    over labels and the ``mate`` that pairs them; labels from elsewhere come
+    in as PD text.  The constructor checks strands, connectivity and faces,
+    not ``mate`` itself; a walk that reaches a dart ``mate`` leaves
+    ``_UNWIRED`` raises ``IndexError`` at once instead of circling.
     """
 
     __slots__ = ("labels", "circles", "mate", "strands", "_bigons")
 
-    def __init__(self, labels, circles=None, *, _mate=None):
-        # ``_mate`` is the hand-over of a caller that already holds the dart
-        # array: ``DiagramBuilder.finish`` wired it, and ``parse_pd`` paired
-        # the labels it read, so the labels are neither copied nor checked
-        # again.  Strands, faces and the sphere count are checked on every path.
-        if _mate is None:
-            labels = tuple(labels)
-            if len(labels) % 4:
-                raise NonQuadrivalent(f"{len(labels)} edge-ends are not four per crossing")
-            for label in labels:
-                if type(label) is not int or label < 1:
-                    raise EdgePairingError(f"bad edge label {label!r}")
-            try:
-                labels = array(_DARTS, labels)
-            except OverflowError:
-                pass  # a label of 2^32 or more: keep the tuple
-            _mate = _pair_labels(labels)
-        self.mate = _mate
+    def __init__(self, labels, mate, circles=None):
+        self.mate = mate
         self.labels = labels
         self.circles = {} if circles is None else circles
         self.strands = self._walk_strands()
@@ -305,8 +290,9 @@ def parse_pd(text: str) -> PlanarDiagram:
     A label is 1 to ``MAX_DIGITS`` ASCII digits, not all zeros; anything
     else is a ``PDSyntaxError``, which quotes the start of the bad term.
     The terms are read in one lazy pass straight into a flat label array,
-    and the labels with their pairing are handed to ``PlanarDiagram`` as
-    ``DiagramBuilder.finish`` hands over its wiring.
+    whose pairing ``_pair_labels`` checks and builds; ``PlanarDiagram`` then
+    checks the strands, connectivity and faces.  This is the one way a label
+    list from outside becomes a diagram.
     """
     cap = slopes.MAX_CROSSINGS
     if len(text) > 2 * cap:  # a shorter text holds at most cap terms
@@ -316,7 +302,7 @@ def parse_pd(text: str) -> PlanarDiagram:
         labels = array(_DARTS, map(int, chain.from_iterable(_term_labels(text))))
     except OverflowError:  # a label of 2^32 or more: read them all as Python ints
         labels = tuple(map(int, chain.from_iterable(_term_labels(text))))
-    return PlanarDiagram(labels, _mate=_pair_labels(labels))
+    return PlanarDiagram(labels, _pair_labels(labels))
 
 
 def _term_labels(text):

@@ -38,7 +38,7 @@ class PDSyntaxError(DiagramError):
 
 
 class NonQuadrivalent(DiagramError):
-    """A crossing record does not have exactly four edge-ends."""
+    """A crossing's under diagonal is not 0 or 1 (``DiagramBuilder.crossings``)."""
 
 
 class EdgePairingError(DiagramError):

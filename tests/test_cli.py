@@ -17,7 +17,7 @@ import coilbounds
 import coilbounds.diagrams
 import coilbounds.generators
 from coilbounds.cli import main
-from coilbounds.diagrams import PlanarDiagram, emit_pd, parse_pd
+from coilbounds.diagrams import emit_pd, parse_pd
 from coilbounds.errors import ConfigError
 from coilbounds.family import fibonacci_slopes, load_family_config
 from coilbounds.generators import CoilSpec, gen_double_coil
@@ -543,7 +543,7 @@ def test_gen_streams_the_pd_text(tmp_path, monkeypatch, capsys, chunk, crossings
     # the PD text goes out a chunk of terms at a time, to a file or to
     # stdout; either way it is emit_pd's text and a newline, for the empty
     # diagram, a text of whole chunks (40 terms by 8) and a ragged last chunk
-    d = gen_double_coil(CoilSpec(2, 5, 1, 1)) if crossings else PlanarDiagram(())
+    d = gen_double_coil(CoilSpec(2, 5, 1, 1)) if crossings else parse_pd("")
     assert d.n_crossings == crossings
     _gen_coil_returning(monkeypatch, d)
     monkeypatch.setattr(coilbounds.diagrams, "_EMIT_CHUNK", chunk)

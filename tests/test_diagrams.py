@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from coilbounds import slopes
 from coilbounds.diagrams import (
+    _UNWIRED,
     DiagramBuilder,
     PlanarDiagram,
     emit_pd,
@@ -72,12 +73,6 @@ def test_parse_errors():
     with pytest.raises(NonPlanarRotation):
         # two disjoint kinks: a split diagram is not a sphere diagram here
         parse_pd("X(1,2,2,1) X(3,4,4,3)")
-    # the public constructor reads one flat label per dart, four per crossing
-    for n in (1, 2, 3, 5, 7, 9):
-        with pytest.raises(NonQuadrivalent):
-            PlanarDiagram([1, 1, 2, 2, 3, 3, 4, 4, 5][:n])
-    with pytest.raises(NonQuadrivalent):
-        PlanarDiagram([(1, 2, 2, 1)])  # per-crossing tuples are not labels
     # labels are held to 2000 digits, well inside int()'s 4300-digit limit
     label = "1" * 2000
     assert parse_pd(f"X({label},2,2,{label})").labels[0] == int(label)
@@ -170,11 +165,6 @@ def test_label_pairing_errors():
         parse_pd("X(1,2,2,1) X(3,3,4,5)")
     with pytest.raises(EdgePairingError, match="edge label 1 appears 3 times"):
         parse_pd("X(1,1,1,2) X(2,3,3,4)")
-    with pytest.raises(EdgePairingError, match="bad edge label"):
-        PlanarDiagram([1, 2, 2, "1"])
-    # a bool is an int to isinstance, but emit_pd would print it as "True"
-    with pytest.raises(EdgePairingError, match="bad edge label True"):
-        PlanarDiagram([True, 2, 2, 1])
 
 
 # labels for relabelled built diagrams: sparse, around 2^32 (from 2^32 on,
@@ -229,9 +219,9 @@ def test_labels_stay_an_array_below_2_to_the_32(big, kept):
     # int holds keeps the flat array, one more falls back to Python ints
     labels = [big if label == 5 else label for label in parse_pd(TREFOIL).labels]
     text = _pd_text(labels)
-    for d in (parse_pd(text), PlanarDiagram(labels)):
-        assert type(d.labels) is kept
-        assert emit_pd(d) == text
+    d = parse_pd(text)
+    assert type(d.labels) is kept
+    assert emit_pd(d) == text
     assert verify_pd_text(text) == verify_pd_text(TREFOIL)
 
 
@@ -305,7 +295,7 @@ def test_twist_regions_relabel_invariant():
         perm = labels[:]
         rng.shuffle(perm)
         relabel = dict(zip(labels, perm))
-        moved = PlanarDiagram([relabel[x] for x in d.labels])
+        moved = parse_pd(_pd_text([relabel[x] for x in d.labels]))
         assert moved.n_twist_regions == d.n_twist_regions
         assert moved.is_alternating() == d.is_alternating()
 
@@ -329,6 +319,8 @@ def test_builder_rejects_bad_slots():
     with pytest.raises(EdgePairingError, match="itself"):
         b.join(2, 2)
     b.join(7, 1)  # the rejected calls left darts 7 and 1 unwired
+    with pytest.raises(NonQuadrivalent, match="under diagonal"):
+        b.crossings(1, under=2)
 
 
 def test_builder_refuses_wiring_that_is_not_an_involution():
@@ -367,8 +359,9 @@ def test_roundtrip_random_two_bridge(terms):
 
 # --- builder path -------------------------------------------------------------
 #
-# DiagramBuilder.finish hands its dart array to PlanarDiagram and skips the
-# label pairing; everything else is validated as for parsed text.
+# DiagramBuilder.finish hands its labels and dart array to PlanarDiagram, as
+# parse_pd does once it has paired the labels it read; the strands, faces and
+# connectivity are validated alike.
 
 def _assert_same_diagram(d, again):
     assert again.mate == d.mate
@@ -589,8 +582,8 @@ def test_corrupted_mate_same_outcome_on_both_paths(d, data):
     b, e = mate[a], mate[c]
     mate[a], mate[c], mate[b], mate[e] = c, a, e, b
     labels = _labelled(mate)
-    fast = _outcome(lambda: PlanarDiagram(labels, _mate=array(d.mate.typecode, mate)))
-    full = _outcome(lambda: PlanarDiagram(labels))
+    fast = _outcome(lambda: PlanarDiagram(labels, array(d.mate.typecode, mate)))
+    full = _outcome(lambda: parse_pd(_pd_text(labels)))
     if isinstance(full, tuple):
         assert fast == full
     else:
@@ -655,6 +648,17 @@ def test_flipped_strand_rejected_on_both_paths():
     mate = array(d.mate.typecode, [turn[d.mate[turn[x]]] for x in range(len(turn))])
     labels = tuple(d.labels[t] for t in turn)
     with pytest.raises(EdgePairingError, match="orientation"):
-        PlanarDiagram(labels, _mate=mate)
+        PlanarDiagram(labels, mate)
     with pytest.raises(EdgePairingError, match="orientation"):
         parse_pd(_pd_text(labels))
+
+
+@pytest.mark.parametrize("dart", range(12))
+def test_an_unwired_dart_raises_at_once(dart):
+    # finish fills mate with _UNWIRED before numbering, so a dart it failed to
+    # number sends a strand or face walk out of the array instead of circling
+    d = parse_pd(TREFOIL)
+    mate = array(d.mate.typecode, d.mate)
+    mate[dart] = _UNWIRED
+    with pytest.raises(IndexError):
+        PlanarDiagram(d.labels, mate)
