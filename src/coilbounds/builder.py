@@ -16,8 +16,6 @@ from .errors import BuilderSpent, EdgePairingError, NonQuadrivalent
 
 __all__ = ["DiagramBuilder"]
 
-_UNWIRED_DART = array(_DARTS, (_UNWIRED,))
-
 
 class DiagramBuilder:
     """Assemble a diagram from crossings with explicit slot wiring.
@@ -55,12 +53,9 @@ class DiagramBuilder:
         if under not in (0, 1):
             raise NonQuadrivalent("under diagonal must be 0 or 1")
         first = len(self._under)
-        self._peer += _UNWIRED_DART * (4 * count)
+        self._peer += _filled(_UNWIRED, 4 * count)
         self._under += bytes((under,)) * count
         return range(first, first + count)
-
-    def crossing(self, under: int = 0) -> int:
-        return self.crossings(1, under).start
 
     def join(self, da: int, db: int) -> None:
         """Wire dart ``da`` to dart ``db`` (dart = 4 * crossing + slot)."""
@@ -133,8 +128,8 @@ class DiagramBuilder:
             raise EdgePairingError(f"cannot wire slot {divmod(d, 4)} to itself")
 
         # Pass 2 numbers the edges in walk order, straight into finished darts.
-        labels = _filled(_DARTS, 0, n)  # by finished dart
-        mate = _filled(_DARTS, _UNWIRED, n)  # an unnumbered dart fails the diagram's walks
+        labels = _filled(0, n)  # by finished dart
+        mate = _filled(_UNWIRED, n)  # an unnumbered dart fails the diagram's walks
         label = 0
         for start in starts:
             d = start

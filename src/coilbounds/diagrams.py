@@ -128,7 +128,7 @@ class PlanarDiagram:
                 for d in strand:
                     entered[d] = 1
         if len(strands) > 1:
-            comp = _filled(_DARTS, 0, n)  # the strand through each dart
+            comp = _filled(0, n)  # the strand through each dart
             for k, strand in enumerate(strands):
                 for d in strand:
                     comp[d] = comp[d ^ 2] = k
@@ -167,7 +167,7 @@ class PlanarDiagram:
 
     @property
     def n_crossings(self) -> int:
-        return len(self.labels) // 4
+        return len(self.mate) // 4
 
     @property
     def n_edges(self) -> int:
@@ -176,7 +176,7 @@ class PlanarDiagram:
     @property
     def n_faces(self) -> int:
         """V + 2, as validation proved; the empty diagram is one face."""
-        return self.n_crossings + 2 if self.labels else 1
+        return self.n_crossings + 2 if self.mate else 1
 
     @property
     def n_components(self) -> int:
@@ -201,12 +201,14 @@ class PlanarDiagram:
         return self.n_crossings - _union_find(self._bigons)
 
     def __repr__(self):
-        return f"<PlanarDiagram {self.n_crossings} crossings, {self.n_components} components>"
+        # no strands if __init__ raised before walking them
+        components = f", {self.n_components} components" if hasattr(self, "strands") else ""
+        return f"<PlanarDiagram {self.n_crossings} crossings{components}>"
 
 
-def _filled(typecode, value, count):
-    """An array of ``count`` copies of ``value``."""
-    return array(typecode, (value,)) * count
+def _filled(value, count):
+    """A dart array of ``count`` copies of ``value``."""
+    return array(_DARTS, (value,)) * count
 
 
 def _union_find(pairs):
@@ -248,8 +250,8 @@ def _pair_labels(labels):
         distinct = sorted(set(labels))
         keys = array(_DARTS, map(bisect_left, repeat(distinct), labels))
         top = len(distinct) - 1
-    first = _filled(_DARTS, _UNWIRED, top + 1)  # key -> its first dart
-    mate = _filled(_DARTS, _UNWIRED, n)
+    first = _filled(_UNWIRED, top + 1)  # key -> its first dart
+    mate = _filled(_UNWIRED, n)
     for d, key in enumerate(keys):
         e = first[key]
         if e == _UNWIRED:
@@ -258,7 +260,7 @@ def _pair_labels(labels):
             mate[e] = d
             mate[d] = e
     if _UNWIRED in mate:  # some label appears once, or three or more times
-        counts = _filled(_DARTS, 0, top + 1)
+        counts = _filled(0, top + 1)
         for key in keys:
             counts[key] += 1
         d = next(d for d, key in enumerate(keys) if counts[key] != 2)

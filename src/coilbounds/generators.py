@@ -71,8 +71,22 @@ _REGION_ORIENT = (1, -1)
 # strands read top to bottom; clasp crossings use slots 0=N, 1=W, 2=S, 3=E.
 
 
+def _lay_circle(b, orient, west, east):
+    """Join a crossing circle (the clasp, C1 or C2) on diagonal 1/3 of the
+    crossings whose first darts are ``west[i]`` and ``east[i]``, strand i
+    running on diagonal 0/2; return ``(orient, passages)`` for ``finish``,
+    passage i being ``(west[i], east[i] + 2)``."""
+    for t in range(len(east) - 1):
+        b.join(east[t] + 3, east[t + 1] + 1)
+        b.join(west[t] + 3, west[t + 1] + 1)
+    b.join(east[-1] + 3, west[-1] + 3)
+    b.join(east[0] + 1, west[0] + 1)
+    return orient, [(w, e + 2) for w, e in zip(west, east)]
+
+
 def _build_plat(terms, with_clasp: bool):
-    """Lay the plat of ``terms`` (plus the clasp) on three columns and close it.
+    """Lay the plat of ``terms`` (plus the clasp, by ``_lay_circle`` as the
+    augmented circles are) on three columns and close it.
 
     Syllable i twists columns (1, 2) when i is even and (0, 1) when i is
     odd, and the clasp takes syllable k's place, so columns 1 and 2 always
@@ -98,12 +112,7 @@ def _build_plat(terms, with_clasp: bool):
         sl, sr = (4 * c for c in b.crossings(2, under=1))
         cols[col] += [(nl, nl + 2), (sl, sl + 2)]
         cols[col + 1] += [(nr, nr + 2), (sr, sr + 2)]
-        b.join(nl + 3, nr + 1)
-        b.join(sl + 3, sr + 1)
-        b.join(nr + 3, sr + 3)
-        b.join(nl + 1, sl + 1)
-        # strand passages through the clasp, braid-start side first
-        clasp_info = (1, [(nl, sl + 2), (nr, sr + 2)])
+        clasp_info = _lay_circle(b, 1, [nl, nr], [sl, sr])
 
     # each column joins its crossings top to bottom; those crossings are
     # fresh and each of their darts is wired once here, so the wiring is
@@ -262,7 +271,7 @@ def gen_augmented(s: Slope) -> PlanarDiagram:
     b = DiagramBuilder()
     over_gates = (GATE_C1_EAST, GATE_C2_EAST)
     # first dart of each gate event's crossing
-    cross = [4 * b.crossing(under=0 if ev.gate in over_gates else 1) for ev in events]
+    cross = [4 * b.crossings(1, 0 if ev.gate in over_gates else 1).start for ev in events]
 
     # curve: one edge between consecutive gate events
     m = len(events)
@@ -276,13 +285,7 @@ def gen_augmented(s: Slope) -> PlanarDiagram:
     for region, role in ((0, "C1"), (1, "C2")):
         west = [cross[w] for w, _ in passages[region]]
         east = [cross[e] for _, e in passages[region]]
-        for t in range(len(east) - 1):
-            b.join(east[t] + 3, east[t + 1] + 1)
-            b.join(west[t] + 3, west[t + 1] + 1)
-        b.join(east[-1] + 3, west[-1] + 3)
-        b.join(east[0] + 1, west[0] + 1)
-        # outer slots: west faces W, east faces E
-        circles[role] = _REGION_ORIENT[region], [(w, e + 2) for w, e in zip(west, east)]
+        circles[role] = _lay_circle(b, _REGION_ORIENT[region], west, east)
     diagram = b.finish(circles)
     if diagram.n_components != 3:
         raise AssertionError("augmented link must have three components")
@@ -315,8 +318,8 @@ def fill_crossing_circle(d: PlanarDiagram, circle: str, n: int) -> PlanarDiagram
     check_crossing_count(
         d.n_crossings - 2 * q + q * (q - 1) * abs(n), f"{circle} filled with {n} full twists"
     )
-    deleted = {x >> 2 for rec in recs for x in rec}
-    kept = [c for c in range(d.n_crossings) if c not in deleted]
+    through = {x >> 2: x & 1 for rec in recs for x in rec}  # circle crossing -> encircled diagonal
+    kept = [c for c in range(d.n_crossings) if c not in through]
     mate = d.mate
     b = DiagramBuilder()
     b.crossings(len(kept))
@@ -328,7 +331,6 @@ def fill_crossing_circle(d: PlanarDiagram, circle: str, n: int) -> PlanarDiagram
         new[4 * c:4 * c + 4] = range(4 * i, 4 * i + 4)
     for (w, e), port_w, port_e in zip(recs, west, east):
         new[w], new[e] = port_w, port_e
-    through = {x >> 2: x & 1 for rec in recs for x in rec}  # encircled diagonal
     # each end of a spliced edge writes its own peer; ``finish`` checks the
     # wiring is an involution
     peer = b._peer

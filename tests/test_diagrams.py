@@ -302,7 +302,7 @@ def test_twist_regions_relabel_invariant():
 
 def test_builder_dangling_slot():
     b = DiagramBuilder()
-    b.crossing()
+    b.crossings(1)
     with pytest.raises(EdgePairingError):
         b.finish()
 
@@ -328,7 +328,7 @@ def test_builder_refuses_wiring_that_is_not_an_involution():
     # leads to dart 1, which leads back to 2, so the strand walk from dart 0
     # would circle 1 -> 3 -> 1 and never return without the check
     b = DiagramBuilder()
-    b.crossing()
+    b.crossings(1)
     b._peer[:] = array(b._peer.typecode, [3, 2, 1, 1])
     with pytest.raises(EdgePairingError, match=r"slot \(0, 3\) is wired to \(0, 1\)"):
         b.finish()
@@ -339,7 +339,7 @@ def test_builder_refuses_a_dart_wired_to_itself():
     # join refuses; the walk from dart 0 turns back at dart 2, and once every
     # strand is walked finish names the first dart wired to itself
     b = DiagramBuilder()
-    b.crossing()
+    b.crossings(1)
     b._peer[:] = array(b._peer.typecode, [0, 3, 2, 1])
     with pytest.raises(EdgePairingError, match=r"cannot wire slot \(0, 0\) to itself"):
         b.finish()
@@ -608,7 +608,7 @@ def _builder_copy(b, d, offset=0):
 def test_builder_rejects_non_planar_rotation():
     # one crossing whose two diagonals close on themselves: 1 face, not 3
     b = DiagramBuilder()
-    b.crossing()
+    b.crossings(1)
     b.join(0, 2)
     b.join(1, 3)
     with pytest.raises(NonPlanarRotation, match="faces"):
@@ -638,19 +638,34 @@ def test_builder_copy_round_trips():
     assert len(trace_faces(again)) == again.n_faces == 6
 
 
-def test_flipped_strand_rejected_on_both_paths():
-    # finish orients every strand itself, so a flipped strand can only reach
-    # the builder path as a corrupted dart array: turn crossing 0 by half a
-    # turn, so its under-strand enters at slot 2
+def _flipped_trefoil():
+    """The trefoil's labels and mate with crossing 0 turned by half a turn,
+    so that its under-strand enters at slot 2."""
     d = parse_pd(TREFOIL)
     turn = [4 * c + s for c in range(d.n_crossings) for s in range(4)]
     turn[0:4] = [2, 3, 0, 1]  # new dart -> old dart (an involution)
     mate = array(d.mate.typecode, [turn[d.mate[turn[x]]] for x in range(len(turn))])
-    labels = tuple(d.labels[t] for t in turn)
+    return tuple(d.labels[t] for t in turn), mate
+
+
+def test_flipped_strand_rejected_on_both_paths():
+    # finish orients every strand itself, so a flipped strand can only reach
+    # the builder path as a corrupted dart array
+    labels, mate = _flipped_trefoil()
     with pytest.raises(EdgePairingError, match="orientation"):
         PlanarDiagram(labels, mate)
     with pytest.raises(EdgePairingError, match="orientation"):
         parse_pd(_pd_text(labels))
+
+
+def test_repr_of_a_diagram_whose_validation_raised():
+    # a traceback shows the half-built diagram: its repr names the crossings
+    # and leaves out the components it never walked
+    d = PlanarDiagram.__new__(PlanarDiagram)
+    with pytest.raises(EdgePairingError, match="orientation"):
+        d.__init__(*_flipped_trefoil())
+    assert repr(d) == "<PlanarDiagram 3 crossings>"
+    assert repr(parse_pd(TREFOIL)) == "<PlanarDiagram 3 crossings, 1 components>"
 
 
 @pytest.mark.parametrize("dart", range(12))

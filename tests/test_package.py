@@ -17,6 +17,13 @@ def test_export_is_home_object(name):
     assert getattr(coilbounds, name) is getattr(HOMES[name], name)
 
 
+@pytest.mark.parametrize("module", coilbounds._EXPORTS)
+def test_exports_are_in_their_modules_all(module):
+    home = importlib.import_module(f"coilbounds.{module}")
+    if hasattr(home, "__all__"):
+        assert set(coilbounds._EXPORTS[module]) <= set(home.__all__)
+
+
 def test_dir_lists_every_export():
     listed = dir(coilbounds)
     assert set(coilbounds.__all__) <= set(listed)
