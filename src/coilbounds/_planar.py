@@ -100,7 +100,6 @@ def combinatorial_embedding_to_pos(emb, nodes):
         vk = order[k]
         a, b = ends[k + 1], ends[k]  # vk's contour is contours[a:b]
         wp, wp1, wq1, wq = contours[a], contours[a + 1], contours[b - 2], contours[b - 1]
-        adds_mult_tri = b - a > 2
 
         # stretch the gaps
         delta_x[wp1] += 1
@@ -112,17 +111,14 @@ def combinatorial_embedding_to_pos(emb, nodes):
         delta_x[vk] = (-y_coordinate[wp] + delta_x_wp_wq + y_coordinate[wq]) // 2
         y_coordinate[vk] = (y_coordinate[wp] + delta_x_wp_wq + y_coordinate[wq]) // 2
         delta_x[wq] = delta_x_wp_wq - delta_x[vk]
-        if adds_mult_tri:
-            delta_x[wp1] -= delta_x[vk]
 
         # install vk
         right_t_child[wp] = vk
         right_t_child[vk] = wq
-        if adds_mult_tri:
+        if b - a > 2:  # vk covers more than one edge: wp1 .. wq1 hang under it
+            delta_x[wp1] -= delta_x[vk]
             left_t_child[vk] = wp1
             right_t_child[wq1] = -1
-        else:
-            left_t_child[vk] = -1
 
     # 2. Absolute positions
     pos = {v1: (0, y_coordinate[v1])}
@@ -159,17 +155,10 @@ def get_canonical_ordering(emb, outer_face):
 
     # outer-face neighbours, -1 for none, without v1 -> v2 and v2 -> v1
     outer_face_ccw_nbr = array("i", [-1]) * n
-    prev_nbr = v2
-    for idx in range(2, len(outer_face)):
-        outer_face_ccw_nbr[prev_nbr] = outer_face[idx]
-        prev_nbr = outer_face[idx]
-    outer_face_ccw_nbr[prev_nbr] = v1
-
     outer_face_cw_nbr = array("i", [-1]) * n
-    prev_nbr = v1
-    for idx in range(len(outer_face) - 1, 0, -1):
-        outer_face_cw_nbr[prev_nbr] = outer_face[idx]
-        prev_nbr = outer_face[idx]
+    for a, b in zip(outer_face[1:], outer_face[2:] + outer_face[:1]):
+        outer_face_ccw_nbr[a] = b
+        outer_face_cw_nbr[b] = a
 
     for v in outer_face:
         for h in cw_order(cw, leftmost[v]):

@@ -154,9 +154,7 @@ def _cmd_curve(args):
     if args.svg:
         from .svg import curve_svg
 
-        picture = curve_svg(s1, s2)  # may refuse; then no file is created
-        with open(args.svg, "w") as fh:
-            fh.write(picture)
+        _emit((curve_svg(s1, s2),), args.svg)  # drawn first: a refusal creates no file
     print(f"curve-curve={cc} arc-curve={ac}")
     return 0
 
@@ -201,8 +199,7 @@ def _cmd_gen(args):
     if args.svg:
         from .svg import render_svg
 
-        with open(args.svg, "w") as fh:
-            fh.write(render_svg(d))
+        _emit((render_svg(d),), args.svg)
     _emit(chain(pd_pieces(d), "\n"), args.out)
     return 0
 

@@ -189,6 +189,10 @@ def trace_gate_events(p: int, q: int) -> list[GateEvent]:
     line runs through the upper half of the strip, the strip is mirrored
     (x -> 1 - x) and the curve heads west.
 
+    The order is fixed: event 4m leaves C1's thin region, 4m+1 enters
+    C2's, 4m+2 leaves it and 4m+3 enters C1's.  So the entering events are
+    the odd ones, and event i is at a C2 gate exactly when i % 4 is 1 or 2.
+
     The gates sit 1/d from the arcs, d = 8(|p|+1), closer than any fold
     point (folds sit at distance >= 1/(4|p|) from x = 0 and x = 1/2).  At
     x = m + a/d the line's height, scaled by 4dq, is the integer

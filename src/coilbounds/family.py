@@ -239,6 +239,7 @@ def _verdict(kind: str, rows: list[dict]) -> str:
 #   kind            fixed-slope | vary-slope
 #   p, q, n1, n2    integers (fixed-slope: p, q, n2 fixed, n1 swept)
 #   range_start, range_end, range_step    the swept window (inclusive end;
+#                   range_step is fixed-slope's only and may be negative;
 #                   vary-slope reads range_start and range_end only for the
 #                   fibonacci and odd-denominators sequences)
 #   slope_sequence  fibonacci | odd-denominators | custom-list
@@ -278,8 +279,9 @@ def load_family_config(text: str) -> CoilFamily:
             start = int(kv["range_start"])
             end = int(kv["range_end"])
             step = int(kv.get("range_step", "1"))
+            stop = end + (1 if step > 0 else -1)  # one past end, in the step's direction
             family = fixed_slope_vary_twists(
-                int(kv["p"]), int(kv["q"]), int(kv["n2"]), _window(start, end + 1, step)
+                int(kv["p"]), int(kv["q"]), int(kv["n2"]), _window(start, stop, step)
             )
         elif kind == "vary-slope":
             seq = kv.get("slope_sequence", "fibonacci")

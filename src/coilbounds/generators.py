@@ -40,7 +40,6 @@ from .curves import (
     GATE_C1_EAST,
     GATE_C2_EAST,
     circle_passages,
-    is_entering_event,
     trace_gate_events,
 )
 from .builder import DiagramBuilder
@@ -241,10 +240,10 @@ def gen_double_coil(spec: CoilSpec) -> PlanarDiagram:
         west, east = _coil_braid(b, spec.q, n * _REGION_ORIENT[region])
         for pos, (w, e) in enumerate(passages[region]):
             port[w], port[e] = west[pos], east[pos]
-    for i, ev in enumerate(events):
-        if not is_entering_event(ev):
-            j = (i + 1) % len(events)
-            b.join(port[i], port[j])
+    # a band runs from each exit to the next entry; the exits are the even
+    # events (``trace_gate_events`` gives the order)
+    for i in range(0, len(events), 2):
+        b.join(port[i], port[i + 1])
     diagram = b.finish()
     if diagram.n_components != 1:
         raise AssertionError("double coil construction must close to a knot")

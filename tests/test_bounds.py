@@ -86,6 +86,8 @@ def test_ell_param():
     assert ell_param(3, -4, 5) == ell_param(3, 4, 5)
     with pytest.raises(ValueError):
         ell_param(2, 0, 3)
+    with pytest.raises(ValueError, match="full-twist counts must be non-zero"):
+        coil_hyperbolicity_certificate(1, 0, 1)
 
 
 def test_dehn_filling_factor():
@@ -284,6 +286,8 @@ def test_cheeger_buser():
         buser_upper(-1.0)
     with pytest.raises(ValueError):
         cheeger_upper(0, 1.0)
+    with pytest.raises(ValueError, match="volume must be positive"):
+        cheeger_upper(3, 0.0)
 
 
 def test_lambda_upper_figure8():
@@ -295,6 +299,10 @@ def test_lambda_upper_figure8():
     assert abs(lhs - (64 * math.pi / v + 2560 * math.pi**2 / v**2)) < 1e-9
     assert f"{lhs:.6g}" == "6230.99"
     assert f"{rhs:.6g}" == "6231.89"
+    with pytest.raises(ValueError, match="Heegaard genus must be at least 1"):
+        lambda_upper(0, 1.0)
+    with pytest.raises(ValueError, match="volume must be positive"):
+        lambda_upper(3, 0.0)
 
 
 def test_coil_lambda_examples():

@@ -21,6 +21,7 @@ from coilbounds.diagrams import emit_pd, parse_pd
 from coilbounds.errors import ConfigError
 from coilbounds.family import fibonacci_slopes, load_family_config
 from coilbounds.generators import CoilSpec, gen_double_coil
+from coilbounds.slopes import Slope
 
 
 def run(capsys, *argv):
@@ -32,6 +33,18 @@ def run(capsys, *argv):
 def test_cfrac(capsys):
     code, out, _ = run(capsys, "cfrac", "2/5")
     assert code == 0 and out == "[2,2] k=2\n"
+
+
+def test_python_dash_m(tmp_path):
+    # ``python -m coilbounds`` runs ``__main__``, as the benchmark starts every command
+    env = {**os.environ, "PYTHONPATH": str(Path(coilbounds.__file__).parents[1])}
+    ok = subprocess.run([sys.executable, "-m", "coilbounds", "cfrac", "2/5"],
+                        env=env, capture_output=True, text=True, cwd=tmp_path)
+    assert (ok.returncode, ok.stdout) == (0, "[2,2] k=2\n")
+    bad = subprocess.run([sys.executable, "-m", "coilbounds", "cfrac", "0/1"],
+                         env=env, capture_output=True, text=True, cwd=tmp_path)
+    assert (bad.returncode, bad.stdout) == (1, "")
+    assert bad.stderr.startswith("NonHyperbolicSlope: ")
 
 
 def test_cfrac_canonicalizes(capsys):
@@ -391,6 +404,25 @@ def test_verify_jobs_runs_checks_in_calling_process(monkeypatch, capsys):
     assert _CHECK_PIDS == [os.getpid()] * 6
 
 
+def test_verify_exits_1_when_a_check_fails(monkeypatch, capsys):
+    from coilbounds import verify
+
+    failed = verify.CheckResult("criterion-99 planted", False, 0.0, 1.0, "planted failure")
+    monkeypatch.setattr(verify, "run_checks", lambda: [failed])
+    code, out, err = run(capsys, "verify")
+    assert code == 1
+    assert out == "FAIL criterion-99 planted: planted failure\n"
+    assert err.endswith("1 check(s) failed\n")
+
+
+def test_verify_crashed_check_is_a_failure():
+    from coilbounds import verify
+
+    result = verify._run_one(("x", lambda: 1 / 0, 1.0))
+    assert not result.ok
+    assert result.line == "FAIL x: ZeroDivisionError: division by zero"
+
+
 def test_verify_pd_parses_once(tmp_path, monkeypatch, capsys):
     from coilbounds import diagrams
 
@@ -484,6 +516,16 @@ def test_gen_and_render_pipeline(tmp_path, capsys):
     code, _, _ = run(capsys, "render", str(pd_file), "--svg", str(out_svg))
     assert code == 0
     assert out_svg.read_text().count('class="xing"') == 40
+
+
+def test_curve_svg_writes_the_picture(tmp_path, capsys):
+    from coilbounds.svg import curve_svg
+
+    svg_file = tmp_path / "curves.svg"
+    code, out, _ = run(capsys, "curve", "2/5", "7/11", "--svg", str(svg_file))
+    assert code == 0 and out.startswith("curve-curve=")
+    with open(svg_file, newline="") as fh:
+        assert fh.read() == curve_svg(Slope(2, 5), Slope(7, 11))
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from coilbounds.curves import (
     circle_passages,
     curve_curve_intersection,
     fold_parameters,
+    is_entering_event,
     trace_gate_events,
 )
 from coilbounds.curves import _line_families, _torus_crossings
@@ -247,6 +248,18 @@ def test_trace_gate_events_match_fraction_walk():
             got = [(ev.gate, Fraction(ev.y, scale), ev.eastbound)
                    for ev in trace_gate_events(p, q)]
             assert got == want, (p, q)
+
+
+def test_trace_gate_events_order():
+    # gen_double_coil joins each even event to the next one as a band, so
+    # the order it reads is pinned here: 4m leaves C1's region, 4m+1 enters
+    # C2's, 4m+2 leaves it and 4m+3 enters C1's
+    slopes = [(p, q) for q in range(2, 61) for p in range(1, q) if gcd(p, q) == 1]
+    assert len(slopes) == 1101
+    for p, q in slopes:
+        for i, ev in enumerate(trace_gate_events(p, q)):
+            assert is_entering_event(ev) == (i % 2 == 1), (p, q, i)
+            assert (ev.gate // 2 == GATE_C2_WEST // 2) == (i % 4 in (1, 2)), (p, q, i)
 
 
 def test_circle_passages_run_west_to_east():

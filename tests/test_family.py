@@ -143,6 +143,9 @@ def test_config_custom_list_needs_no_range_end():
     assert [str(m.slope) for m in fam.members] == ["2/5", "3/7"]
 
 
+FIXED_25 = "kind = fixed-slope\np = {p}\nq = {q}\nn2 = 6\nrange_start = {start}\nrange_end = {end}\n"
+
+
 def test_config_errors():
     with pytest.raises(ConfigError):
         load_family_config("kind = nonsense\n")
@@ -150,6 +153,48 @@ def test_config_errors():
         load_family_config("kind = fixed-slope\np = 2\n")  # missing keys
     with pytest.raises(ConfigError):
         load_family_config("just some words\n")
+    for text in (
+        FIXED_25.format(p="two", q=5, start=4, end=8),
+        FIXED_25.format(p=5, q=3, start=4, end=8),
+        FIXED_25.format(p=2, q=5, start=4, end=8) + "range_step = 0\n",
+    ):
+        with pytest.raises(ConfigError, match="^bad config value: "):
+            load_family_config(text)
+    with pytest.raises(ConfigError, match="^unknown slope_sequence 'primes'$"):
+        load_family_config("kind = vary-slope\nslope_sequence = primes\nn1 = 4\n")
+    with pytest.raises(ConfigError, match="^unknown family kind 'other'$"):
+        CoilFamily("other", (CoilSpec(2, 5, 4, 6),))
+
+
+@pytest.mark.parametrize("start, end, step, n1s", [
+    (4, 8, 1, [4, 5, 6, 7, 8]),
+    (4, 9, 2, [4, 6, 8]),  # an end off the step grid is not reached
+    (4, 8, 2, [4, 6, 8]),
+    (8, 4, -1, [8, 7, 6, 5, 4]),
+    (9, 4, -2, [9, 7, 5]),
+    (8, 4, -2, [8, 6, 4]),
+    (-2, 2, 1, [-2, -1, 1, 2]),  # n1 = 0 is skipped
+    (8, 4, 1, []),
+])
+def test_config_range_step(start, end, step, n1s):
+    text = FIXED_25.format(p=2, q=5, start=start, end=end) + f"range_step = {step}\n"
+    if not n1s:
+        with pytest.raises(ConfigError, match="family range is empty"):
+            load_family_config(text)
+        return
+    assert [m.n1 for m in load_family_config(text).members] == n1s
+
+
+@pytest.mark.parametrize("step", [1, -1])
+def test_config_range_step_cap_counts_members(step):
+    # 10 000 members load, and one more is refused, whichever way the window runs
+    def window(members):
+        start, end = (1, members) if step > 0 else (members, 1)
+        return FIXED_25.format(p=2, q=5, start=start, end=end) + f"range_step = {step}\n"
+
+    assert len(load_family_config(window(10_000)).members) == 10_000
+    with pytest.raises(ConfigError, match="more than 10000 members"):
+        load_family_config(window(10_001))
 
 
 @pytest.mark.parametrize("seq", ["fibonacci", "odd-denominators"])

@@ -191,6 +191,8 @@ def test_augmented_structure():
         roles = circle_components(d)
         assert set(roles) == {"C1", "C2"}
         assert roles["C1"] != roles["C2"]
+    with pytest.raises(ValueError, match=r"^need 0 < p < q, got 3/2$"):
+        gen_augmented(Slope(3, 2))
 
 
 def test_fill_zero_deletes_circle():
@@ -251,6 +253,9 @@ def test_fill_non_circle():
             fill_crossing_circle(d, circle, 2)
     assert set(d.circles) == {"C1", "C2"}
     assert set(fill_crossing_circle(d, "C2", 2).circles) == {"C1"}
+    # the twist count, unlike the circle, must be an int
+    with pytest.raises(TypeError, match="^full-twist count must be an integer$"):
+        fill_crossing_circle(d, "C1", 1.0)
 
 
 def test_fill_matches_direct_coil():

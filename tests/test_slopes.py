@@ -27,6 +27,16 @@ def test_reduce_examples():
 def test_zero_over_zero():
     with pytest.raises(ZeroOverZero):
         reduce_slope(0, 0)
+    with pytest.raises(ZeroOverZero):
+        Slope(0, 0)
+
+
+def test_slope_must_be_normalized():
+    for (p, q), message in (((1, -2), "denominator must be normalized non-negative"),
+                            ((2, 0), "the infinite slope must be written 1/0"),
+                            ((2, 4), "2/4 is not reduced")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Slope(p, q)
 
 
 def test_slope_text_roundtrip():
@@ -53,6 +63,8 @@ def test_cfrac_examples():
     assert cfrac_eval(ContinuedFraction((1, 1, 2))) == Slope(3, 5)
     for q in (2, 3, 9):
         assert cfrac_eval(ContinuedFraction((q,))) == Slope(1, q)
+    with pytest.raises(ValueError, match=r"^cfrac_expand needs 0 < p < q, got 3/2$"):
+        cfrac_expand(Slope(3, 2))
 
 
 def test_cfrac_canonicality_enforced():
@@ -91,6 +103,8 @@ def test_mirror_examples():
     assert mirror_slope(Slope(2, 5)) == Slope(3, 5)
     assert mirror_slope(Slope(1, 2)) == Slope(1, 2)
     assert mirror_slope(Slope(3, 7)) == Slope(4, 7)
+    with pytest.raises(ValueError, match=r"^mirror_slope needs 0 < p < q, got 1/0$"):
+        mirror_slope(Slope(1, 0))
 
 
 def test_mirror_involution():
