@@ -233,12 +233,12 @@ def _cmd_family(args):
 
 def _cmd_verify(args):
     if args.pd is not None:
-        from .diagrams import verify_pd_text
+        from .diagrams import describe, parse_pd
 
         if args.jobs is not None or args.timings:
             raise _UsageError("--jobs and --timings belong to the suite; verify --pd reads neither")
         with open(args.pd) as fh:
-            print(verify_pd_text(fh.read()))
+            print(describe(parse_pd(fh.read())))
         return 0
     from .verify import run_checks
 

@@ -30,14 +30,8 @@ from itertools import chain, islice, repeat
 from . import slopes
 from .errors import EdgePairingError, NonPlanarRotation, PDSyntaxError
 
-__all__ = [
-    "PlanarDiagram",
-    "DiagramBuilder",
-    "parse_pd",
-    "emit_pd",
-    "pd_pieces",
-    "verify_pd_text",
-]
+__all__ = ["PlanarDiagram", "DiagramBuilder", "parse_pd", "emit_pd", "pd_pieces",
+           "describe"]
 
 # Typecode of the flat arrays, darts and edge labels alike: C unsigned ints.
 # 4 * MAX_CROSSINGS darts fit many times over, and so does every label a
@@ -292,9 +286,9 @@ def parse_pd(text: str) -> PlanarDiagram:
     A label is 1 to ``MAX_DIGITS`` ASCII digits, not all zeros; anything
     else is a ``PDSyntaxError``, which quotes the start of the bad term.
     The terms are read in one lazy pass straight into a flat label array,
-    whose pairing ``_pair_labels`` checks and builds; ``PlanarDiagram`` then
-    checks the strands, connectivity and faces.  This is the one way a label
-    list from outside becomes a diagram.
+    whose pairing ``_pair_labels`` checks and builds, after the text is let
+    go; ``PlanarDiagram`` then checks the strands, connectivity and faces.
+    This is the one way a label list from outside becomes a diagram.
     """
     cap = slopes.MAX_CROSSINGS
     if len(text) > 2 * cap:  # a shorter text holds at most cap terms
@@ -304,6 +298,9 @@ def parse_pd(text: str) -> PlanarDiagram:
         labels = array(_DARTS, map(int, chain.from_iterable(_term_labels(text))))
     except OverflowError:  # a label of 2^32 or more: read them all as Python ints
         labels = tuple(map(int, chain.from_iterable(_term_labels(text))))
+    # from here only the labels are read: on Python 3.11+ this frees a text no
+    # caller keeps, as parse_pd(fh.read()); 3.10 holds it on the caller's stack
+    del text
     return PlanarDiagram(labels, _pair_labels(labels))
 
 
@@ -320,13 +317,9 @@ def _term_labels(text):
         yield m.groups()
 
 
-def verify_pd_text(text: str) -> str:
-    """Validate a PD code and describe it in one line.
-
-    Parsing is the whole check: label pairing, strand orientation, faces,
-    the Euler count and connectivity (see ``parse_pd``).
-    """
-    d = parse_pd(text)
+def describe(d: PlanarDiagram) -> str:
+    """Describe a diagram in one line.  ``describe(parse_pd(text))`` checks a
+    PD code, since parsing is the whole check (see ``parse_pd``)."""
     return (
         f"ok: {d.n_crossings} crossings, {d.n_edges} edges, {d.n_faces} faces, "
         f"{d.n_components} components, {d.n_twist_regions} twist regions, "
@@ -358,7 +351,9 @@ def pd_pieces(d: PlanarDiagram):
         space = " "
 
 
-_EMIT_CHUNK = 1 << 12  # terms per chunk of emitted text
+# terms per chunk of emitted text: a chunk in flight holds about 130 B a term,
+# 135 KB at 1 024, and a larger chunk raises a writer's peak and saves no time
+_EMIT_CHUNK = 1 << 10
 
 
 def __getattr__(name):

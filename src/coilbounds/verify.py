@@ -80,41 +80,48 @@ def check_02_cfrac_roundtrip():
 # diagrams, generated once per process.
 @cache
 def _two_bridge_survey():
-    """(p, q, terms, twist regions, crossings, alternating) per slope q <= 100."""
-    rows = []
+    """What criteria 03 and 03* report of the slopes q <= 100: the slope
+    count, how many slopes break t = k and the first of them as
+    (p, q, terms, t), and the first (p, q, terms) that breaks
+    t = k - [a1=1], or None.  Only these verdicts are kept for the rest of
+    the run, not a row per slope."""
+    count = broken = 0
+    first_broken = first_untrue = None
     for p, q in _coprime_pairs(100):
         c = cfrac_expand(Slope(p, q))
         d = generators.gen_two_bridge(c)
-        rows.append((p, q, c.terms, d.n_twist_regions, d.n_crossings,
-                     d.is_alternating()))
-    return tuple(rows)
+        terms = c.terms
+        t = d.n_twist_regions
+        shape = d.n_crossings == sum(terms) and d.is_alternating()
+        count += 1
+        if not (t == len(terms) and shape):
+            broken += 1
+            if first_broken is None:
+                first_broken = (p, q, terms, t)
+        if first_untrue is None and not (t == len(terms) - (terms[0] == 1) and shape):
+            first_untrue = (p, q, terms)
+    return count, broken, first_broken, first_untrue
 
 
 def check_03_two_bridge_cross_check():
-    rows = _two_bridge_survey()
-    failures = [
-        (p, q, terms, t)
-        for p, q, terms, t, crossings, alternating in rows
-        if not (t == len(terms) and crossings == sum(terms) and alternating)
-    ]
-    if failures:
-        p, q, terms, got = failures[0]
+    count, broken, first, _ = _two_bridge_survey()
+    if broken:
+        p, q, terms, got = first
         return False, (
-            f"{len(failures)}/{len(rows)} slopes violate count=k, first {p}/{q} "
+            f"{broken}/{count} slopes violate count=k, first {p}/{q} "
             f"{list(terms)}: t(D)={got}, k={len(terms)} -- unattainable for "
             "a1=1 (e.g. [1,2] is the trefoil; every 3-crossing diagram of it "
             "has one twist region); true law t = k - [a1=1] verified separately"
         )
-    return True, f"{len(rows)} slopes: t(D)=k, crossings=sum(a_i), alternating"
+    return True, f"{count} slopes: t(D)=k, crossings=sum(a_i), alternating"
 
 
 def check_03adj_two_bridge_true_law():
-    rows = _two_bridge_survey()
-    for p, q, terms, t, crossings, alternating in rows:
-        expected = len(terms) - (1 if terms[0] == 1 else 0)
-        if not (t == expected and crossings == sum(terms) and alternating):
-            return False, f"true-law violation at {p}/{q} {list(terms)}"
-    return True, f"{len(rows)} slopes: t(D) = k - [a1=1], crossings=sum(a_i), alternating"
+    count, _, _, untrue = _two_bridge_survey()
+    if untrue:
+        p, q, terms = untrue
+        return False, f"true-law violation at {p}/{q} {list(terms)}"
+    return True, f"{count} slopes: t(D) = k - [a1=1], crossings=sum(a_i), alternating"
 
 
 def check_04_oracle_equivalence():

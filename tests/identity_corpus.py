@@ -5,13 +5,13 @@ Run from the repository root, on the tree before and after a change:
     PYTHONPATH=src python tests/identity_corpus.py
 
 It prints the number of outputs and one sha256 over, for each output, its
-PD text, ``circles``, ``strands`` and ``verify_pd_text`` line, plus the SVG
-of every diagram of at most 200 crossings.  The outputs are the two-bridge,
-clasped and augmented diagrams of every reduced p/q with q <= 13, each
-circle of those filled alone and both filled in either order with -2..2
-full twists, and the direct coils (p, q, n1, n2) with q <= 9 and n1, n2 in
--2, -1, 1, 2.  An output that raises is hashed as its error's type and
-message.
+PD text, ``circles``, ``strands`` and the ``describe`` line of its re-parsed
+text, plus the SVG of every diagram of at most 200 crossings.  The outputs
+are the two-bridge, clasped and augmented diagrams of every reduced p/q
+with q <= 13, each circle of those filled alone and both filled in either
+order with -2..2 full twists, and the direct coils (p, q, n1, n2) with
+q <= 9 and n1, n2 in -2, -1, 1, 2.  An output that raises is hashed as its
+error's type and message.
 
 It then finishes mutated copies of the wiring that some of those builds
 hand to ``DiagramBuilder.finish``: two edges with their ends swapped, one
@@ -30,7 +30,7 @@ import random
 import sys
 from math import gcd
 
-from coilbounds.diagrams import _UNWIRED, DiagramBuilder, emit_pd, verify_pd_text
+from coilbounds.diagrams import _UNWIRED, DiagramBuilder, describe, emit_pd, parse_pd
 from coilbounds.generators import (
     CoilSpec,
     fill_crossing_circle,
@@ -193,7 +193,7 @@ def _record(build):
         text,
         repr(sorted(d.circles.items())),
         repr([list(strand) for strand in d.strands]),
-        verify_pd_text(text),
+        describe(parse_pd(text)),
     ]
     if d.n_crossings <= SVG_CROSSINGS:
         parts.append(render_svg(d))

@@ -17,8 +17,12 @@ region.  The generator's true law t(D) = k - [a1 = 1] is verified by the
 companion criterion-03* check.
 """
 
+import tracemalloc
+
 import pytest
 
+from coilbounds import generators, verify
+from coilbounds.slopes import ContinuedFraction
 from coilbounds.verify import ACCEPTANCE_CHECKS, _run_one
 
 # ``coilbounds verify`` stdout, one line per check in table order
@@ -77,3 +81,34 @@ for _index, _entry in enumerate(ACCEPTANCE_CHECKS):
 
 def test_verify_stdout_has_one_line_per_check():
     assert len(VERIFY_STDOUT) == len(ACCEPTANCE_CHECKS)
+
+
+def test_two_bridge_survey_keeps_only_its_verdicts():
+    # criteria 03 and 03* print counts and first failures; the 3 043 rows
+    # they are read from are not kept for the rest of the run
+    verify._two_bridge_survey.cache_clear()
+    tracemalloc.start()
+    try:
+        verify._two_bridge_survey()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 64 * 1024
+
+
+def test_two_bridge_survey_failure_lines(monkeypatch):
+    # 3/7 = [2, 3] drawn with one crossing too many breaks both laws
+    real = generators.gen_two_bridge
+
+    def one_too_many(c):
+        return real(ContinuedFraction((2, 4)) if c.terms == (2, 3) else c)
+
+    monkeypatch.setattr(generators, "gen_two_bridge", one_too_many)
+    verify._two_bridge_survey.cache_clear()
+    try:
+        ok3, detail3 = verify.check_03_two_bridge_cross_check()
+        ok3adj, detail3adj = verify.check_03adj_two_bridge_true_law()
+    finally:
+        verify._two_bridge_survey.cache_clear()
+    assert not ok3adj and detail3adj == "true-law violation at 3/7 [2, 3]"
+    assert not ok3 and detail3.startswith("1522/3043 slopes violate count=k, first 2/3 [1, 2]")

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 from array import array
 
@@ -11,9 +12,10 @@ from coilbounds.diagrams import (
     _UNWIRED,
     DiagramBuilder,
     PlanarDiagram,
+    describe,
     emit_pd,
     parse_pd,
-    verify_pd_text,
+    pd_pieces,
 )
 from coilbounds.errors import (
     BuilderSpent,
@@ -134,7 +136,24 @@ def test_big_coil_peak_memory_per_crossing():
     crossings = spec.crossing_count
     assert _peak_bytes(lambda: gen_double_coil(spec)) <= 80 * crossings
     text = emit_pd(gen_double_coil(spec))
-    assert _peak_bytes(lambda: verify_pd_text(text)) <= 80 * crossings
+    assert _peak_bytes(lambda: describe(parse_pd(text))) <= 80 * crossings
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="Python 3.10 keeps call arguments on the caller's stack "
+                    "until the call returns, so parse_pd cannot free its text")
+def test_parse_frees_a_text_no_caller_keeps():
+    # the text (26 B/crossing) is gone before the labels are paired, so it
+    # and the pairing's arrays are never held at once
+    d = gen_double_coil(CoilSpec(37, 80, 1, 2))
+    text = emit_pd(d)
+    assert _peak_bytes(lambda: parse_pd(" " + text)) <= 72 * d.n_crossings
+
+
+def test_pd_pieces_holds_one_chunk_of_terms():
+    # 18 960 crossings, about 19 chunks: a walk holds one chunk at a time
+    d = gen_double_coil(CoilSpec(37, 80, 1, 2))
+    assert _peak_bytes(lambda: sum(map(len, pd_pieces(d)))) <= 200_000
 
 
 def test_render_peak_memory_per_crossing():
@@ -222,7 +241,7 @@ def test_labels_stay_an_array_below_2_to_the_32(big, kept):
     d = parse_pd(text)
     assert type(d.labels) is kept
     assert emit_pd(d) == text
-    assert verify_pd_text(text) == verify_pd_text(TREFOIL)
+    assert describe(d) == describe(parse_pd(TREFOIL))
 
 
 def test_mate_pairs_edge_labels():

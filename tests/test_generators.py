@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coilbounds import slopes
-from coilbounds.diagrams import DiagramBuilder, emit_pd, verify_pd_text
+from coilbounds.diagrams import DiagramBuilder, describe, emit_pd, parse_pd
 from coilbounds.errors import NotACrossingCircle, NotAKnot, TooManyCrossings
 from coilbounds.generators import (
     CoilSpec,
@@ -212,7 +212,7 @@ def test_fill_both_circles_with_zero_is_the_empty_diagram():
             f = fill_crossing_circle(fill_crossing_circle(d, first, 0), second, 0)
             assert emit_pd(f) == ""
             assert f.circles == {}
-            assert verify_pd_text(emit_pd(f)) == verify_pd_text("")
+            assert describe(parse_pd(emit_pd(f))) == describe(parse_pd(""))
 
 
 def test_finish_neither_rewrites_nor_keeps_the_callers_circles():
