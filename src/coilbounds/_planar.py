@@ -9,11 +9,14 @@ This is a port of networkx 3.6's ``combinatorial_embedding_to_pos``
 ``make_bi_connected``, ``triangulate_face``, ``get_canonical_ordering``
 and the shift step) and of the parts of ``PlanarEmbedding``
 (``networkx/algorithms/planarity.py``) that it uses.  Every rotation is
-walked and every set is changed in the same order as there, so the
-positions, and the order of their keys, are the ones networkx returns;
-the tests compare the two.  networkx is Copyright (c) 2004-2025, NetworkX
-Developers, and is distributed under the 3-clause BSD license, reproduced
-at the end of this file.
+walked in the same order as there, so the triangulation and the shift
+step are networkx's; the canonical ordering picks its next node by the
+rule that ``get_canonical_ordering`` states, not by hash-table order, so
+the drawing is a function of the embedding alone and the ordering takes
+linear time.  The tests give networkx this ordering and compare the
+positions.  networkx is Copyright (c) 2004-2025, NetworkX Developers, and
+is distributed under the 3-clause BSD license, reproduced at the end of
+this file.
 
 An embedding ``emb`` is the tuple (head, cw, ccw, twin, leftmost) of
 flat arrays indexed by half-edge or node, where networkx keeps a dict of
@@ -72,7 +75,7 @@ def cw_order(cw, start):
 
 
 def combinatorial_embedding_to_pos(emb, nodes):
-    """Integer grid positions {node: (x, y)} of a straight-line drawing.
+    """Integer grid positions, arrays (x, y), of a straight-line drawing: v at (x[v], y[v]).
 
     Triangulates ``emb`` in place, keeping its largest face as the outer
     face, then places the nodes in canonical order; ``nodes`` gives the
@@ -120,17 +123,16 @@ def combinatorial_embedding_to_pos(emb, nodes):
             left_t_child[vk] = wp1
             right_t_child[wq1] = -1
 
-    # 2. Absolute positions
-    pos = {v1: (0, y_coordinate[v1])}
+    # 2. Absolute positions: a parent's x is final before its children's
     remaining_nodes = [v1]
     while remaining_nodes:
         parent = remaining_nodes.pop()
         for tree in (left_t_child, right_t_child):
             child = tree[parent]
             if child >= 0:
-                pos[child] = (pos[parent][0] + delta_x[child], y_coordinate[child])
+                delta_x[child] += delta_x[parent]
                 remaining_nodes.append(child)
-    return pos
+    return delta_x, y_coordinate
 
 
 def get_canonical_ordering(emb, outer_face):
@@ -139,14 +141,17 @@ def get_canonical_ordering(emb, outer_face):
     order[k] is vk, and for k >= 2, contours[ends[k + 1]:ends[k]] lists
     vk's neighbours from wp to wq, the part of G_(k-1)'s outer face that
     vk covers.  Chrobak–Payne, Lemma 1: starting from the whole graph,
-    repeatedly remove an outer node that has no chord.
+    repeatedly remove an outer node that has no chord.  The rule: remove
+    the chord-free outer node found most recently.  A node is found when
+    it is chord-free on the outer face at the start, in ``outer_face``
+    order, when it joins the outer face chord-free, in order from wp to wq,
+    and when its last chord becomes an outer edge, wp before wq.
     """
     head, cw, ccw, _, leftmost = emb
     n = len(leftmost)
     v1 = outer_face[0]
     v2 = outer_face[1]
     chords = array("i", [0]) * n  # node -> number of its chords
-    ready_to_pick = set(outer_face)
     # node -> flags: 1 once on the outer face, 2 once removed (marked), so
     # a node is on the outer face of what is left when its flags are 1
     outer = bytearray(n)
@@ -166,18 +171,21 @@ def get_canonical_ordering(emb, outer_face):
             if (outer[nbr] == 1 and outer_face_ccw_nbr[v] != nbr
                     and outer_face_cw_nbr[v] != nbr):
                 chords[v] += 1
-                ready_to_pick.discard(v)
+    # chord-free outer nodes, the one found last on top; v1 and v2 count the
+    # edge v1-v2 as a chord until the last pick, so neither is ever picked
+    ready = array("i", (v for v in outer_face if not chords[v]))
+    stamp = array("i", [0]) * n  # node -> the last k at which it joined the outer face
 
     order = array("i", [0]) * n
     order[0] = v1
     order[1] = v2
     contours = array("i")
     ends = array("i", [0]) * (n + 1)
-    ready_to_pick.discard(v1)
-    ready_to_pick.discard(v2)
 
     for k in range(n - 1, 1, -1):
-        v = ready_to_pick.pop()
+        v = ready.pop()
+        while outer[v] != 1 or chords[v]:  # removed, or gained a chord since pushed
+            v = ready.pop()
         outer[v] |= 2
 
         # v has exactly two neighbours on the outer face, wp and wq
@@ -213,25 +221,24 @@ def get_canonical_ordering(emb, outer_face):
 
         if ends[k] - start == 2:
             # the chord wp-wq is now an outer edge
-            chords[wp] -= 1
-            if chords[wp] == 0:
-                ready_to_pick.add(wp)
-            chords[wq] -= 1
-            if chords[wq] == 0:
-                ready_to_pick.add(wq)
+            for w in (wp, wq):
+                chords[w] -= 1
+                if not chords[w]:
+                    ready.append(w)
         else:
-            new_face_nodes = set(contours[start + 1 : -1])
+            new_face_nodes = contours[start + 1 : -1]
             for w in new_face_nodes:
-                ready_to_pick.add(w)
+                stamp[w] = k
+            for w in new_face_nodes:
                 for h in cw_order(cw, leftmost[w]):
                     nbr = head[h]
                     if (outer[nbr] == 1 and outer_face_ccw_nbr[w] != nbr
                             and outer_face_cw_nbr[w] != nbr):
                         chords[w] += 1
-                        ready_to_pick.discard(w)
-                        if nbr not in new_face_nodes:
+                        if stamp[nbr] != k:
                             chords[nbr] += 1
-                            ready_to_pick.discard(nbr)
+                if not chords[w]:
+                    ready.append(w)
 
     return order, contours, ends
 

@@ -4,14 +4,16 @@ Run from the repository root, on the tree before and after a change:
 
     PYTHONPATH=src python tests/identity_corpus.py
 
-It prints the number of outputs and one sha256 over, for each output, its
-PD text, ``circles``, ``strands`` and the ``describe`` line of its re-parsed
-text, plus the SVG of every diagram of at most 200 crossings.  The outputs
-are the two-bridge, clasped and augmented diagrams of every reduced p/q
-with q <= 13, each circle of those filled alone and both filled in either
-order with -2..2 full twists, and the direct coils (p, q, n1, n2) with
-q <= 9 and n1, n2 in -2, -1, 1, 2.  An output that raises is hashed as its
-error's type and message.
+It prints two lines.  The first gives the number of outputs and one
+sha256 over, for each output, its PD text, ``circles``, ``strands`` and the
+``describe`` line of its re-parsed text.  The second gives the number of
+drawings and one sha256 over the SVG of every diagram of at most 200
+crossings, so that a change to the drawing alone moves only the second
+line.  The outputs are the two-bridge, clasped and augmented diagrams of
+every reduced p/q with q <= 13, each circle of those filled alone and both
+filled in either order with -2..2 full twists, and the direct coils
+(p, q, n1, n2) with q <= 9 and n1, n2 in -2, -1, 1, 2.  An output that
+raises is hashed as its error's type and message.
 
 It then finishes mutated copies of the wiring that some of those builds
 hand to ``DiagramBuilder.finish``: two edges with their ends swapped, one
@@ -19,9 +21,9 @@ or two edges whose ends are each wired to themselves, a dangling dart, a
 dart wired to a dart that is not wired back, a crossing whose under
 diagonal is flipped, and a self-wired edge with a dart not wired back (to
 show which of the two is named), each at darts drawn from a generator
-seeded by the build's name.  Each is hashed as its PD text and
-``circles``, or as its error's type and message.  Equal hashes mean
-byte-identical outputs.  The file has no ``test_`` prefix, so pytest
+seeded by the build's name.  Each is hashed, into the first line, as its
+PD text and ``circles``, or as its error's type and message.  Equal hashes
+mean byte-identical outputs.  The file has no ``test_`` prefix, so pytest
 does not collect it.
 """
 
@@ -183,11 +185,11 @@ def _mutant_record(finish):
 
 
 def _record(build):
-    """The text that stands for one output."""
+    """The text that stands for one output, and its SVG (None if not drawn)."""
     try:
         d = build()
     except Exception as e:  # an output that raises is hashed as its error
-        return f"{type(e).__name__}: {e}"
+        return f"{type(e).__name__}: {e}", None
     text = emit_pd(d)
     parts = [
         text,
@@ -195,21 +197,24 @@ def _record(build):
         repr([list(strand) for strand in d.strands]),
         describe(parse_pd(text)),
     ]
-    if d.n_crossings <= SVG_CROSSINGS:
-        parts.append(render_svg(d))
-    return "\n".join(parts)
+    return "\n".join(parts), render_svg(d) if d.n_crossings <= SVG_CROSSINGS else None
 
 
 def main():
-    h = hashlib.sha256()
-    count = 0
+    h, h_svg = hashlib.sha256(), hashlib.sha256()
+    count = drawings = 0
     for name, build in _builds():
-        h.update(f"{name}\n{_record(build)}\n\n".encode())
+        record, svg = _record(build)
+        h.update(f"{name}\n{record}\n\n".encode())
         count += 1
+        if svg is not None:
+            h_svg.update(f"{name}\n{svg}\n\n".encode())
+            drawings += 1
     for name, finish in _mutants():
         h.update(f"{name}\n{_mutant_record(finish)}\n\n".encode())
         count += 1
     print(f"{count} outputs sha256 {h.hexdigest()}")
+    print(f"{drawings} drawings sha256 {h_svg.hexdigest()}")
     return 0
 
 

@@ -848,6 +848,21 @@ def test_oversized_input_refused(tmp_path, monkeypatch, capsys, argv):
     assert not any(tmp_path.iterdir())  # nothing written
 
 
+@pytest.mark.parametrize("argv", [("gen", "twobridge", "--cfrac", "[11]", "--svg", "d.svg"),
+                                  ("render", "k.pd", "--svg", "d.svg")])
+def test_drawing_refused_above_its_cap(tmp_path, monkeypatch, capsys, argv):
+    # under a cap of 10, an 11-crossing drawing is refused: exit 1, no PD
+    # text on stdout and no file written
+    import coilbounds.svg
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.pd").write_text(emit_pd(gen_double_coil(CoilSpec(1, 3, 5, 1))))
+    monkeypatch.setattr(coilbounds.svg, "MAX_DRAWN_CROSSINGS", 10)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("TooManyCrossings: ")
+    assert not (tmp_path / "d.svg").exists()
+
+
 # --- argv fuzz --------------------------------------------------------------
 
 _INT = st.sampled_from(

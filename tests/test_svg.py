@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from array import array
 from math import gcd
 from pathlib import Path
 from unittest import mock
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import coilbounds
-from coilbounds import slopes, svg
+from coilbounds import _planar, slopes, svg
 from coilbounds.diagrams import parse_pd
 from coilbounds.errors import TooManyCrossings
 from coilbounds.generators import (
@@ -25,6 +26,7 @@ from coilbounds.generators import (
 )
 from coilbounds.slopes import ContinuedFraction, Slope, cfrac_expand
 from coilbounds.svg import curve_svg, render_svg
+from drawing_oracle import canonical_runs, crossing_edges, subdivided_rotation
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 
@@ -101,6 +103,16 @@ def test_curve_svg_refuses_by_points_drawn(picture):
     assert sum(len(points.split()) for points in drawn) <= cap
 
 
+def test_render_refuses_above_the_drawing_cap():
+    d = gen_two_bridge(ContinuedFraction((11,)))
+    with mock.patch.object(svg, "MAX_DRAWN_CROSSINGS", 11):
+        assert render_svg(d).count('class="xing"') == 11
+    with mock.patch.object(svg, "MAX_DRAWN_CROSSINGS", 10), \
+            mock.patch.object(svg, "_layout", side_effect=AssertionError("laid out")):
+        with pytest.raises(TooManyCrossings, match="drawing of 11 crossings: at most 10"):
+            render_svg(d)
+
+
 @pytest.mark.parametrize(
     "slope, digest",
     [
@@ -116,10 +128,12 @@ def test_curve_svg_golden(slope, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# The layout is Chrobak and Payne's grid drawing as networkx 3.6 computes it
-# (coilbounds._planar is a port); this digest was taken with networkx 3.6,
-# before the port, and the port reproduces it.
-AUGMENTED_2_5_DIGEST = "b68f826c506b195fe672c6379f03efc8e11a19fb39d38ef58630111f8a51f95c"
+# Taken from this package's own layout once the canonical ordering picked by
+# its stated rule (the chord-free outer node found most recently): the
+# drawing is Chrobak and Payne's, with networkx 3.6's triangulation and shift
+# step given that ordering (test_layout_matches_networkx), and the corpus
+# drawings meet Lemma 1 and have no crossing edges (the tests below).
+AUGMENTED_2_5_DIGEST = "cfba66d0dbc8ca8963dd4ab2b9db445013b5e6f1409296b7c6a940265fc4cf00"
 
 
 def test_render_svg_golden():
@@ -144,21 +158,45 @@ def test_render_svg_independent_of_hash_seed():
     assert len(digests) == 1
 
 
+def _flat_embedding(emb):
+    """A networkx embedding of the nodes 0..N-1 as ``_planar``'s flat
+    arrays (head, cw, ccw, twin, leftmost)."""
+    half = {}  # (u, w) -> its half-edge, numbered node by node, clockwise
+    head, cw, ccw, leftmost = array("i"), array("i"), array("i"), array("i")
+    for u in range(len(emb)):
+        nbrs = list(emb.neighbors_cw_order(u))
+        base = len(head)
+        leftmost.append(base)
+        for i, w in enumerate(nbrs):
+            half[u, w] = base + i
+            head.append(w)
+            cw.append(base + (i + 1) % len(nbrs))
+            ccw.append(base + (i - 1) % len(nbrs))
+    twin = array("i", (half[w, u] for u, w in half))
+    return head, cw, ccw, twin, leftmost
+
+
+def _our_ordering(emb, outer_face):
+    """``_planar``'s canonical ordering of networkx's triangulation, in the
+    form networkx's ``get_canonical_ordering`` returns."""
+    order, contours, ends = _planar.get_canonical_ordering(_flat_embedding(emb), outer_face)
+    return [(order[0], []), (order[1], [])] + [
+        (order[k], list(contours[ends[k + 1] : ends[k]])) for k in range(2, len(order))]
+
+
 def _networkx_layout(nx, d):
-    """The positions networkx draws for the graph that svg._layout lays out."""
-    v = d.n_crossings
-    neighbors = {c: [v + 4 * c + s for s in range(4)] for c in range(v)}
-    for e, f in enumerate(d.mate):
-        if e < f:
-            neighbors[v + e] = [e // 4, v + f]
-            neighbors[v + f] = [v + e, f // 4]
+    """The positions networkx draws for the graph that svg._layout lays out,
+    when its canonical ordering is ours: networkx triangulates and shifts."""
     emb = nx.PlanarEmbedding()
-    for node, nbrs in neighbors.items():
+    for node, nbrs in subdivided_rotation(d).items():
         emb.add_half_edge(node, nbrs[0])
         for prev, w in zip(nbrs, nbrs[1:]):
             emb.add_half_edge(node, w, ccw=prev)
     emb.check_structure()
-    return nx.combinatorial_embedding_to_pos(emb)
+    from networkx.algorithms import planar_drawing
+
+    with mock.patch.object(planar_drawing, "get_canonical_ordering", _our_ordering):
+        return nx.combinatorial_embedding_to_pos(emb)
 
 
 def _coprime(q_max):
@@ -191,6 +229,9 @@ def _layout_corpus():
     yield "coil 3/4 -9 6", gen_double_coil(CoilSpec(3, 4, -9, 6))
     yield "two-bridge [60]", gen_two_bridge(ContinuedFraction((60,)))
     yield "two-bridge [2, 40, 3]", gen_two_bridge(ContinuedFraction((2, 40, 3)))
+    # a big face: two faces of about 1 200 nodes each, where a pick that
+    # scans for a chord-free node would be quadratic
+    yield "two-bridge [400]", gen_two_bridge(ContinuedFraction((400,)))
     yield "augmented 5/11 C2 2", fill_crossing_circle(gen_augmented(Slope(5, 11)), "C2", 2)
 
 
@@ -198,7 +239,51 @@ def test_layout_matches_networkx():
     nx = pytest.importorskip("networkx")
     count = 0
     for name, d in _layout_corpus():
-        ours, theirs = svg._layout(d), _networkx_layout(nx, d)
-        assert ours == theirs and list(ours) == list(theirs), name  # values and key order
+        xs, ys = svg._layout(d)
+        theirs = _networkx_layout(nx, d)
+        assert len(theirs) == len(xs), name
+        assert all(theirs[u] == (xs[u], ys[u]) for u in range(len(xs))), name
+        count += 1
+    assert count > 600
+
+
+def _ordering_of_layout(d):
+    """The graph that ``svg._layout(d)`` orders, as {node: set of its
+    neighbours} once triangulated, and the ordering (order, contours, ends)."""
+    seen = []
+    real = _planar.get_canonical_ordering
+
+    def record(emb, outer_face):
+        head, _, _, twin, _ = emb
+        adj = {}
+        for h, w in enumerate(head):
+            adj.setdefault(head[twin[h]], set()).add(w)
+        seen.append((adj, real(emb, outer_face)))
+        return seen[-1][1]
+
+    with mock.patch.object(_planar, "get_canonical_ordering", record):
+        svg._layout(d)
+    (found,) = seen
+    return found
+
+
+def test_canonical_ordering_meets_lemma_1():
+    for name, d in _layout_corpus():
+        adj, (order, contours, ends) = _ordering_of_layout(d)
+        rotation = subdivided_rotation(d)
+        assert all(w in adj[u] for u, nbrs in rotation.items() for w in nbrs), name
+        runs = [list(contours[ends[k + 1] : ends[k]]) for k in range(2, len(order))]
+        assert canonical_runs(adj, list(order)) == runs, name
+
+
+def test_corpus_drawings_have_no_crossing_edges():
+    count = 0
+    for name, d in _layout_corpus():
+        if d.n_crossings > 40:
+            continue
+        xs, ys = svg._layout(d)
+        rotation = subdivided_rotation(d)
+        edges = [(u, w) for u, nbrs in rotation.items() for w in nbrs if u < w]
+        assert crossing_edges({u: (xs[u], ys[u]) for u in rotation}, edges) is None, name
         count += 1
     assert count > 600
